@@ -549,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("theorem", choices=THEOREM_IDS)
     p.add_argument("--space", default=None)
     p.add_argument("--a", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--D", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
@@ -561,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run all applicable checks for the space")
     p.add_argument("--space", default=None)
     p.add_argument("--a", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
     p = sub.add_parser("plot-data", help="re-emit CSV rows from a saved JSON report")
     p.add_argument("--report", required=True)

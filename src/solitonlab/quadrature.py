@@ -1,10 +1,9 @@
 """Internal quadrature helpers.
 
-Thin wrappers around scipy's adaptive Gauss-Kronrod rule plus the two
-truncation policies used everywhere in this package: improper integrals over
-the line / R^n are cut at 12 standard widths of the dominating Gaussian
-factor, and slowly decaying tails are integrated over doubling windows until
-a rigorous bound on the remainder drops below a relative threshold.
+Thin wrappers around scipy's adaptive Gauss-Kronrod rule (also in the log
+variable, for slowly decaying integrands) plus the truncation policy used
+everywhere in this package: improper integrals over the line / R^n are cut
+at 12 standard widths of the dominating Gaussian factor.
 """
 
 from __future__ import annotations
@@ -48,32 +47,6 @@ def quad_log(f, a: float, b: float, limit: int = 200) -> tuple[float, float]:
         limit=limit,
     )
     return val, err
-
-
-def quad_doubling_tail(f, start: float, bound_fn, rel_tail: float = 1e-12,
-                       running: float = 0.0, factor: float = 4.0,
-                       max_windows: int = 200) -> tuple[float, float, float]:
-    """Integrate f over [start, inf) on doubling windows in log scale.
-
-    ``bound_fn(T)`` must return a rigorous upper bound for the remaining
-    integral past T. Stops once that bound drops below rel_tail times the
-    running total. Returns (value, quadrature error, final tail bound).
-    """
-    total = running
-    acc = 0.0
-    err = 0.0
-    lo = start
-    for _ in range(max_windows):
-        hi = lo * factor
-        v, e = quad_log(f, lo, hi)
-        acc += v
-        err += e
-        total += v
-        lo = hi
-        b = bound_fn(lo)
-        if b < rel_tail * max(total, 1e-300):
-            return acc, err, b
-    raise RuntimeError("tail integration exhausted its window budget")
 
 
 @lru_cache(maxsize=32)

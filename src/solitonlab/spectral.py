@@ -124,8 +124,8 @@ def discretize_radial(space: SolitonSpace, R_max: float, m: int, a: float = 0.0)
     """Conservative second-order radial discretization on (0, R_max].
 
     Only the gaussian space is meshed (its kernels are rotation invariant
-    about the source); R vanishes there, so the a R term contributes zero but
-    is kept for form. Flux form: (A u)_i = (F_{i-1/2} + F_{i+1/2}) / w_i with
+    about the source); R vanishes there, so the a R term contributes zero and
+    ``a`` is only recorded. Flux form: (A u)_i = (F_{i-1/2} + F_{i+1/2}) / w_i with
     F_{i+1/2} = area * r_{i+1/2}^{n-1} (u_i - u_{i+1})/h and zero flux through
     the origin. The origin row equals the n * u''(0) limit of the operator.
     """
@@ -153,8 +153,6 @@ def discretize_radial(space: SolitonSpace, R_max: float, m: int, a: float = 0.0)
     diag[1:] = (flux[:-1] + flux[1:]) / weights[1:]
     upper = -flux[: m - 1] / weights[: m - 1]
     lower = -flux[: m - 1] / weights[1:]
-    # a R term is identically zero on the gaussian space; kept for form
-    diag += a * np.zeros(m)
 
     return DiscretizedOperator(space, float(R_max), int(m), float(a), float(h),
                                r, weights, lower, diag, upper)

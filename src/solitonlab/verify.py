@@ -25,15 +25,9 @@ import numpy as np
 
 from .entropy import RadialProfile, TrialFunction, random_trials
 from .exceptions import KindMismatchError, TimeDomainError
-from .kernels import (
-    CylinderHeatKernel,
-    DirichletRadialHeatKernel,
-    EuclideanHeatKernel,
-    GreenEvaluator,
-    SphereHeatKernel,
-)
-from .quadrature import gaussian_cutoff, leggauss_ab, quad_ab
-from .spaces import Point, SolitonSpace, sphere_area
+from .kernels import DirichletRadialHeatKernel, GreenEvaluator, crank_nicolson
+from .quadrature import gaussian_cutoff
+from .spaces import SolitonSpace, sphere_area
 from .spectral import (
     DiscretizedOperator,
     Spectrum,
@@ -161,129 +155,6 @@ def _timed(fn):
 
 
 # ---------------------------------------------------------------------------
-# kernel mass / semigroup quadratures (shared by the axiom check)
-# ---------------------------------------------------------------------------
-
-
-def kernel_mass(evaluator, x: Point, t: float) -> float:
-    """Volume integral of H(x, ., t) by the reduced quadrature of the space."""
-    space = evaluator.space
-    n = space.n
-    if isinstance(evaluator, EuclideanHeatKernel):
-        rmax = gaussian_cutoff(math.sqrt(2.0 * t))
-        val, _ = quad_ab(
-            lambda r: sphere_area(n - 1) * r ** (n - 1) * evaluator.value_at_distance(r, t),
-            0.0,
-            rmax,
-        )
-        return val
-    if isinstance(evaluator, SphereHeatKernel):
-        r0 = space.sphere_radius
-        u, w = leggauss_ab(400, 0.0, math.pi)
-        vals, _ = evaluator.profile(np.cos(u), t)
-        return float(np.sum(w * sphere_area(n - 1) * r0 ** n * np.sin(u) ** (n - 1) * vals))
-    if isinstance(evaluator, CylinderHeatKernel):
-        r0 = space.sphere_radius
-        u, w = leggauss_ab(400, 0.0, math.pi)
-        svals, _ = evaluator._factor.profile(np.cos(u), t)
-        smass = float(np.sum(w * sphere_area(n - 2) * r0 ** (n - 1) * np.sin(u) ** (n - 2) * svals))
-        smax = gaussian_cutoff(math.sqrt(2.0 * t)) + abs(x.s)
-        line, _ = quad_ab(
-            lambda z: (4.0 * math.pi * t) ** -0.5 * math.exp(-((z - x.s) ** 2) / (4.0 * t)),
-            x.s - smax,
-            x.s + smax,
-        )
-        return math.exp(-evaluator._aR * t) * smass * line
-    if isinstance(evaluator, DirichletRadialHeatKernel):
-        return evaluator.mass(t)
-    raise KindMismatchError(f"no mass rule for evaluator {type(evaluator).__name__}")
-
-
-def semigroup_defect(evaluator, x: Point, y: Point, t: float, s: float) -> float:
-    """Relative defect of the composition identity at (x, y, t, s)."""
-    space = evaluator.space
-    n = space.n
-    direct = evaluator(x, y, t + s) if not isinstance(evaluator, DirichletRadialHeatKernel) else None
-
-    if isinstance(evaluator, EuclideanHeatKernel):
-        comp = 1.0
-        for i in range(n):
-            xi, yi = x.vector[i], y.vector[i]
-            width = math.sqrt(2.0 * max(t, s))
-            lo = min(xi, yi) - gaussian_cutoff(width)
-            hi = max(xi, yi) + gaussian_cutoff(width)
-            peak = (s * xi + t * yi) / (t + s)  # product-bump location
-            val, _ = quad_ab(
-                lambda z: (4.0 * math.pi * t) ** -0.5 * math.exp(-((xi - z) ** 2) / (4.0 * t))
-                * (4.0 * math.pi * s) ** -0.5 * math.exp(-((z - yi) ** 2) / (4.0 * s)),
-                lo,
-                hi,
-                points=[xi, yi, peak],
-            )
-            comp *= val
-        return abs(comp - direct) / abs(direct)
-
-    if isinstance(evaluator, SphereHeatKernel):
-        comp = _sphere_compose(evaluator, n, space.sphere_radius,
-                               space.distance(x, y) / space.sphere_radius, t, s)
-        return abs(comp - direct) / abs(direct)
-
-    if isinstance(evaluator, CylinderHeatKernel):
-        factor = evaluator._factor
-        theta = math.acos(float(np.clip(np.dot(x.vector, y.vector), -1.0, 1.0)))
-        sph = _sphere_compose(factor, n - 1, space.sphere_radius, theta, t, s)
-        width = math.sqrt(2.0 * max(t, s))
-        lo = min(x.s, y.s) - gaussian_cutoff(width)
-        hi = max(x.s, y.s) + gaussian_cutoff(width)
-        peak = (s * x.s + t * y.s) / (t + s)  # narrow product bump at far separations
-        line, _ = quad_ab(
-            lambda z: (4.0 * math.pi * t) ** -0.5 * math.exp(-((x.s - z) ** 2) / (4.0 * t))
-            * (4.0 * math.pi * s) ** -0.5 * math.exp(-((z - y.s) ** 2) / (4.0 * s)),
-            lo,
-            hi,
-            points=[x.s, y.s, peak],
-        )
-        comp = math.exp(-evaluator._aR * (t + s)) * sph * line
-        return abs(comp - direct) / abs(direct)
-
-    if isinstance(evaluator, DirichletRadialHeatKernel):
-        # single-source radial kernel: the identity is checked on the diagonal;
-        # Simpson over the nodes, since the cell-volume weights are only a
-        # second-order quadrature
-        from scipy.integrate import simpson
-
-        op = evaluator.op
-        ut = evaluator.profile(t)
-        us = evaluator.profile(s)
-        r = np.arange(op.m + 1) * op.h
-        integrand = ut * us * sphere_area(n - 1) * r ** (n - 1)
-        comp = float(simpson(integrand, x=r))
-        direct = evaluator(0.0, t + s)
-        return abs(comp - direct) / abs(direct)
-
-    raise KindMismatchError(f"no semigroup rule for evaluator {type(evaluator).__name__}")
-
-
-def _sphere_compose(kernel: SphereHeatKernel, n: int, r0: float, Theta: float,
-                    t: float, s: float) -> float:
-    """Quadrature of the composition over the sphere (zonal x azimuth)."""
-    ug, wg = leggauss_ab(170, 0.0, math.pi)
-    vg, qg = leggauss_ab(170, 0.0, math.pi)
-    U, V = np.meshgrid(ug, vg, indexing="ij")
-    cos_zy = np.cos(U) * math.cos(Theta) + np.sin(U) * math.sin(Theta) * np.cos(V)
-    k1, _ = kernel.profile(np.cos(ug), t)
-    k2, _ = kernel.profile(cos_zy, s)
-    if n == 2:
-        # z = (u, v) polar coordinates about x; measure r0^2 sin(u) du dv, v in [0, 2 pi)
-        inner = np.sum(qg * k2, axis=1) * 2.0  # azimuthal symmetry: double the [0, pi] half
-        return float(np.sum(wg * k1 * np.sin(ug) * inner) * r0 ** 2)
-    # general n: measure r0^n sin^{n-1}(u) du * A_{n-2} sin^{n-2}(v) dv
-    inner = np.sum(qg * np.sin(vg) ** (n - 2) * k2, axis=1)
-    return float(np.sum(wg * k1 * np.sin(ug) ** (n - 1) * inner)
-                 * r0 ** n * sphere_area(n - 2))
-
-
-# ---------------------------------------------------------------------------
 # kernel axioms
 # ---------------------------------------------------------------------------
 
@@ -314,7 +185,7 @@ def kernel_axioms(evaluator, samples: int = 6, seed: int = 0,
                 u = evaluator.profile(t)
                 pos_viol = max(pos_viol, max(0.0, -float(u.min())))
             mass_viol = max(max(0.0, evaluator.mass(t) - 1.0) for t in ts)
-            semi_viol = max(semigroup_defect(evaluator, None, None, t, t / 2) for t in ts)
+            semi_viol = max(evaluator.semigroup_defect(t, t / 2) for t in ts)
         else:
             pairs = [(space.random_point(rng), space.random_point(rng)) for _ in range(samples)]
             sym_viol = 0.0
@@ -326,7 +197,7 @@ def kernel_axioms(evaluator, samples: int = 6, seed: int = 0,
                     sym_viol = max(sym_viol, abs(hxy - hyx))
                     pos_viol = max(pos_viol, -min(hxy + err, 0.0))
             mass_viol = max(
-                max(0.0, kernel_mass(evaluator, px, t) - 1.0)
+                max(0.0, evaluator.mass(px, t) - 1.0)
                 for (px, _) in pairs[:2]
                 for t in ts
             )
@@ -344,7 +215,7 @@ def kernel_axioms(evaluator, samples: int = 6, seed: int = 0,
                     if direct <= 1e3 * derr:
                         skipped += 1
                         continue
-                    semi_viol = max(semi_viol, semigroup_defect(evaluator, px, py, t, t / 2))
+                    semi_viol = max(semi_viol, evaluator.semigroup_defect(px, py, t, t / 2))
             if skipped:
                 notes.append(f"{skipped} semigroup samples below the noise floor (skipped)")
 
@@ -480,46 +351,6 @@ def ultracontractivity(evaluator, mu: float, grid: PairGrid | None = None,
     return _timed(run)
 
 
-def weighted_l2_kernel_integral(evaluator, x: Point, t: float, D: float) -> float:
-    """E_D(x, t): integral of H(x, z, t)^2 exp(d(x,z)^2 / (D t)) dv(z)."""
-    space = evaluator.space
-    n = space.n
-    if isinstance(evaluator, EuclideanHeatKernel):
-        width = math.sqrt(t * D / max(D - 2.0, 1e-9))
-        rmax = gaussian_cutoff(width)
-        val, _ = quad_ab(
-            lambda r: sphere_area(n - 1) * r ** (n - 1)
-            * evaluator.value_at_distance(r, t) ** 2 * math.exp(r * r / (D * t)),
-            0.0,
-            rmax,
-        )
-        return val
-    if isinstance(evaluator, SphereHeatKernel):
-        r0 = space.sphere_radius
-        u, w = leggauss_ab(400, 0.0, math.pi)
-        vals, _ = evaluator.profile(np.cos(u), t)
-        weight = np.exp(np.minimum((r0 * u) ** 2 / (D * t), 700.0))
-        return float(np.sum(w * sphere_area(n - 1) * r0 ** n * np.sin(u) ** (n - 1)
-                            * vals ** 2 * weight))
-    if isinstance(evaluator, CylinderHeatKernel):
-        r0 = space.sphere_radius
-        u, w = leggauss_ab(400, 0.0, math.pi)
-        svals, _ = evaluator._factor.profile(np.cos(u), t)
-        sweight = np.exp(np.minimum((r0 * u) ** 2 / (D * t), 700.0))
-        spart = float(np.sum(w * sphere_area(n - 2) * r0 ** (n - 1) * np.sin(u) ** (n - 2)
-                             * svals ** 2 * sweight))
-        width = math.sqrt(t * D / max(D - 2.0, 1e-9))
-        smax = gaussian_cutoff(width)
-        line, _ = quad_ab(
-            lambda z: ((4.0 * math.pi * t) ** -0.5 * math.exp(-z * z / (4.0 * t))) ** 2
-            * math.exp(z * z / (D * t)),
-            -smax,
-            smax,
-        )
-        return math.exp(-2.0 * evaluator._aR * t) * spart * line
-    raise KindMismatchError("weighted integral needs a closed-form or series evaluator")
-
-
 def gaussian_bound(evaluator, mu: float, c: float, grid: PairGrid | None = None,
                    times=None, tol: float = ANALYTIC_TOL, seed: int = 0,
                    stability: float = 0.05) -> VerificationReport:
@@ -552,8 +383,8 @@ def gaussian_bound(evaluator, mu: float, c: float, grid: PairGrid | None = None,
             x, y = g.points[i], g.points[j]
             d = space.distance(x, y)
             for t in (float(ts[len(ts) // 2]), float(ts[-1])):
-                ex = weighted_l2_kernel_integral(evaluator, x, t / 2.0, D)
-                ey = weighted_l2_kernel_integral(evaluator, y, t / 2.0, D)
+                ex = evaluator.weighted_l2(x, t / 2.0, D)
+                ey = evaluator.weighted_l2(y, t / 2.0, D)
                 bound = math.sqrt(ex * ey) * math.exp(-d * d / (2.0 * D * t))
                 split_worst = max(split_worst, evaluator(x, y, t) / bound)
         notes = [f"A_emp base {a_base:.6g}, refined {a_ref:.6g}",
@@ -1014,7 +845,7 @@ class GrigoryanProbe:
         the second-order fallback (dimensions without the pure-1D reduction)
         carries a frozen early-march bias of order h^2 / t0.
         """
-        if self._kernel is not None and self._kernel._numerov:
+        if self._kernel is not None and self._kernel.numerov:
             return 1e-4
         return 0.25 * self.op.h ** 2 / self.t0
 
@@ -1024,30 +855,20 @@ class GrigoryanProbe:
         if t < self.t0:
             raise TimeDomainError("probe time precedes the bootstrap")
         with self._lock:
-            return self._state_locked(t)
-
-    def _state_locked(self, t: float) -> np.ndarray:
-        if t in self._cache:
+            if t not in self._cache:
+                t_from = max(s for s in self._cache if s <= t)
+                self._cache[t] = crank_nicolson(self.op, self._cache[t_from],
+                                                self._steps(t_from, t))
             return self._cache[t]
-        t_from = max(s for s in self._cache if s <= t)
-        w = self._cache[t_from].copy()
-        op = self.op
-        from scipy.linalg import solve_banded
 
+    def _steps(self, t_from: float, t: float):
+        # grade the step near the start: solutions bootstrapped from sharp
+        # data evolve on the timescale t itself
         t_cur = t_from
-        ab = np.zeros((3, op.m))
         while t_cur < t - 1e-15 * max(t, 1.0):
-            # grade the step near the start: solutions bootstrapped from
-            # sharp data evolve on the timescale t itself
             dt = min(self.dt, max(t_cur / 6.0, 1e-6), t - t_cur)
-            ab[0, 1:] = 0.5 * dt * op.upper
-            ab[1, :] = 1.0 + 0.5 * dt * op.diag
-            ab[2, :-1] = 0.5 * dt * op.lower
-            rhs = w - 0.5 * dt * op.apply(w)
-            w = solve_banded((1, 1), ab, rhs)
+            yield dt
             t_cur += dt
-        self._cache[t] = w
-        return w
 
     def _integrate(self, values: np.ndarray) -> float:
         # composite Simpson over the nodes (Dirichlet zero appended); the

@@ -9,6 +9,7 @@ from solitonlab.cli import (
     EXIT_PASS,
     EXIT_VIOLATION,
     ExperimentConfig,
+    build_parser,
     main,
     parse_config,
     run_theorem,
@@ -153,6 +154,16 @@ def test_verify_subcommand_exit_codes(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["checks"]["grigoryan-constants"]["extracted_constants"]["m"] == \
         pytest.approx(0.002221, abs=1e-6)
+
+
+@pytest.mark.parametrize("before,after", [(["--seed", "5"], []), ([], ["--seed", "5"])])
+def test_seed_flag_in_either_position(tmp_path, before, after):
+    out = tmp_path / "r.json"
+    argv = ["--json", str(out)] + before + ["verify", "grigoryan-constants"] + after
+    assert main(argv) == EXIT_PASS
+    assert json.loads(out.read_text())["config"]["seed"] == 5
+    # the suite subcommand shares the flag handling
+    assert build_parser().parse_args(before + ["suite"] + after).seed == 5
 
 
 def test_verify_config_error_exit(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from solitonlab.kernels import (
     sphere_kernel_series,
     zonal_values,
 )
-from solitonlab.spaces import make_space, sphere_area
+from solitonlab.spaces import make_space, parse_space, sphere_area
 from solitonlab.spectral import discretize_radial
 
 
@@ -41,6 +43,30 @@ def test_euclidean_offdiagonal_value():
     x, y = ek.space.point([0.0]), ek.space.point([2.0])
     assert ek(x, y, 1.0) == pytest.approx((4.0 * math.pi) ** -0.5 * math.exp(-1.0), rel=1e-15)
     assert ek(x, y, 1.0) == pytest.approx(0.103777, abs=5e-7)
+
+
+def test_euclidean_error_estimate_covers_decimal_closed_form():
+    # 50-digit oracle of (4 pi t)^{-3/2} exp(-d^2/(4t)) at the evaluated
+    # distance; underflowed values carry no meaningful relative estimate
+    sp = make_space("gaussian", 3)
+    ek = heat_kernel(sp, 0.25)
+    rng = np.random.default_rng(1)
+    pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+    checked = 0
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for _ in range(3000):
+            x, y = sp.random_point(rng), sp.random_point(rng)
+            t = float(10.0 ** rng.uniform(-3.0, 2.0))
+            v, err = ek.evaluate(x, y, t)
+            if v < sys.float_info.min:
+                continue
+            d, T = Decimal(float(sp.distance(x, y))), Decimal(t)
+            scale = 4 * pi * T
+            exact = (-(d * d) / (4 * T)).exp() / (scale * scale.sqrt())
+            assert abs(Decimal(v) - exact) <= Decimal(err), (float(d), t)
+            checked += 1
+    assert checked >= 1000
 
 
 def test_euclidean_mass_one():
@@ -271,3 +297,25 @@ def test_heat_kernel_factory_dispatch():
         heat_kernel(make_space("gaussian", 2), 0.25, method="spectral_series")
     with pytest.raises(ValueError):
         heat_kernel(make_space("gaussian", 2), 0.25, method="magic")
+
+
+# ---------------------------------------------------------------------------
+# evaluator quadratures: mass, semigroup identity, weighted L2 integral
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("token", ["gaussian:3", "sphere:2", "sphere:3", "cylinder:3"])
+def test_evaluator_quadrature_methods(token):
+    sp = parse_space(token)
+    a = 0.25
+    ev = heat_kernel(sp, a)
+    x, y = sp.pole(), sp.point_at_distance(1.0)
+    for t in (0.05, 1.0):
+        # constant curvature: the mass decays exactly at the rate a R
+        assert ev.mass(x, t) == pytest.approx(math.exp(-a * sp.sup_R * t), abs=1e-12)
+    for t in (0.05, 0.3):
+        assert ev.semigroup_defect(x, y, t, t / 2) < 1e-9
+    if sp.kind == "gaussian":
+        for t, D in ((0.05, 2.5), (1.0, 10.0)):
+            exact = (8.0 * math.pi * t) ** -1.5 * (D / (D - 2.0)) ** 1.5
+            assert ev.weighted_l2(x, t, D) == pytest.approx(exact, rel=1e-10)
