@@ -11,7 +11,6 @@ outputs byte for byte (a timestamp field is excluded from the config hash).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -125,7 +124,7 @@ _SCHEMA = {
     ("grids", "times"): ("times", "int", lambda x: x >= 2),
     ("grids", "t_low"): ("t_low", "float", _positive),
     ("grids", "t_high"): ("t_high", "float", _positive),
-    ("grids", "c"): ("c_values", "floats", lambda xs: all(x > 4.0 for x in xs)),
+    ("grids", "c"): ("c_values", "floats", lambda xs: len(xs) > 0 and all(x > 4.0 for x in xs)),
     ("grids", "tau_points"): ("tau_points", "int", lambda x: x >= 1),
     ("grids", "tau_low"): ("tau_low", "float", _positive),
     ("grids", "tau_high"): ("tau_high", "float", _positive),
@@ -143,8 +142,21 @@ _SCHEMA = {
 }
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a config file; errors carry their line number."""
+_FIELDS = {fld: (key, kind, valid) for (_, key), (fld, kind, valid) in _SCHEMA.items()}
+
+
+def _checked(key: str, kind: str, valid, value, line: int | None = None):
+    """``value`` if it is finite (float kinds) and in range, else ConfigError."""
+    floats = value if kind == "floats" else [value] if kind == "float" else []
+    if not all(math.isfinite(x) for x in floats) or not valid(value):
+        raise ConfigError(f"value out of range for {key!r}: {value!r}", line=line)
+    return value
+
+
+def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
+    """Parse and validate a config file, then apply and validate ``overrides``
+    (config field -> value, None meaning unset); file errors carry their line
+    number, and the cross-field checks run once, after the overrides."""
     cfg = ExperimentConfig()
     section = "experiment"
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -174,9 +186,10 @@ def parse_config(text: str) -> ExperimentConfig:
             parsed = _parse_value(value, kind)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}", line=lineno) from None
-        if not valid(parsed):
-            raise ConfigError(f"value out of range for {key!r}: {parsed!r}", line=lineno)
-        setattr(cfg, fld, parsed)
+        setattr(cfg, fld, _checked(key, kind, valid, parsed, lineno))
+    for fld, value in (overrides or {}).items():
+        if value is not None:
+            setattr(cfg, fld, _checked(*_FIELDS[fld], value))
     try:
         parse_space(cfg.space)
     except (ValueError, SolitonLabError) as exc:
@@ -194,8 +207,7 @@ def _parse_value(value: str, kind: str):
     if kind == "str":
         return value
     if kind == "int":
-        out = int(value)
-        return out
+        return int(value)
     if kind == "float":
         return float(value)
     if kind == "floats":
@@ -204,15 +216,12 @@ def _parse_value(value: str, kind: str):
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> ExperimentConfig:
+    """The config file at ``path`` (defaults without one) with ``overrides``."""
+    text = ""
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
-    else:
-        cfg = ExperimentConfig()
-    for k, v in (overrides or {}).items():
-        if v is not None:
-            setattr(cfg, k, v)
-    return cfg
+            text = fh.read()
+    return parse_config(text, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +347,8 @@ def run_theorem(theorem_id: str, cfg: ExperimentConfig, **kw) -> verify.Verifica
                                          tol=cfg.tol_analytic, seed=seed)
     if theorem_id == "gaussian-bound":
         _require(cfg.a >= 0.25, "the off-diagonal bound requires a >= 1/4")
-        c = kw.get("c") or cfg.c_values[0]
-        _require(c > 4.0, "the off-diagonal bound requires c > 4")
+        c = kw["c"] if "c" in kw else cfg.c_values[0]
+        _require(4.0 < c < math.inf, "the off-diagonal bound requires a finite c > 4")
         return verify.gaussian_bound(_evaluator(cfg), mu, c, grid, times,
                                      tol=cfg.tol_analytic, seed=seed)
     if theorem_id == "cr-bound":
@@ -440,44 +449,19 @@ def suite_jobs(cfg: ExperimentConfig) -> list:
     return jobs
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SOLITONLAB_THREADS", "0")
-    try:
-        v = int(raw)
-    except ValueError:
-        v = 0
-    if v <= 0:
-        return min(4, os.cpu_count() or 1)
-    return v
-
-
 def run_suite(cfg: ExperimentConfig) -> tuple[dict, int]:
-    """Run every applicable check; returns (report document, exit code)."""
-    jobs = suite_jobs(cfg)
-
-    def run_one(item):
-        job_id, kw = item
+    """Run every applicable check in turn; returns (report document, exit code)."""
+    results = {}
+    for job_id, kw in suite_jobs(cfg):
         theorem = job_id.split(":")[0]
         try:
-            rep = run_theorem(theorem, cfg, **kw)
-            return job_id, rep.to_dict(include_points=True)
+            results[job_id] = run_theorem(theorem, cfg, **kw).to_dict(include_points=True)
         except ConfigError:
             raise
         except SolitonLabError as exc:
-            return job_id, {"theorem_id": theorem, "space": cfg.space, "a": cfg.a,
-                            "passed": False, "error": f"{type(exc).__name__}: {exc}",
-                            "points": []}
-
-    workers = _thread_count()
-    results = {}
-    if workers == 1:
-        for item in jobs:
-            k, v = run_one(item)
-            results[k] = v
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            for k, v in pool.map(run_one, jobs):
-                results[k] = v
+            results[job_id] = {"theorem_id": theorem, "space": cfg.space, "a": cfg.a,
+                               "passed": False, "error": f"{type(exc).__name__}: {exc}",
+                               "points": []}
     ordered = {k: results[k] for k in sorted(results)}
     all_pass = all(v.get("passed") for v in ordered.values())
     doc = _envelope(cfg, {"checks": ordered, "all_passed": all_pass})
@@ -506,9 +490,12 @@ def _parse_point(space, text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching of the global flags, so the subcommand flag --c is
+    # not taken for an abbreviation of --config or --csv
     ap = argparse.ArgumentParser(prog="solitonlab",
                                  description="verification lab for Schrodinger heat kernels "
-                                             "on closed-form shrinking solitons")
+                                             "on closed-form shrinking solitons",
+                                 allow_abbrev=False)
     ap.add_argument("--config", help="experiment config file")
     ap.add_argument("--seed", type=int, default=None, help="override the config seed")
     ap.add_argument("--json", dest="json_path", default=None,
@@ -570,29 +557,31 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# command-line flag -> the config field it overrides
+_FLAG_FIELDS = {"space": "space", "a": "a", "method": "method", "trials": "trials",
+                "seed": "seed", "D": "big_d", "gamma": "gamma", "k_max": "k_max",
+                "json_path": "json_path", "csv_dir": "csv_dir"}
+
+
+def _tau_grid(text: str) -> dict:
+    """Config overrides from a ``lo,hi,count`` tau grid flag."""
+    fields = text.split(",")
+    if len(fields) != 3:
+        raise ConfigError(f"--tau-grid takes lo,hi,count, got {text!r}")
+    try:
+        return {"tau_low": float(fields[0]), "tau_high": float(fields[1]),
+                "tau_points": int(fields[2])}
+    except ValueError as exc:
+        raise ConfigError(f"bad --tau-grid value: {exc}") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        overrides = {}
-        for name in ("space", "a", "method", "trials"):
-            if hasattr(args, name) and getattr(args, name) is not None:
-                overrides[name] = getattr(args, name)
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if getattr(args, "D", None) is not None:
-            overrides["big_d"] = args.D
-        if getattr(args, "gamma", None) is not None:
-            overrides["gamma"] = args.gamma
-        if getattr(args, "k_max", None) is not None:
-            overrides["k_max"] = args.k_max
+        overrides = {fld: getattr(args, flag, None) for flag, fld in _FLAG_FIELDS.items()}
         if getattr(args, "tau_grid", None) is not None:
-            lo, hi, count = args.tau_grid.split(",")
-            overrides.update(tau_low=float(lo), tau_high=float(hi), tau_points=int(count))
+            overrides.update(_tau_grid(args.tau_grid))
         cfg = load_config(args.config, overrides)
-        if args.json_path:
-            cfg.json_path = args.json_path
-        if args.csv_dir:
-            cfg.csv_dir = args.csv_dir
         return _dispatch(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -116,6 +116,13 @@ class EuclideanHeatKernel:
     def __call__(self, x: Point, y: Point, t: float) -> float:
         return self.evaluate(x, y, t)[0]
 
+    def table(self, xs, ys, times) -> tuple[np.ndarray, np.ndarray]:
+        """``evaluate`` at the pairs (xs[k], ys[k]) x ``times``: (values, errors),
+        each of shape (pairs, times); the closed form needs no batching."""
+        cells = np.array([[self.evaluate(x, y, float(t)) for t in times]
+                          for x, y in zip(xs, ys)]).reshape(len(xs), len(times), 2)
+        return cells[..., 0], cells[..., 1]
+
     def mass(self, x: Point, t: float) -> float:
         """Volume integral of H(x, ., t) by radial quadrature."""
         n = self.space.n
@@ -265,6 +272,23 @@ class SphereHeatKernel:
     def __call__(self, x: Point, y: Point, t: float) -> float:
         return self.evaluate(x, y, t)[0]
 
+    def table(self, xs, ys, times) -> tuple[np.ndarray, np.ndarray]:
+        """``evaluate`` at the pairs (xs[k], ys[k]) x ``times``: (values, errors),
+        each of shape (pairs, times)."""
+        r0 = self.space.sphere_radius
+        return self.zonal_table(np.array([np.cos(self.space.distance(x, y) / r0)
+                                          for x, y in zip(xs, ys)]), times)
+
+    def zonal_table(self, u: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
+        """Values and errors at the cos-angles u and ``times``, shape (len(u),
+        len(times)): one series profile per time, gated at t_min as in ``evaluate``."""
+        h, err = np.empty((2, len(u), len(times)))
+        for k, t in enumerate(times):
+            if t < self.t_min:
+                raise TimeDomainError(f"series evaluator needs t >= t_min = {self.t_min}")
+            h[:, k], err[:, k] = self.profile(u, float(t))
+        return h, err
+
     # -- zonal quadratures; the sphere is homogeneous, so x only fixes the
     # interface and may be None ----------------------------------------------
 
@@ -343,39 +367,44 @@ class CylinderHeatKernel:
     def components(self, theta: float, ds: float, t: float) -> tuple[float, float, float, float]:
         """(sphere factor, its error, line factor, damping)."""
         sval, serr = self._factor.kernel_theta(theta, t)
-        line = (4.0 * math.pi * t) ** -0.5 * math.exp(-ds * ds / (4.0 * t))
-        return sval, serr, line, math.exp(-self._aR * t)
+        return sval, serr, _line_kernel(ds, t), math.exp(-self._aR * t)
+
+    def _geometry(self, x: Point, y: Point) -> tuple[float, float]:
+        """Sphere-factor angle and line offset between x and y."""
+        self.space._check(x)
+        self.space._check(y)
+        cosang = float(np.clip(np.dot(x.vector, y.vector), -1.0, 1.0))
+        return math.acos(cosang), x.s - y.s
 
     def evaluate(self, x: Point, y: Point, t: float) -> tuple[float, float]:
         if t < self.t_min:
             raise TimeDomainError(f"series evaluator needs t >= t_min = {self.t_min}")
-        if t <= 0.0:
-            raise TimeDomainError("kernel times must be positive")
-        self.space._check(x)
-        self.space._check(y)
-        cosang = float(np.clip(np.dot(x.vector, y.vector), -1.0, 1.0))
-        sval, serr, line, damp = self.components(math.acos(cosang), x.s - y.s, t)
-        return damp * sval * line, damp * serr * line + 1e-15 * abs(damp * sval * line)
+        return _product_kernel(*self.components(*self._geometry(x, y), t))
 
     def __call__(self, x: Point, y: Point, t: float) -> float:
         return self.evaluate(x, y, t)[0]
+
+    def table(self, xs, ys, times) -> tuple[np.ndarray, np.ndarray]:
+        """``evaluate`` at the pairs (xs[k], ys[k]) x ``times``: (values, errors),
+        each of shape (pairs, times), from the sphere factor's zonal table."""
+        geometry = [self._geometry(x, y) for x, y in zip(xs, ys)]
+        sval, serr = self._factor.zonal_table(np.array([np.cos(th) for th, _ in geometry]), times)
+        ts = [float(t) for t in times]
+        line = np.array([[_line_kernel(ds, t) for t in ts] for _, ds in geometry])
+        return _product_kernel(sval, serr, line, np.array([math.exp(-self._aR * t) for t in ts]))
 
     # -- quadratures: sphere-factor zonal rule x line rule x damping ----------
 
     def mass(self, x: Point, t: float) -> float:
         """Volume integral of H(x, ., t)."""
         smax = gaussian_cutoff(math.sqrt(2.0 * t)) + abs(x.s)
-        line, _ = quad_ab(
-            lambda z: (4.0 * math.pi * t) ** -0.5 * math.exp(-((z - x.s) ** 2) / (4.0 * t)),
-            x.s - smax,
-            x.s + smax,
-        )
+        line, _ = quad_ab(lambda z: _line_kernel(z - x.s, t), x.s - smax, x.s + smax)
         return math.exp(-self._aR * t) * self._factor.mass(None, t) * line
 
     def semigroup_defect(self, x: Point, y: Point, t: float, s: float) -> float:
         """Relative defect of the composition identity at (x, y, t, s)."""
         direct = self(x, y, t + s)
-        theta = math.acos(float(np.clip(np.dot(x.vector, y.vector), -1.0, 1.0)))
+        theta, _ = self._geometry(x, y)
         comp = (math.exp(-self._aR * (t + s)) * self._factor.compose(theta, t, s)
                 * line_compose(x.s, y.s, t, s))
         return abs(comp - direct) / abs(direct)
@@ -383,13 +412,20 @@ class CylinderHeatKernel:
     def weighted_l2(self, x: Point, t: float, D: float) -> float:
         """E_D(x, t): integral of H(x, z, t)^2 exp(d(x,z)^2 / (D t)) dv(z)."""
         smax = gaussian_cutoff(math.sqrt(t * D / max(D - 2.0, 1e-9)))
-        line, _ = quad_ab(
-            lambda z: ((4.0 * math.pi * t) ** -0.5 * math.exp(-z * z / (4.0 * t))) ** 2
-            * math.exp(z * z / (D * t)),
-            -smax,
-            smax,
-        )
+        line, _ = quad_ab(lambda z: _line_kernel(z, t) ** 2 * math.exp(z * z / (D * t)),
+                          -smax, smax)
         return math.exp(-2.0 * self._aR * t) * self._factor.weighted_l2(None, t, D) * line
+
+
+def _line_kernel(ds: float, t: float) -> float:
+    """The one-dimensional Gaussian kernel at offset ds."""
+    return (4.0 * math.pi * t) ** -0.5 * math.exp(-ds * ds / (4.0 * t))
+
+
+def _product_kernel(sval, serr, line, damp):
+    """Cylinder (value, error) from the sphere factor's, the line factor and the damping."""
+    value = damp * sval * line
+    return value, damp * serr * line + 1e-15 * abs(value)
 
 
 def cylinder_kernel(n: int, a: float, **kw) -> CylinderHeatKernel:
@@ -698,14 +734,8 @@ class GreenEvaluator:
         if self.space.kind == "sphere":
             theta = self.space.distance(x, y) / self.space.sphere_radius
             return lambda t: self._kernel.profile(math.cos(theta), t)[0]
-        cosang = float(np.clip(np.dot(x.vector, y.vector), -1.0, 1.0))
-        ds = x.s - y.s
-
-        def h(t):
-            sval, _, line, damp = self._kernel.components(math.acos(cosang), ds, t)
-            return damp * sval * line
-
-        return h
+        theta, ds = self._kernel._geometry(x, y)
+        return lambda t: _product_kernel(*self._kernel.components(theta, ds, t))[0]
 
     def evaluate(self, x: Point, y: Point) -> tuple[float, float]:
         d = self.space.distance(x, y)

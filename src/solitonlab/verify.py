@@ -269,12 +269,13 @@ def _ratio_rows(evaluator, mu: float, grid: PairGrid, times, log_weight) -> list
     """
     space = evaluator.space
     n = space.n
+    xs = [grid.points[i] for i, _ in grid.pairs]
+    ys = [grid.points[j] for _, j in grid.pairs]
+    hs, errs = evaluator.table(xs, ys, times)
     rows = []
-    for (i, j) in grid.pairs:
-        x, y = grid.points[i], grid.points[j]
-        d = space.distance(x, y)
-        for t in times:
-            h, err = evaluator.evaluate(x, y, float(t))
+    for k, (i, j) in enumerate(grid.pairs):
+        d = space.distance(xs[k], ys[k])
+        for t, h, err in zip(times, hs[k].tolist(), errs[k].tolist()):
             shift = mu + 0.5 * n * math.log(4.0 * math.pi * t) + log_weight(d, float(t))
             if h > 10.0 * err:
                 ratio = _guarded_exp_product(h, shift)

@@ -166,6 +166,40 @@ def test_seed_flag_in_either_position(tmp_path, before, after):
     assert build_parser().parse_args(before + ["suite"] + after).seed == 5
 
 
+@pytest.mark.parametrize("c,code", [("5", EXIT_PASS), ("4", EXIT_CONFIG), ("0", EXIT_CONFIG)])
+def test_verify_c_flag(tmp_path, c, code):
+    # --c is the verify subcommand's flag, not an abbreviation of --config or --csv
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_GRID)
+    out = tmp_path / "v.json"
+    argv = ["--config", str(cfg), "--json", str(out), "verify", "gaussian-bound", "--c", c]
+    assert main(argv) == code
+    if code == EXIT_PASS:
+        assert json.loads(out.read_text())["checks"]["gaussian-bound"]["grid"]["c"] == 5.0
+
+
+@pytest.mark.parametrize("config,argv", [
+    (None, ["--seed", "-1", "verify", "grigoryan-constants"]),
+    (None, ["verify", "eigenvalue-bound", "--space", "sphere:2", "--k-max", "0"]),
+    (None, ["verify", "log-sobolev", "--trials", "0", "--tau-grid", "1,2,0"]),
+    (None, ["verify", "log-sobolev", "--tau-grid", "1,0.1,3"]),
+    (None, ["verify", "log-sobolev", "--tau-grid", "1,2"]),
+    (None, ["verify", "kernel-axioms", "--space", "sphere:2", "--a", "nan"]),
+    ("a = inf\n", ["verify", "kernel-axioms", "--space", "sphere:2"]),
+    ("[grids]\nc =\n", ["verify", "grigoryan-constants"]),
+], ids=["negative-seed", "k-max-0", "trials-0", "reversed-tau-grid", "short-tau-grid",
+        "nan-a", "inf-a-in-file", "empty-c-list-in-file"])
+def test_invalid_config_and_flags_exit_2(tmp_path, config, argv):
+    # config files and flag overrides share one validator
+    out = tmp_path / "r.json"
+    if config is not None:
+        path = tmp_path / "bad.cfg"
+        path.write_text(config)
+        argv = ["--config", str(path)] + argv
+    assert main(["--json", str(out)] + argv) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_verify_config_error_exit(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text('space = "sphere:2"\na = 0.1\n')
@@ -245,16 +279,6 @@ def test_plot_data_round_trip(tmp_path):
     body = (outdir / files[0]).read_text()
     assert body.startswith("theorem_id,space,a,")
     assert body.count("\n") == 1 + 8 * 10
-
-
-def test_thread_cap_env_var(monkeypatch):
-    from solitonlab.cli import _thread_count
-    monkeypatch.setenv("SOLITONLAB_THREADS", "3")
-    assert _thread_count() == 3
-    monkeypatch.setenv("SOLITONLAB_THREADS", "0")
-    assert _thread_count() >= 1  # 0 = auto
-    monkeypatch.setenv("SOLITONLAB_THREADS", "junk")
-    assert _thread_count() >= 1
 
 
 def test_suite_jobs_respect_space_applicability():

@@ -319,3 +319,36 @@ def test_evaluator_quadrature_methods(token):
         for t, D in ((0.05, 2.5), (1.0, 10.0)):
             exact = (8.0 * math.pi * t) ** -1.5 * (D / (D - 2.0)) ** 1.5
             assert ev.weighted_l2(x, t, D) == pytest.approx(exact, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# pair x time tables against the scalar evaluator
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("token", ["gaussian:3", "sphere:2", "sphere:3", "cylinder:3"])
+def test_table_equals_scalar_evaluate(token):
+    from solitonlab.verify import pair_grid, time_grid
+
+    sp = parse_space(token)
+    ev = heat_kernel(sp, 0.25)
+    grid = pair_grid(sp, count=12, seed=7)
+    xs = [grid.points[i] for i, _ in grid.pairs]
+    ys = [grid.points[j] for _, j in grid.pairs]
+    ts = np.append(time_grid(15), getattr(ev, "t_min", 1e-3))
+    h, err = ev.table(xs, ys, ts)
+    assert h.shape == err.shape == (12, 16)
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        for m, t in enumerate(ts):
+            assert (h[k, m], err[k, m]) == ev.evaluate(x, y, float(t))
+    if sp.kind != "gaussian":
+        with pytest.raises(TimeDomainError):
+            ev.evaluate(xs[1], ys[1], 0.5 * ev.t_min)
+        with pytest.raises(TimeDomainError):
+            ev.table(xs, ys, [1.0, 0.5 * ev.t_min])
+    if sp.kind == "cylinder":
+        wrong = make_space("cylinder", 4).pole()
+        with pytest.raises(KindMismatchError):
+            ev.evaluate(xs[0], wrong, 1.0)
+        with pytest.raises(KindMismatchError):
+            ev.table(xs[:1], [wrong], [1.0])
