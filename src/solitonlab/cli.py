@@ -260,10 +260,12 @@ def _write_json(doc: dict, path: str | None) -> None:
 def _csv_cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, float):
+    if isinstance(v, (float, np.floating)):
         if math.isnan(v):
             return "nan"
-        return repr(v)
+        return repr(float(v))
+    if isinstance(v, np.integer):
+        return str(int(v))
     return str(v)
 
 

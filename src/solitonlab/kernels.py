@@ -101,8 +101,8 @@ class EuclideanHeatKernel:
     method: str = "closed_form"
 
     def value_at_distance(self, r: float, t: float) -> float:
-        if t <= 0.0:
-            raise TimeDomainError("kernel times must be positive")
+        if not (math.isfinite(t) and t > 0.0):
+            raise TimeDomainError("kernel times must be finite and positive")
         n = self.space.n
         return (4.0 * math.pi * t) ** (-n / 2.0) * math.exp(-r * r / (4.0 * t))
 
@@ -206,54 +206,58 @@ class SphereHeatKernel:
         self._radius2 = self.space.sphere_radius ** 2
         self._V = self.space.volume
         self._aR = self.a * self.space.sup_R
+        # level table: eigenvalues of the Laplacian and multiplicities for
+        # l = 0 .. l_max + 10000, the reach of the tail estimate
+        levels = np.arange(self.l_max + 10001)
+        self._lam = (levels * (levels + self.n - 1)).astype(float) / self._radius2
+        self._mult = np.fromiter((float(sphere_multiplicity(self.n, l)) for l in levels),
+                                 float, len(levels))
 
     # -- series machinery ----------------------------------------------------
 
     def _laplace_series(self, u, t: float) -> tuple[np.ndarray, float, int]:
         """Laplace-kernel series at cos-angles u; returns (values, tail, levels)."""
         u = np.asarray(u, dtype=float)
-        n = self.n
-        V = self._V
-        cutoff = None
-        bounds = []
-        for l in range(self.l_max + 1):
-            lam = l * (l + n - 1) / self._radius2
-            b = sphere_multiplicity(n, l) * math.exp(-min(lam * t, 745.0)) / V
-            bounds.append(b)
-            if l >= 1 and b < self.eps and b < bounds[-2]:
-                cutoff = l
-                break
-        if cutoff is None:
+        # the levels with w = lam t <= 745 are a prefix of the table; the
+        # eigenvalue gaps put its end inside one level past the guess 745 / t
+        end = min(int(np.searchsorted(self._lam, 745.0 / t, side="right")) + 2, len(self._lam))
+        w = self._lam[:end] * t
+        live = int(np.searchsorted(w, 745.0, side="right"))
+        # rigorous term bounds over the live levels and the first capped one;
+        # past it the capped bounds grow with the multiplicity
+        top = min(live + 1, len(w))
+        b = self._mult[:top] * np.fromiter(map(math.exp, memoryview(-np.minimum(w[:top], 745.0))),
+                                           float, top) / self._V
+        stop = min(self.l_max, top - 1)
+        hits = np.flatnonzero((b[1:stop + 1] < self.eps) & (b[1:stop + 1] < b[:stop]))
+        if not hits.size:
             raise SeriesTruncationError(
                 f"zonal series needs more than l_max={self.l_max} levels at t={t}"
             )
-        Z = zonal_values(n, cutoff, u)
-        acc = np.zeros_like(u, dtype=float)
-        for l in range(cutoff + 1):
-            lam = l * (l + n - 1) / self._radius2
-            w = lam * t
-            if w > 745.0:
-                break
-            acc += (sphere_multiplicity(n, l) * math.exp(-w) / V) * Z[l]
-        # tail estimate: keep summing the rigorous bounds until negligible
+        cutoff = int(hits[0]) + 1
+        coef = b[:min(cutoff + 1, live), None]
+        flat = u.reshape(-1)
+        acc = np.empty(flat.shape)
+        # the sum runs along the level axis in level order, whatever the
+        # number of points, on blocks of at most 2^16 terms (512 kB)
+        block = max(1, 2 ** 16 // (cutoff + 1))
+        for i in range(0, flat.size, block):
+            terms = zonal_values(self.n, cutoff, flat[i:i + block])[:len(coef)]
+            terms *= coef
+            acc[i:i + block] = np.cumsum(terms, axis=0, out=terms)[-1]
+        # tail estimate: sum the rigorous bounds past the cutoff until negligible
         tail = 0.0
-        l = cutoff + 1
-        while l <= self.l_max + 10000:
-            lam = l * (l + n - 1) / self._radius2
-            w = lam * t
-            if w > 745.0:
-                break
-            b = sphere_multiplicity(n, l) * math.exp(-w) / V
-            tail += b
-            if b < 1e-4 * max(tail, self.eps):
-                break
-            l += 1
-        return acc, tail, cutoff
+        rest = b[cutoff + 1:live]
+        if rest.size:
+            run = np.cumsum(rest)
+            small = np.flatnonzero(rest < 1e-4 * np.maximum(run, self.eps))
+            tail = float(run[small[0] if small.size else -1])
+        return acc.reshape(u.shape), tail, cutoff
 
     def profile(self, u, t: float) -> tuple[np.ndarray, float]:
         """Kernel at cos-angle array u (internal: no t_min gate)."""
-        if t <= 0.0:
-            raise TimeDomainError("kernel times must be positive")
+        if not (math.isfinite(t) and t > 0.0):
+            raise TimeDomainError("kernel times must be finite and positive")
         vals, tail, cutoff = self._laplace_series(u, t)
         damp = math.exp(-self._aR * t)
         rounding = 1e-15 * (cutoff + 1) * (4.0 * math.pi * t) ** (-self.n / 2.0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -22,15 +23,9 @@ from .spaces import SolitonSpace, sphere_area
 
 
 def sphere_multiplicity(n: int, l: int) -> int:
-    """Dimension of the degree-l harmonic space on the round n-sphere."""
-    if l == 0:
-        return 1
-    # (2l + n - 1) / (n - 1) * C(l + n - 2, l)
-    return round(
-        (2 * l + n - 1)
-        / (n - 1)
-        * math.exp(gammaln(l + n - 1) - gammaln(l + 1) - gammaln(n - 1))
-    )
+    """Dimension of the degree-l harmonic space on the round n-sphere:
+    C(n + l, n) - C(n + l - 2, n), in exact integers."""
+    return math.comb(n + l, n) - math.comb(n + l - 2, n)
 
 
 def sphere_eigenvalue(n: int, a: float, l: int, radius: float | None = None) -> float:
@@ -62,6 +57,19 @@ class Spectrum:
 
     def __len__(self):
         return len(self.values)
+
+    @cached_property
+    def growth(self) -> float:
+        """Exponent nu with lambda_k ~ k^{2/nu}, fit once from the top of the spectrum."""
+        lam = self.values
+        k = np.arange(1, len(lam) + 1, dtype=float)
+        sel = lam > 0
+        if np.count_nonzero(sel) < 8:
+            return 2.0
+        kk = k[sel][len(k[sel]) // 2:]
+        ll = lam[sel][len(lam[sel]) // 2:]
+        slope = np.polyfit(np.log(kk), np.log(ll), 1)[0]
+        return float(np.clip(2.0 / max(slope, 1e-3), 0.5, 64.0))
 
 
 def sphere_spectrum(n: int, a: float, l_max: int) -> Spectrum:
@@ -223,25 +231,11 @@ def partition_function(spectrum: Spectrum, t: float) -> PartitionValue:
     if lam_last <= 0.0:
         return PartitionValue(value, 0.0)
     # growth exponent: lambda_k ~ c k^{2/nu} fit from the top of the spectrum
-    nu = _empirical_growth(spectrum)
-    s = nu / 2.0
+    s = spectrum.growth / 2.0
     x = lam_last * t
     # integral_{count}^inf exp(-lam_last (k/count)^{2/nu} t) dk
     tail = count * s * x ** (-s) * math.exp(gammaln(s)) * gammaincc(s, x)
     return PartitionValue(value, tail)
-
-
-def _empirical_growth(spectrum: Spectrum) -> float:
-    """Exponent nu with lambda_k ~ k^{2/nu}, fit from the top of the spectrum."""
-    lam = spectrum.values
-    k = np.arange(1, len(lam) + 1, dtype=float)
-    sel = lam > 0
-    if np.count_nonzero(sel) < 8:
-        return 2.0
-    kk = k[sel][len(k[sel]) // 2:]
-    ll = lam[sel][len(lam[sel]) // 2:]
-    slope = np.polyfit(np.log(kk), np.log(ll), 1)[0]
-    return float(np.clip(2.0 / max(slope, 1e-3), 0.5, 64.0))
 
 
 def weyl_constant(n: int) -> float:

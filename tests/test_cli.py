@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from solitonlab.cli import (
@@ -137,6 +138,22 @@ def test_kernel_subcommand(tmp_path):
     assert "error_estimate" in doc
 
 
+@pytest.mark.parametrize("t", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("space,x,y", [
+    ("gaussian:3", "0,0,0", "1,0,0"),
+    ("sphere:2", "0,0,1", "0,1,0"),
+    ("sphere:3", "0,0,0,1", "0,0,1,0"),
+    ("cylinder:3", "0,0,1;0", "0,1,0;0.5"),
+])
+def test_kernel_rejects_bad_time(tmp_path, capsys, space, x, y, t):
+    out = tmp_path / "k.json"
+    code = main(["--json", str(out), "kernel", "--space", space,
+                 "--t", t, "--x", x, "--y", y])
+    assert code == EXIT_CONFIG
+    assert "TimeDomainError" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_green_subcommand(tmp_path):
     out = tmp_path / "g.json"
     code = main(["--json", str(out), "green", "--space", "gaussian:3",
@@ -264,6 +281,15 @@ def test_empty_report_yields_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     write_points_csv({"theorem_id": "x", "space": None, "a": None, "points": []}, str(path))
     assert path.read_text() == "theorem_id,space,a,x_id,y_id,t,lhs,rhs,slack,ratio\n"
+
+
+def test_numpy_scalar_cells_are_plain_numbers(tmp_path):
+    path = tmp_path / "np.csv"
+    row = {"x_id": np.int64(3), "y_id": 4, "t": np.float64(0.1), "lhs": np.float64(31.6),
+           "rhs": np.float32(0.5), "slack": np.float64("nan"), "ratio": None}
+    write_points_csv({"theorem_id": "x", "space": "sphere:3", "a": np.float64(0.25),
+                      "points": [row]}, str(path))
+    assert path.read_text().splitlines()[1] == "x,sphere:3,0.25,3,4,0.1,31.6,0.5,nan,"
 
 
 def test_plot_data_round_trip(tmp_path):

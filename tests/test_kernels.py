@@ -22,7 +22,7 @@ from solitonlab.kernels import (
     zonal_values,
 )
 from solitonlab.spaces import make_space, parse_space, sphere_area
-from solitonlab.spectral import discretize_radial
+from solitonlab.spectral import discretize_radial, sphere_multiplicity
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +173,84 @@ def test_sphere_series_symmetry():
     rng = np.random.default_rng(2)
     x, y = sk.space.random_point(rng), sk.space.random_point(rng)
     assert abs(sk(x, y, 0.4) - sk(y, x, 0.4)) <= 1e-14
+
+
+def laplace_series_loop(sk, u, t):
+    """Reference for ``SphereHeatKernel._laplace_series``: the per-level loops
+    it replaced (term bounds, series sum, tail), one level at a time."""
+    u = np.asarray(u, dtype=float)
+    n, V, r2 = sk.n, sk.space.volume, sk.space.sphere_radius ** 2
+    cutoff = None
+    bounds = []
+    for l in range(sk.l_max + 1):
+        lam = l * (l + n - 1) / r2
+        b = sphere_multiplicity(n, l) * math.exp(-min(lam * t, 745.0)) / V
+        bounds.append(b)
+        if l >= 1 and b < sk.eps and b < bounds[-2]:
+            cutoff = l
+            break
+    if cutoff is None:
+        raise SeriesTruncationError(f"no cutoff below l_max={sk.l_max} at t={t}")
+    Z = zonal_values(n, cutoff, u)
+    acc = np.zeros_like(u, dtype=float)
+    for l in range(cutoff + 1):
+        w = l * (l + n - 1) / r2 * t
+        if w > 745.0:
+            break
+        acc += (sphere_multiplicity(n, l) * math.exp(-w) / V) * Z[l]
+    tail = 0.0
+    l = cutoff + 1
+    while l <= sk.l_max + 10000:
+        w = l * (l + n - 1) / r2 * t
+        if w > 745.0:
+            break
+        b = sphere_multiplicity(n, l) * math.exp(-w) / V
+        tail += b
+        if b < 1e-4 * max(tail, sk.eps):
+            break
+        l += 1
+    return acc, tail, cutoff
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_laplace_series_equals_level_loop(n):
+    # l_max and t_min as the Green evaluator sets them; cos-angles include
+    # both poles, where the S^3 closed form switches to its limits
+    sk = sphere_kernel_series(n, 0.25, l_max=8000, t_min=0.0)
+    rng = np.random.default_rng(n)
+    u = np.concatenate([[1.0, -1.0, 0.0], np.cos(rng.uniform(0.0, math.pi, 12)),
+                        np.cos(rng.uniform(0.0, 1e-4, 3))])
+    compared = 0
+    for t in np.geomspace(5e-6, 1e2, 60):
+        t = float(t)
+        try:
+            ref = laplace_series_loop(sk, u, t)
+        except SeriesTruncationError:
+            with pytest.raises(SeriesTruncationError):
+                sk._laplace_series(u, t)
+            continue
+        vals, tail, cutoff = sk._laplace_series(u, t)
+        assert np.array_equal(vals, ref[0])
+        assert (tail, cutoff) == ref[1:]
+        for j in (0, 1, 2, 7):
+            scalar = sk._laplace_series(u[j], t)
+            assert scalar[0].shape == ()
+            assert (scalar[0], scalar[1], scalar[2]) == (vals[j], tail, cutoff)
+        compared += 1
+    assert compared >= 55
+
+
+@pytest.mark.parametrize("n,t", [(2, 1e-3), (3, 2e-4)])
+def test_laplace_series_point_blocks(n, t):
+    # more points than one block of the series sum equal one zonal_values call
+    sk = sphere_kernel_series(n, 0.25, l_max=8000, t_min=0.0)
+    u = np.cos(np.random.default_rng(5).uniform(0.0, math.pi, (40, 60)))
+    vals, tail, cutoff = sk._laplace_series(u, t)
+    assert (cutoff + 1) * u.size > 2 ** 16
+    ref = laplace_series_loop(sk, u, t)
+    assert vals.shape == u.shape
+    assert np.array_equal(vals, ref[0])
+    assert (tail, cutoff) == ref[1:]
 
 
 # ---------------------------------------------------------------------------

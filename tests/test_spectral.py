@@ -29,8 +29,9 @@ def harmonic_dim_oracle(n, l):
 
 
 def test_sphere_multiplicities_vs_oracle():
-    for n in range(2, 6):
-        for l in range(21):
+    # exact integers: a rounded float product is off by one at high levels
+    for n in range(2, 9):
+        for l in range(5001):
             assert sphere_multiplicity(n, l) == harmonic_dim_oracle(n, l)
 
 
