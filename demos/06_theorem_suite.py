@@ -13,7 +13,7 @@ import math
 from solitonlab import verify
 from solitonlab.cli import ExperimentConfig, run_suite
 from solitonlab.entropy import mu_closed_form
-from solitonlab.kernels import sphere_kernel_series
+from solitonlab.kernels import SphereHeatKernel
 from solitonlab.spaces import parse_space
 
 for tok in ("gaussian:3", "sphere:2", "cylinder:3"):
@@ -37,7 +37,7 @@ print("=" * 72)
 sp = parse_space("sphere:2")
 mu0 = mu_closed_form(sp)
 rows = verify.exploratory_a_sweep(sp, [0.0, 0.05, 0.1, 0.2, 0.25],
-                                  lambda a: sphere_kernel_series(2, a), mu0, seed=7)
+                                  lambda a: SphereHeatKernel(2, a), mu0, seed=7)
 for row in rows:
     verdict = "<= 1 (bound shape holds)" if row["max_ratio"] <= 1 + 1e-6 else \
         "> 1 (on-diagonal bound shape fails at this coupling)"

@@ -92,9 +92,6 @@ class ExperimentConfig:
         blob = json.dumps(d, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
-    def time_grid(self) -> np.ndarray:
-        return np.geomspace(self.t_low, self.t_high, self.times)
-
     def tau_grid(self) -> np.ndarray:
         return np.geomspace(self.tau_low, self.tau_high, self.tau_points)
 
@@ -309,9 +306,8 @@ def _seed_for(cfg: ExperimentConfig, name: str) -> int:
     return (cfg.seed + zlib.crc32(name.encode())) % (2 ** 63)
 
 
-def _evaluator(cfg: ExperimentConfig, a: float | None = None):
+def _evaluator(cfg: ExperimentConfig, a: float):
     space = parse_space(cfg.space)
-    a = cfg.a if a is None else a
     params = {}
     if cfg.method in ("spectral_series",) or (cfg.method == "auto" and space.kind != "gaussian"):
         params = {"eps": cfg.series_eps, "t_min": cfg.t_min}
@@ -320,53 +316,79 @@ def _evaluator(cfg: ExperimentConfig, a: float | None = None):
     return kernels.heat_kernel(space, a, method=cfg.method, **params)
 
 
-def _probe_op(cfg: ExperimentConfig):
-    space = parse_space(cfg.space)
-    if space.kind != "gaussian":
-        raise ConfigError("finite-difference probes run on gaussian spaces only")
-    return spectral.discretize_radial(space, cfg.probe_r_max, cfg.probe_m, 0.0)
+def _skip_reason(theorem_id: str, cfg: ExperimentConfig) -> str | None:
+    """Why ``theorem_id`` does not apply to ``cfg``, or None when it does."""
+    space, t, weak = parse_space(cfg.space), theorem_id, cfg.a < 0.25
+    rules = [  # (does not apply, why)
+        # grid ratio checks need two-point evaluators; the single-source
+        # finite-difference kernel verifies through kernel-axioms instead
+        (t in ("ultracontractivity", "gaussian-bound", "cr-bound")
+         and cfg.method == "fd_dirichlet", f"{t} needs a closed-form or series evaluator"),
+        (t == "ultracontractivity" and weak, "ultracontractivity requires a >= 1/4"),
+        (t == "gaussian-bound" and weak, "the off-diagonal bound requires a >= 1/4"),
+        (t == "green-bound" and space.n < 3, "Green's functions need n >= 3"),
+        (t == "green-bound" and weak and space.kind != "gaussian",
+         "green-bound requires a >= 1/4 away from the flat space"),
+        (t == "eigenvalue-bound" and not space.is_compact,
+         "eigenvalue bounds apply to the compact catalogue space"),
+        (t == "eigenvalue-bound" and weak, "eigenvalue bounds require a >= 1/4"),
+        (t == "sobolev" and space.n < 3, "the critical Sobolev exponent needs n >= 3"),
+        (t == "sobolev" and weak, "the Sobolev check requires a >= 1/4"),
+        (t in ("energy-monotonicity", "weighted-energy") and space.kind != "gaussian",
+         "finite-difference probes run on gaussian spaces only"),
+    ]
+    return next((why for skip, why in rules if skip), None)
 
 
-def run_theorem(theorem_id: str, cfg: ExperimentConfig, **kw) -> verify.VerificationReport:
-    """Build the needed evaluators from the config and run one check."""
+def _shared(store: dict, key, build):
+    """``store[key]``, built on first use."""
+    if key not in store:
+        store[key] = build()
+    return store[key]
+
+
+def run_theorem(theorem_id: str, cfg: ExperimentConfig, *, store: dict | None = None,
+                **kw) -> verify.VerificationReport:
+    """Build what the check needs from the config and run it. ``store``, kept
+    by the caller for one config, shares the two-point evaluators (one per
+    coupling) and kernel tables (one per grid) between checks."""
+    reason = _skip_reason(theorem_id, cfg)
+    if reason is not None:
+        raise ConfigError(reason)
+    store = {} if store is None else store
     space = parse_space(cfg.space)
     mu = entropy.mu_closed_form(space)
     seed = _seed_for(cfg, theorem_id)
-    times = cfg.time_grid()
-    grid = verify.pair_grid(space, cfg.pairs, seed)
+    times = verify.time_grid(cfg.times, cfg.t_low, cfg.t_high)
 
-    if theorem_id in ("ultracontractivity", "gaussian-bound", "cr-bound"):
-        # grid ratio checks need two-point evaluators; the single-source
-        # finite-difference kernel verifies through kernel-axioms instead
-        _require(cfg.method != "fd_dirichlet",
-                 f"{theorem_id} needs a closed-form or series evaluator")
+    def evaluator(a):
+        return _shared(store, ("evaluator", a), lambda: _evaluator(cfg, a))
+
+    def table(a, pairs, ts):
+        return _shared(store, ("table", a, pairs, seed, ts.tobytes()),
+                       lambda: verify.kernel_table(evaluator(a),
+                                                   verify.pair_grid(space, pairs, seed), ts))
 
     if theorem_id == "kernel-axioms":
-        return verify.kernel_axioms(_evaluator(cfg), seed=seed)
+        return verify.kernel_axioms(evaluator(cfg.a), seed=seed)
     if theorem_id == "ultracontractivity":
-        _require(cfg.a >= 0.25, "ultracontractivity requires a >= 1/4")
-        return verify.ultracontractivity(_evaluator(cfg), mu, grid, times,
+        return verify.ultracontractivity(table(cfg.a, cfg.pairs, times), mu,
                                          tol=cfg.tol_analytic, seed=seed)
     if theorem_id == "gaussian-bound":
-        _require(cfg.a >= 0.25, "the off-diagonal bound requires a >= 1/4")
-        c = kw["c"] if "c" in kw else cfg.c_values[0]
-        _require(4.0 < c < math.inf, "the off-diagonal bound requires a finite c > 4")
-        return verify.gaussian_bound(_evaluator(cfg), mu, c, grid, times,
-                                     tol=cfg.tol_analytic, seed=seed)
+        c = kw.get("c", cfg.c_values[0])
+        if not 4.0 < c < math.inf:
+            raise ConfigError("the off-diagonal bound requires a finite c > 4")
+        # one refined table serves every c: the seed is the theorem's
+        return verify.gaussian_bound(table(cfg.a, 2 * cfg.pairs, verify.refine_times(times)),
+                                     mu, c, tol=cfg.tol_analytic, seed=seed)
     if theorem_id == "cr-bound":
-        ev = _evaluator(cfg, a=0.0)
-        return verify.cr_bound(ev, mu, space.sup_R, grid,
-                               verify.time_grid(cfg.times, cfg.t_low, min(cfg.t_high, 50.0)),
+        ts = verify.time_grid(cfg.times, cfg.t_low, min(cfg.t_high, 50.0))
+        return verify.cr_bound(table(0.0, cfg.pairs, ts), mu, space.sup_R,
                                tol=cfg.tol_analytic, seed=seed)
     if theorem_id == "green-bound":
-        _require(space.n >= 3, "Green's functions need n >= 3")
-        _require(cfg.a >= 0.25 or space.kind == "gaussian",
-                 "green-bound requires a >= 1/4 away from the flat space")
         gv = kernels.green(space, cfg.a)
         return verify.green_bound(gv, mu, tol=cfg.tol_analytic, seed=seed)
     if theorem_id == "eigenvalue-bound":
-        _require(space.is_compact, "eigenvalue bounds apply to the compact catalogue space")
-        _require(cfg.a >= 0.25, "eigenvalue bounds require a >= 1/4")
         l_max = _level_for_count(space.n, cfg.k_max, cfg.t_low)
         spec = spectral.sphere_spectrum(space.n, cfg.a, l_max)
         return verify.eigenvalue_bound(spec, mu, space.volume, cfg.k_max,
@@ -377,36 +399,28 @@ def run_theorem(theorem_id: str, cfg: ExperimentConfig, **kw) -> verify.Verifica
                                   tau_grid=cfg.tau_grid(), seed=seed,
                                   tol=cfg.tol_analytic)
     if theorem_id == "sobolev":
-        _require(space.n >= 3, "the critical Sobolev exponent needs n >= 3")
-        _require(cfg.a >= 0.25, "the Sobolev check requires a >= 1/4")
         return verify.sobolev(space, mu, a=cfg.a, trials=max(10, cfg.trials // 2),
                               seed=seed, tol=cfg.tol_analytic)
     if theorem_id == "energy-monotonicity":
-        op = _probe_op(cfg)
+        op = spectral.discretize_radial(space, cfg.probe_r_max, cfg.probe_m, 0.0)
         return verify.energy_monotonicity(op, s=1.0, trials=min(cfg.trials, 20),
                                           seed=seed, dt=cfg.probe_dt,
                                           tol=cfg.tol_analytic)
     if theorem_id == "weighted-energy":
-        op = _probe_op(cfg)
+        op = spectral.discretize_radial(space, cfg.probe_r_max, cfg.probe_m, 0.0)
         probe = verify.GrigoryanProbe(op, cfg.t0, dt=cfg.probe_dt,
                                       D=cfg.big_d, gamma=cfg.gamma)
         return verify.weighted_energy_bound(probe, mu, tol=cfg.tol_fd, seed=seed)
     if theorem_id == "grigoryan-constants":
         consts = verify.grigoryan_constants(cfg.gamma, cfg.big_d)
-        rep = verify.VerificationReport(
+        return verify.VerificationReport(
             theorem_id="grigoryan-constants", space=None, a=None,
             grid={"gamma": cfg.gamma, "D": cfg.big_d}, tolerance=0.0, seed=seed,
             mode="slack", worst_case_slack=consts.m,
             extracted_constants={"m": consts.m, "k_argmin": consts.k_argmin,
                                  "D0": consts.D0, "delta": consts.delta},
         )
-        return rep
     raise ConfigError(f"unknown theorem id {theorem_id!r}")
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ConfigError(message)
 
 
 def _level_for_count(n: int, k_max: int, t_low: float = 1e-3) -> int:
@@ -433,31 +447,30 @@ def _level_for_count(n: int, k_max: int, t_low: float = 1e-3) -> int:
 
 
 def suite_jobs(cfg: ExperimentConfig) -> list:
-    """The applicable theorem checks for the configured space."""
-    space = parse_space(cfg.space)
-    jobs = [("kernel-axioms", {}), ("ultracontractivity", {}),
-            ("log-sobolev", {}), ("cr-bound", {}), ("grigoryan-constants", {})]
-    for c in cfg.c_values:
-        jobs.append((f"gaussian-bound:c={c:g}", {"c": c}))
-    if space.n >= 3 and (space.kind == "gaussian" or cfg.a >= 0.25):
-        jobs.append(("green-bound", {}))
-        if cfg.a >= 0.25:
-            jobs.append(("sobolev", {}))
-    if space.is_compact and cfg.a >= 0.25:
-        jobs.append(("eigenvalue-bound", {}))
-    if space.kind == "gaussian":
-        jobs.append(("energy-monotonicity", {}))
-        jobs.append(("weighted-energy", {}))
+    """The applicable theorem checks for the config, one per c value for the
+    off-diagonal bound."""
+    jobs = []
+    for theorem in THEOREM_IDS:
+        if _skip_reason(theorem, cfg) is not None:
+            continue
+        if theorem == "gaussian-bound":
+            jobs += [(f"gaussian-bound:c={c:g}", {"c": c}) for c in cfg.c_values]
+        else:
+            jobs.append((theorem, {}))
     return jobs
 
 
 def run_suite(cfg: ExperimentConfig) -> tuple[dict, int]:
-    """Run every applicable check in turn; returns (report document, exit code)."""
+    """Run every applicable check in turn on one shared store of evaluators
+    and kernel tables; returns (report document, exit code). The report's
+    ``skipped`` maps each inapplicable theorem to the reason."""
+    store = {}
     results = {}
     for job_id, kw in suite_jobs(cfg):
         theorem = job_id.split(":")[0]
         try:
-            results[job_id] = run_theorem(theorem, cfg, **kw).to_dict(include_points=True)
+            results[job_id] = run_theorem(theorem, cfg, store=store,
+                                          **kw).to_dict(include_points=True)
         except ConfigError:
             raise
         except SolitonLabError as exc:
@@ -466,7 +479,8 @@ def run_suite(cfg: ExperimentConfig) -> tuple[dict, int]:
                                "points": []}
     ordered = {k: results[k] for k in sorted(results)}
     all_pass = all(v.get("passed") for v in ordered.values())
-    doc = _envelope(cfg, {"checks": ordered, "all_passed": all_pass})
+    skipped = {t: r for t in THEOREM_IDS if (r := _skip_reason(t, cfg)) is not None}
+    doc = _envelope(cfg, {"checks": ordered, "all_passed": all_pass, "skipped": skipped})
     return doc, (EXIT_PASS if all_pass else EXIT_VIOLATION)
 
 
@@ -476,14 +490,19 @@ def run_suite(cfg: ExperimentConfig) -> tuple[dict, int]:
 
 
 def _parse_point(space, text: str):
+    vec, s = text, None
     if space.kind == "cylinder":
         if ";" not in text:
             raise ConfigError("cylinder points use 'v1,..,vn;s'")
         vec, s = text.split(";", 1)
+    try:
         coords = [float(v) for v in vec.split(",")]
-        return space.point(coords, s=float(s))
-    coords = [float(v) for v in text.split(",")]
-    return space.point(coords)
+        s = None if s is None else float(s)
+        if not all(math.isfinite(v) for v in coords) or (s is not None and not math.isfinite(s)):
+            raise ValueError("coordinates must be finite")
+        return space.point(coords, s=s)
+    except ValueError as exc:
+        raise ConfigError(f"bad point {text!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
 # command-line flag -> the config field it overrides
 _FLAG_FIELDS = {"space": "space", "a": "a", "method": "method", "trials": "trials",
                 "seed": "seed", "D": "big_d", "gamma": "gamma", "k_max": "k_max",
-                "json_path": "json_path", "csv_dir": "csv_dir"}
+                "r_max": "r_max", "m": "m", "json_path": "json_path", "csv_dir": "csv_dir"}
 
 
 def _tau_grid(text: str) -> dict:
@@ -625,6 +644,8 @@ def _dispatch(args, cfg: ExperimentConfig) -> int:
     if args.command == "spectrum":
         sp = parse_space(cfg.space)
         if sp.kind == "sphere":
+            if args.l_max < 0:
+                raise ConfigError(f"--l-max must be >= 0, got {args.l_max}")
             spec = spectral.sphere_spectrum(sp.n, cfg.a, args.l_max)
             rows = []
             idx = 0
@@ -634,8 +655,9 @@ def _dispatch(args, cfg: ExperimentConfig) -> int:
         else:
             if sp.kind != "gaussian":
                 raise ConfigError("discretized spectra are radial (gaussian spaces only)")
-            op = spectral.discretize_radial(sp, args.r_max or cfg.r_max,
-                                            args.m or cfg.m, cfg.a)
+            if not 1 <= args.k <= cfg.m:
+                raise ConfigError(f"--k must lie in [1, m = {cfg.m}], got {args.k}")
+            op = spectral.discretize_radial(sp, cfg.r_max, cfg.m, cfg.a)
             spec = spectral.eigen_solve(op, args.k)
             rows = [(i + 1, v, 1, "discretized") for i, v in enumerate(spec.values)]
         lines = ["index,eigenvalue,multiplicity,source"]
@@ -650,7 +672,7 @@ def _dispatch(args, cfg: ExperimentConfig) -> int:
 
     if args.command == "kernel":
         sp = parse_space(cfg.space)
-        ev = _evaluator(cfg)
+        ev = _evaluator(cfg, cfg.a)
         x = _parse_point(sp, args.x)
         y = _parse_point(sp, args.y)
         val, err = ev.evaluate(x, y, args.t)
@@ -663,25 +685,22 @@ def _dispatch(args, cfg: ExperimentConfig) -> int:
         gv = kernels.green(sp, cfg.a)
         x = _parse_point(sp, args.x)
         y = _parse_point(sp, args.y)
+        if sp.distance(x, y) == 0.0:
+            raise ConfigError("Green's function is singular on the diagonal: "
+                              "--x and --y must differ")
         val, err = gv.evaluate(x, y)
         _write_json(_envelope(cfg, {"value": val, "method": "time_quadrature",
                                     "error_estimate": err}), cfg.json_path)
         return EXIT_PASS
 
-    if args.command == "verify":
-        kw = {}
-        if args.c is not None:
-            kw["c"] = args.c
-        rep = run_theorem(args.theorem, cfg, **kw)
-        doc = _envelope(cfg, {"checks": {args.theorem: rep.to_dict(include_points=True)},
-                              "all_passed": rep.passed})
-        _write_json(doc, cfg.json_path)
-        if cfg.csv_dir:
-            emit_plot_data(doc, cfg.csv_dir)
-        return EXIT_PASS if rep.passed else EXIT_VIOLATION
-
-    if args.command == "suite":
-        doc, code = run_suite(cfg)
+    if args.command in ("verify", "suite"):
+        if args.command == "verify":
+            rep = run_theorem(args.theorem, cfg, **({} if args.c is None else {"c": args.c}))
+            doc = _envelope(cfg, {"checks": {args.theorem: rep.to_dict(include_points=True)},
+                                  "all_passed": rep.passed})
+            code = EXIT_PASS if rep.passed else EXIT_VIOLATION
+        else:
+            doc, code = run_suite(cfg)
         _write_json(doc, cfg.json_path)
         if cfg.csv_dir:
             emit_plot_data(doc, cfg.csv_dir)

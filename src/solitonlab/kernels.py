@@ -39,6 +39,7 @@ from .spaces import Point, SolitonSpace, make_space, sphere_area
 from .spectral import DiscretizedOperator, sphere_multiplicity
 
 EPS = float(np.finfo(float).eps)
+FD_DT_MIN, FD_DT_MAX = 1e-7, 4e-3  # bounds on a finite-difference march step
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +172,6 @@ def line_compose(p: float, q: float, t: float, s: float) -> float:
         points=[p, q, peak],
     )
     return val
-
-
-def euclidean_kernel(n: int) -> EuclideanHeatKernel:
-    """Closed-form heat kernel evaluator on the flat n-dimensional space."""
-    return EuclideanHeatKernel(make_space("gaussian", n))
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +335,6 @@ class SphereHeatKernel:
         return abs(comp - direct) / abs(direct)
 
 
-def sphere_kernel_series(n: int, a: float, eps: float = 1e-12, **kw) -> SphereHeatKernel:
-    return SphereHeatKernel(n, a, eps=eps, **kw)
-
-
 @dataclass
 class CylinderHeatKernel:
     """Product kernel on S^{n-1} x R with the constant-curvature damping.
@@ -432,10 +424,6 @@ def _product_kernel(sval, serr, line, damp):
     return value, damp * serr * line + 1e-15 * abs(value)
 
 
-def cylinder_kernel(n: int, a: float, **kw) -> CylinderHeatKernel:
-    return CylinderHeatKernel(n, a, **kw)
-
-
 # ---------------------------------------------------------------------------
 # finite-difference Dirichlet kernel on the gaussian space
 # ---------------------------------------------------------------------------
@@ -478,7 +466,6 @@ class DirichletRadialHeatKernel:
 
     def __init__(self, op: DiscretizedOperator, t0: float,
                  time_tol: float = 1e-4, r_accuracy: float = 6.0,
-                 dt_min: float = 1e-7, dt_max: float = 4e-3,
                  kappa_mode: str = "tail"):
         if op.space.kind != "gaussian":
             raise KindMismatchError("finite-difference kernels run on gaussian spaces only")
@@ -492,8 +479,6 @@ class DirichletRadialHeatKernel:
         self.r_accuracy = float(r_accuracy)
         self.kappa_mode = kappa_mode  # "tail": radii up to r_accuracy at any t;
         # "diffusive": radii up to r_accuracy diffusion widths sqrt(t)
-        self.dt_min = dt_min
-        self.dt_max = dt_max
         self.n = op.space.n
         self.h = op.h
         self.m = op.m
@@ -524,9 +509,9 @@ class DirichletRadialHeatKernel:
         om = kappa * kappa
         length = t_to - t_from
         if om <= 0.0 or length <= 0.0:
-            return self.dt_max
+            return FD_DT_MAX
         dt = math.sqrt(12.0 * self.time_tol / (length * om ** 3))
-        return min(max(dt, self.dt_min), self.dt_max, length)
+        return min(max(dt, FD_DT_MIN), FD_DT_MAX, length)
 
     def _march(self, u: np.ndarray, t_from: float, t_to: float) -> np.ndarray:
         dt = self._dt_for_segment(t_from, t_to)
@@ -652,11 +637,6 @@ class DirichletRadialHeatKernel:
         # roundoff stays relative to the local scale in the graded solve
         rounding = 3e-12
         return abs(value) * (math.expm1(spatial + time_exp) + interp + rounding)
-
-
-def fd_kernel(op: DiscretizedOperator, t0: float, **kw) -> DirichletRadialHeatKernel:
-    """Dirichlet finite-difference kernel with source at the origin."""
-    return DirichletRadialHeatKernel(op, t0, **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -217,10 +217,11 @@ class PartitionValue:
 def partition_function(spectrum: Spectrum, t: float) -> PartitionValue:
     """Sum of exp(-lambda_i t) plus a tail estimate past the truncation.
 
-    The tail assumes the counting function keeps its empirical power growth
-    N(lambda) ~ N_last (lambda / lambda_last)^{n/2}; with k(lambda) inverted
-    this gives an incomplete-gamma bound. For analytic sphere spectra the
-    exponent comes from the space dimension.
+    The tail assumes the counting function keeps its power growth
+    N(lambda) ~ N_last (lambda / lambda_last)^{nu/2}; with k(lambda) inverted
+    this gives an incomplete-gamma bound. The exponent nu is
+    ``Spectrum.growth``, fitted from the top of every spectrum, analytic or
+    discretized.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")

@@ -257,7 +257,28 @@ def _guarded_exp_product(v: float, shift: float) -> float:
     return math.exp(lr) if lr < 700.0 else math.inf
 
 
-def _ratio_rows(evaluator, mu: float, grid: PairGrid, times, log_weight) -> list:
+@dataclass(frozen=True)
+class KernelTable:
+    """Kernel values and error estimates on a pair grid x a time grid."""
+
+    evaluator: object
+    grid: PairGrid
+    times: np.ndarray
+    d: list               # distance of each pair
+    values: np.ndarray    # shape (pairs, times)
+    errors: np.ndarray
+
+
+def kernel_table(evaluator, grid: PairGrid, times) -> KernelTable:
+    """The evaluator's table over the pairs of ``grid`` x ``times``."""
+    xs = [grid.points[i] for i, _ in grid.pairs]
+    ys = [grid.points[j] for _, j in grid.pairs]
+    values, errors = evaluator.table(xs, ys, times)
+    d = [evaluator.space.distance(x, y) for x, y in zip(xs, ys)]
+    return KernelTable(evaluator, grid, np.asarray(times), d, values, errors)
+
+
+def _ratio_rows(table: KernelTable, mu: float, log_weight) -> list:
     """Rows of the ratio H * exp(mu + (n/2) ln(4 pi t) + log_weight(d, t)).
 
     Computed in log space since far pairs at small times underflow the
@@ -267,15 +288,12 @@ def _ratio_rows(evaluator, mu: float, grid: PairGrid, times, log_weight) -> list
     deep-tail series values are pure cancellation noise there and would
     otherwise poison the extracted constants.
     """
-    space = evaluator.space
-    n = space.n
-    xs = [grid.points[i] for i, _ in grid.pairs]
-    ys = [grid.points[j] for _, j in grid.pairs]
-    hs, errs = evaluator.table(xs, ys, times)
+    n = table.evaluator.space.n
+    labels = table.grid.labels
     rows = []
-    for k, (i, j) in enumerate(grid.pairs):
-        d = space.distance(xs[k], ys[k])
-        for t, h, err in zip(times, hs[k].tolist(), errs[k].tolist()):
+    for k, (i, j) in enumerate(table.grid.pairs):
+        d = table.d[k]
+        for t, h, err in zip(table.times, table.values[k].tolist(), table.errors[k].tolist()):
             shift = mu + 0.5 * n * math.log(4.0 * math.pi * t) + log_weight(d, float(t))
             if h > 10.0 * err:
                 ratio = _guarded_exp_product(h, shift)
@@ -290,7 +308,7 @@ def _ratio_rows(evaluator, mu: float, grid: PairGrid, times, log_weight) -> list
                     resolved = False
             rhs = math.exp(-min(max(shift, -700.0), 700.0))
             rows.append({
-                "x_id": grid.labels[i], "y_id": grid.labels[j], "t": float(t),
+                "x_id": labels[i], "y_id": labels[j], "t": float(t),
                 "d": d, "lhs": h, "rhs": rhs, "slack": rhs - h, "ratio": ratio,
                 "resolved": resolved,
             })
@@ -303,10 +321,9 @@ def _max_resolved_ratio(rows) -> tuple[float, int]:
     return (max(vals) if vals else math.inf), unresolved
 
 
-def ultracontractivity(evaluator, mu: float, grid: PairGrid | None = None,
-                       times=None, tol: float = ANALYTIC_TOL,
+def ultracontractivity(table: KernelTable, mu: float, tol: float = ANALYTIC_TOL,
                        seed: int = 0) -> VerificationReport:
-    """On-diagonal-type bound H <= e^{-mu} (4 pi t)^{-n/2} over the grid.
+    """On-diagonal-type bound H <= e^{-mu} (4 pi t)^{-n/2} over the table.
 
     On the gaussian space the ratio must equal one exactly on the diagonal
     (the sharp case) and stay strictly below one off it; both facts are
@@ -314,10 +331,8 @@ def ultracontractivity(evaluator, mu: float, grid: PairGrid | None = None,
     """
 
     def run():
-        space = evaluator.space
-        g = grid or pair_grid(space, seed=seed)
-        ts = times if times is not None else time_grid()
-        rows = _ratio_rows(evaluator, mu, g, ts, lambda d, t: 0.0)
+        space = table.evaluator.space
+        rows = _ratio_rows(table, mu, lambda d, t: 0.0)
         worst, unresolved = _max_resolved_ratio(rows)
         arg = max((r for r in rows if r["resolved"]), key=lambda r: r["ratio"])
         notes = []
@@ -335,8 +350,8 @@ def ultracontractivity(evaluator, mu: float, grid: PairGrid | None = None,
         return VerificationReport(
             theorem_id="ultracontractivity",
             space=space.token,
-            a=getattr(evaluator, "a", None),
-            grid={"pairs": len(g), "times": len(ts)},
+            a=getattr(table.evaluator, "a", None),
+            grid={"pairs": len(table.grid), "times": len(table.times)},
             tolerance=tol,
             seed=seed,
             mode="ratio",
@@ -352,30 +367,28 @@ def ultracontractivity(evaluator, mu: float, grid: PairGrid | None = None,
     return _timed(run)
 
 
-def gaussian_bound(evaluator, mu: float, c: float, grid: PairGrid | None = None,
-                   times=None, tol: float = ANALYTIC_TOL, seed: int = 0,
-                   stability: float = 0.05) -> VerificationReport:
+def gaussian_bound(table: KernelTable, mu: float, c: float, tol: float = ANALYTIC_TOL,
+                   seed: int = 0, stability: float = 0.05) -> VerificationReport:
     """Off-diagonal bound with weight exp(-d^2/(c t)) and extracted A_emp(c).
 
     A_emp is the grid maximum of H (4 pi t)^{n/2} e^mu e^{d^2/(ct)}; the pass
-    criteria are finiteness and stability under nested refinement (pair count
-    doubled, log-midpoint times inserted). A splitting cross-check bounds H
-    by the weighted L2 integrals of both endpoints.
+    criteria are finiteness and stability under nested refinement. ``table``
+    is on the refined grid; the base grid, whose rows the report carries, is
+    its first half of the pairs at every other time. A splitting cross-check
+    bounds H by the weighted L2 integrals of both endpoints.
     """
     if c <= 4.0:
         raise ValueError("the off-diagonal weight requires c > 4")
 
     def run():
+        evaluator, g = table.evaluator, table.grid
         space = evaluator.space
-        g = grid or pair_grid(space, seed=seed)
-        ts = np.asarray(times) if times is not None else time_grid()
-        rows = _ratio_rows(evaluator, mu, g, ts,
-                           lambda d, t: d * d / (c * t))
-        a_base, unresolved = _max_resolved_ratio(rows)
-        g2 = pair_grid(space, count=2 * len(g), seed=seed)
-        rows2 = _ratio_rows(evaluator, mu, g2, refine_times(ts),
-                            lambda d, t: d * d / (c * t))
+        rows2 = _ratio_rows(table, mu, lambda d, t: d * d / (c * t))
         a_ref, unresolved2 = _max_resolved_ratio(rows2)
+        nt, pairs = len(table.times), len(g) // 2
+        rows = [rows2[k * nt + j] for k in range(pairs) for j in range(0, nt, 2)]
+        a_base, unresolved = _max_resolved_ratio(rows)
+        ts = table.times[::2]
 
         # splitting cross-check: H <= sqrt(E_D(x, t/2) E_D(y, t/2)) e^{-d^2/(2 D t)}
         D = c / 2.0
@@ -399,7 +412,7 @@ def gaussian_bound(evaluator, mu: float, c: float, grid: PairGrid | None = None,
             theorem_id="gaussian-bound",
             space=space.token,
             a=getattr(evaluator, "a", None),
-            grid={"pairs": len(g), "times": len(ts), "c": c},
+            grid={"pairs": pairs, "times": len(ts), "c": c},
             tolerance=stability,
             seed=seed,
             mode="ratio",
@@ -413,26 +426,21 @@ def gaussian_bound(evaluator, mu: float, c: float, grid: PairGrid | None = None,
     return _timed(run)
 
 
-def cr_bound(laplace_evaluator, mu: float, C_R: float, grid: PairGrid | None = None,
-             times=None, tol: float = ANALYTIC_TOL, seed: int = 0) -> VerificationReport:
+def cr_bound(table: KernelTable, mu: float, C_R: float, tol: float = ANALYTIC_TOL,
+             seed: int = 0) -> VerificationReport:
     """Laplace-kernel bound with the curvature growth factor exp(C_R t / 6).
 
     Also probes (without gating) whether the smaller exponent C_R t / 12
-    holds empirically, since sharpness of 1/6 is not claimed anywhere.
+    holds empirically, since sharpness of 1/6 is not claimed anywhere; both
+    exponents read the one table of the Laplace kernel.
     """
-    if getattr(laplace_evaluator, "a", 0.0) != 0.0:
+    if getattr(table.evaluator, "a", 0.0) != 0.0:
         raise ValueError("the curvature-corrected bound applies to the Laplace kernel (a = 0)")
 
     def run():
-        space = laplace_evaluator.space
-        g = grid or pair_grid(space, seed=seed)
-        ts = np.asarray(times) if times is not None else time_grid(hi=50.0)
-        rows = _ratio_rows(laplace_evaluator, mu, g, ts,
-                           lambda d, t: -C_R * t / 6.0)
+        rows = _ratio_rows(table, mu, lambda d, t: -C_R * t / 6.0)
         worst, unresolved = _max_resolved_ratio(rows)
-        rows12 = _ratio_rows(laplace_evaluator, mu, g, ts,
-                             lambda d, t: -C_R * t / 12.0)
-        worst12, _ = _max_resolved_ratio(rows12)
+        worst12, _ = _max_resolved_ratio(_ratio_rows(table, mu, lambda d, t: -C_R * t / 12.0))
         notes = [
             f"exploratory exponent C_R t/12: max ratio {worst12:.6g} "
             + ("(holds empirically)" if worst12 <= 1.0 + tol else "(fails empirically)")
@@ -441,9 +449,9 @@ def cr_bound(laplace_evaluator, mu: float, C_R: float, grid: PairGrid | None = N
             notes.append(f"{unresolved} grid points below the method noise floor (excluded)")
         return VerificationReport(
             theorem_id="cr-bound",
-            space=space.token,
+            space=table.evaluator.space.token,
             a=0.0,
-            grid={"pairs": len(g), "times": len(ts), "C_R": C_R},
+            grid={"pairs": len(table.grid), "times": len(table.times), "C_R": C_R},
             tolerance=tol,
             seed=seed,
             mode="ratio",
@@ -638,11 +646,14 @@ def eigenvalue_bound(spectrum: Spectrum, mu: float, V: float, k_max: int, *,
 
 
 def log_sobolev_slack(space: SolitonSpace, mu: float, trial: TrialFunction,
-                      tau: float) -> float:
-    """Slack of the entropy-energy inequality for one normalized trial."""
+                      taus) -> tuple[float, float, list]:
+    """(energy, entropy, slacks): the trial's integrals, each computed once, and
+    the slack of the entropy-energy inequality at each tau in ``taus``."""
     energy = 4.0 * trial.int_grad2() + trial.int_R_phi2()
     entropy_term = trial.int_entropy()
-    return tau * energy - (mu + space.n + 0.5 * space.n * math.log(4.0 * math.pi * tau)) - entropy_term
+    return energy, entropy_term, [
+        tau * energy - (mu + space.n + 0.5 * space.n * math.log(4.0 * math.pi * tau)) - entropy_term
+        for tau in taus]
 
 
 def sharp_gaussian_trial(space: SolitonSpace, tau: float) -> TrialFunction:
@@ -666,12 +677,8 @@ def log_sobolev(space: SolitonSpace, mu: float, trials=100, tau_grid=None,
         rows = []
         worst = math.inf
         for idx, tr in enumerate(trial_list):
-            energy = 4.0 * tr.int_grad2() + tr.int_R_phi2()
-            entropy_term = tr.int_entropy()
-            for tau in taus:
-                slack = (tau * energy
-                         - (mu + space.n + 0.5 * space.n * math.log(4.0 * math.pi * tau))
-                         - entropy_term)
+            energy, entropy_term, slacks = log_sobolev_slack(space, mu, tr, taus)
+            for tau, slack in zip(taus, slacks):
                 rows.append({"x_id": f"trial{idx}", "y_id": "", "t": float(tau),
                              "lhs": entropy_term, "rhs": tau * energy - slack + entropy_term,
                              "slack": slack, "ratio": math.nan})
@@ -1047,8 +1054,7 @@ def exploratory_a_sweep(space: SolitonSpace, a_values, make_evaluator,
     g = pair_grid(space, count=8, seed=seed)
     ts = time_grid(count=12)
     for a in a_values:
-        ev = make_evaluator(a)
-        rows = _ratio_rows(ev, mu, g, ts, lambda d, t: 0.0)
+        rows = _ratio_rows(kernel_table(make_evaluator(a), g, ts), mu, lambda d, t: 0.0)
         mx, _ = _max_resolved_ratio(rows)
         out.append({"a": float(a), "max_ratio": mx})
     return out

@@ -15,11 +15,11 @@ from solitonlab import verify
 from solitonlab.cli import main as cli_main
 from solitonlab.entropy import mu, mu_closed_form
 from solitonlab.kernels import (
+    CylinderHeatKernel,
+    DirichletRadialHeatKernel,
     EuclideanHeatKernel,
-    cylinder_kernel,
-    fd_kernel,
+    SphereHeatKernel,
     green,
-    sphere_kernel_series,
 )
 from solitonlab.spaces import make_space, parse_space
 from solitonlab.spectral import discretize_radial, partition_function, sphere_spectrum
@@ -44,37 +44,38 @@ def test_criterion_1_entropy():
     _report(1, "entropy constants", start, 10.0)
 
 
-def test_criterion_2_ultracontractivity():
+def test_criterion_2_ultracontractivity(default_table):
     start = time.time()
     # flat space: equality on the diagonal at every sampled time, strict below 1 off it
     ek = EuclideanHeatKernel(make_space("gaussian", 3), 0.25)
-    rep = verify.ultracontractivity(ek, 0.0, seed=1)
+    rep = verify.ultracontractivity(default_table(ek, 1), 0.0, seed=1)
     assert rep.passed
     diag = [r for r in rep.points if r["d"] == 0.0]
     assert len(diag) == 40 and all(abs(r["ratio"] - 1.0) <= 1e-13 for r in diag)
     assert all(r["ratio"] < 1.0 for r in rep.points if r["d"] > 0.0)
 
-    for tok, ev in (("sphere:2", sphere_kernel_series(2, 0.25)),
-                    ("cylinder:3", cylinder_kernel(3, 0.25))):
+    for tok, ev in (("sphere:2", SphereHeatKernel(2, 0.25)),
+                    ("cylinder:3", CylinderHeatKernel(3, 0.25))):
         sp = parse_space(tok)
-        rep = verify.ultracontractivity(ev, mu_closed_form(sp), seed=1)
+        rep = verify.ultracontractivity(default_table(ev, 1), mu_closed_form(sp), seed=1)
         assert rep.worst_case_slack <= 1.0 + 1e-6
         assert rep.passed
     _report(2, "ultracontractivity", start, 60.0)
 
 
-def test_criterion_3_gaussian_bound():
+def test_criterion_3_gaussian_bound(default_table):
     start = time.time()
     ek = EuclideanHeatKernel(make_space("gaussian", 3), 0.25)
-    rep = verify.gaussian_bound(ek, 0.0, 5.0, seed=2)
+    rep = verify.gaussian_bound(default_table(ek, 2, refined=True), 0.0, 5.0, seed=2)
     assert rep.passed
     assert rep.extracted_constants["A_emp"] == pytest.approx(1.0, abs=1e-12)
 
-    for tok, ev in (("sphere:2", sphere_kernel_series(2, 0.25)),
-                    ("cylinder:3", cylinder_kernel(3, 0.25))):
+    for tok, ev in (("sphere:2", SphereHeatKernel(2, 0.25)),
+                    ("cylinder:3", CylinderHeatKernel(3, 0.25))):
         sp = parse_space(tok)
+        table = default_table(ev, 2, refined=True)
         for c in (4.5, 5.0, 8.0):
-            rep = verify.gaussian_bound(ev, mu_closed_form(sp), c, seed=2,
+            rep = verify.gaussian_bound(table, mu_closed_form(sp), c, seed=2,
                                         stability=0.05)
             a_base = rep.extracted_constants["A_emp_base"]
             a_ref = rep.extracted_constants["A_emp"]
@@ -87,7 +88,7 @@ def test_criterion_3_gaussian_bound():
 def test_criterion_4_fd_solver():
     start = time.time()
     op = discretize_radial(make_space("gaussian", 3), 40.0, 4096)
-    k = fd_kernel(op, 1e-3, r_accuracy=4.5)
+    k = DirichletRadialHeatKernel(op, 1e-3, r_accuracy=4.5)
     for t in (0.1, 0.5, 1.0):
         for r in (0.0, 1.0, 2.0, 4.0):
             v, _ = k.evaluate(r, t)
@@ -163,7 +164,8 @@ def test_criterion_7_log_sobolev():
     for n in (1, 2, 3):
         sp = make_space("gaussian", n)
         tr = verify.sharp_gaussian_trial(sp, 1.0)
-        assert abs(verify.log_sobolev_slack(sp, 0.0, tr, 1.0)) <= 1e-6
+        (slack,) = verify.log_sobolev_slack(sp, 0.0, tr, [1.0])[2]
+        assert abs(slack) <= 1e-6
     for tok in ("gaussian:3", "sphere:2", "cylinder:3"):
         sp = parse_space(tok)
         rep = verify.log_sobolev(sp, mu_closed_form(sp), trials=100,

@@ -9,10 +9,12 @@ from solitonlab.cli import (
     EXIT_CONFIG,
     EXIT_PASS,
     EXIT_VIOLATION,
+    THEOREM_IDS,
     ExperimentConfig,
     build_parser,
     main,
     parse_config,
+    run_suite,
     run_theorem,
     write_points_csv,
 )
@@ -154,6 +156,26 @@ def test_kernel_rejects_bad_time(tmp_path, capsys, space, x, y, t):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--space", "gaussian:3", "--t", "1", "--x", "0,0", "--y", "1,0,0"],
+    ["kernel", "--space", "gaussian:3", "--t", "1", "--x", "a,0,0", "--y", "1,0,0"],
+    ["kernel", "--space", "sphere:3", "--t", "1", "--x", "0,0,0,0", "--y", "1,0,0,0"],
+    ["kernel", "--space", "gaussian:3", "--t", "1", "--x", "nan,0,0", "--y", "1,0,0"],
+    ["kernel", "--space", "cylinder:3", "--t", "1", "--x", "1,0,0;inf", "--y", "1,0,0;0"],
+    ["green", "--space", "gaussian:3", "--x", "1,0,0", "--y", "1,0,0"],
+    ["spectrum", "--space", "sphere:2", "--l-max", "-5"],
+    ["spectrum", "--space", "gaussian:3", "--m", "10"],
+    ["spectrum", "--space", "gaussian:3", "--k", "0"],
+    ["spectrum", "--space", "gaussian:3", "--r-max", "-1"],
+], ids=["wrong-length", "not-a-number", "zero-direction", "nan-coordinate", "inf-line",
+        "green-diagonal", "negative-l-max", "m-below-16", "k-0", "negative-r-max"])
+def test_bad_point_and_spectrum_input_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "r.json"
+    assert main(["--json", str(out)] + argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
 def test_green_subcommand(tmp_path):
     out = tmp_path / "g.json"
     code = main(["--json", str(out), "green", "--space", "gaussian:3",
@@ -242,6 +264,55 @@ def test_suite_small_config_passes(tmp_path):
     assert set(doc["checks"]) >= {"kernel-axioms", "ultracontractivity",
                                   "green-bound", "weighted-energy"}
     assert doc["all_passed"] and code == EXIT_PASS
+
+
+SMALL_SPHERE2 = """
+space = "sphere:2"
+[grids]
+pairs = 6
+times = 6
+trials = 4
+k_max = 20
+c = 4.5, 5, 8, 16
+"""
+
+
+def test_suite_shares_evaluators_and_tables(tmp_path, monkeypatch):
+    # one evaluator per coupling and one table per grid: the ultracontractivity
+    # grid, the refined grid every c value reads, and the Laplace-kernel grid
+    from solitonlab.kernels import SphereHeatKernel
+
+    tables, built = [], []
+    table, post_init = SphereHeatKernel.table, SphereHeatKernel.__post_init__
+
+    def counted_table(self, *args):
+        tables.append(self.a)
+        return table(self, *args)
+
+    def recorded_post_init(self):
+        built.append(self.a)
+        post_init(self)
+
+    monkeypatch.setattr(SphereHeatKernel, "table", counted_table)
+    monkeypatch.setattr(SphereHeatKernel, "__post_init__", recorded_post_init)
+    doc, _ = run_suite(parse_config(SMALL_SPHERE2))
+    assert len([k for k in doc["checks"] if k.startswith("gaussian-bound")]) == 4
+    assert len(tables) == 3
+    assert sorted(built) == [0.0, 0.25]
+
+
+def test_suite_skips_inapplicable_theorems_with_reasons(tmp_path):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_SPHERE2)
+    out = tmp_path / "suite.json"
+    code = main(["--config", str(cfg), "--json", str(out), "suite", "--a", "0.1"])
+    assert code in (EXIT_PASS, EXIT_VIOLATION)
+    doc = json.loads(out.read_text())
+    ran = {"kernel-axioms", "log-sobolev", "cr-bound", "grigoryan-constants"}
+    assert set(doc["checks"]) == ran
+    assert set(doc["skipped"]) == set(THEOREM_IDS) - ran
+    assert doc["skipped"]["ultracontractivity"] == "ultracontractivity requires a >= 1/4"
+    assert all(isinstance(r, str) and r for r in doc["skipped"].values())
 
 
 def test_exit_1_when_a_check_reports_violation(tmp_path, monkeypatch):

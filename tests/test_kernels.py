@@ -14,11 +14,10 @@ from solitonlab.exceptions import (
 )
 from solitonlab.kernels import (
     CylinderHeatKernel,
-    cylinder_kernel,
-    euclidean_kernel,
-    fd_kernel,
+    DirichletRadialHeatKernel,
+    EuclideanHeatKernel,
+    SphereHeatKernel,
     heat_kernel,
-    sphere_kernel_series,
     zonal_values,
 )
 from solitonlab.spaces import make_space, parse_space, sphere_area
@@ -32,14 +31,14 @@ from solitonlab.spectral import discretize_radial, sphere_multiplicity
 
 def test_euclidean_diagonal_value():
     # on-diagonal value is (4 pi t)^{-n/2} exactly (= 0.0224484... at n=3, t=1)
-    ek = euclidean_kernel(3)
+    ek = EuclideanHeatKernel(make_space("gaussian", 3))
     p = ek.space.point([0.0, 0.0, 0.0])
     assert ek(p, p, 1.0) == pytest.approx((4.0 * math.pi) ** -1.5, rel=1e-15)
     assert ek(p, p, 1.0) == pytest.approx(0.0224484, abs=5e-7)
 
 
 def test_euclidean_offdiagonal_value():
-    ek = euclidean_kernel(1)
+    ek = EuclideanHeatKernel(make_space("gaussian", 1))
     x, y = ek.space.point([0.0]), ek.space.point([2.0])
     assert ek(x, y, 1.0) == pytest.approx((4.0 * math.pi) ** -0.5 * math.exp(-1.0), rel=1e-15)
     assert ek(x, y, 1.0) == pytest.approx(0.103777, abs=5e-7)
@@ -72,7 +71,7 @@ def test_euclidean_error_estimate_covers_decimal_closed_form():
 def test_euclidean_mass_one():
     # quadrature oracle: integral over R^n of the kernel is one
     for n in (1, 2, 3):
-        ek = euclidean_kernel(n)
+        ek = EuclideanHeatKernel(make_space("gaussian", n))
         t = 0.7
         val, _ = quad(lambda r: sphere_area(n - 1) * r ** (n - 1)
                       * ek.value_at_distance(r, t), 0.0, 40.0)
@@ -80,7 +79,7 @@ def test_euclidean_mass_one():
 
 
 def test_euclidean_rejects_bad_time():
-    ek = euclidean_kernel(2)
+    ek = EuclideanHeatKernel(make_space("gaussian", 2))
     p = ek.space.point([0.0, 0.0])
     with pytest.raises(TimeDomainError):
         ek(p, p, 0.0)
@@ -133,7 +132,7 @@ def legendre_sum_oracle(ct, t, a, lmax=80):
 
 
 def test_sphere_series_vs_direct_summation():
-    sk = sphere_kernel_series(2, 0.25)
+    sk = SphereHeatKernel(2, 0.25)
     for theta in (0.0, 0.4, 1.3, math.pi):
         for t in (0.5, 1.0, 3.0):
             v, err = sk.kernel_theta(theta, t)
@@ -142,14 +141,14 @@ def test_sphere_series_vs_direct_summation():
 
 
 def test_sphere_series_long_time_projects_onto_constants():
-    sk = sphere_kernel_series(2, 0.0)
+    sk = SphereHeatKernel(2, 0.0)
     v, _ = sk.kernel_theta(2.0, 80.0)
     assert v == pytest.approx(1.0 / (8.0 * math.pi), rel=1e-12)
 
 
 def test_sphere_series_mass():
     # stochastic completeness of the closed manifold: mass is exactly one at a=0
-    sk = sphere_kernel_series(2, 0.0)
+    sk = SphereHeatKernel(2, 0.0)
     u, w = np.polynomial.legendre.leggauss(200)
     th = (u + 1) * math.pi / 2
     ww = w * math.pi / 2
@@ -159,17 +158,17 @@ def test_sphere_series_mass():
 
 
 def test_sphere_series_time_gate_and_cap():
-    sk = sphere_kernel_series(2, 0.25)
+    sk = SphereHeatKernel(2, 0.25)
     p = sk.space.point([0, 0, 1.0])
     with pytest.raises(TimeDomainError):
         sk(p, p, 1e-4)
-    tiny = sphere_kernel_series(2, 0.25, l_max=5)
+    tiny = SphereHeatKernel(2, 0.25, l_max=5)
     with pytest.raises(SeriesTruncationError):
         tiny.kernel_theta(0.3, 1e-3)
 
 
 def test_sphere_series_symmetry():
-    sk = sphere_kernel_series(3, 0.25)
+    sk = SphereHeatKernel(3, 0.25)
     rng = np.random.default_rng(2)
     x, y = sk.space.random_point(rng), sk.space.random_point(rng)
     assert abs(sk(x, y, 0.4) - sk(y, x, 0.4)) <= 1e-14
@@ -216,7 +215,7 @@ def laplace_series_loop(sk, u, t):
 def test_laplace_series_equals_level_loop(n):
     # l_max and t_min as the Green evaluator sets them; cos-angles include
     # both poles, where the S^3 closed form switches to its limits
-    sk = sphere_kernel_series(n, 0.25, l_max=8000, t_min=0.0)
+    sk = SphereHeatKernel(n, 0.25, l_max=8000, t_min=0.0)
     rng = np.random.default_rng(n)
     u = np.concatenate([[1.0, -1.0, 0.0], np.cos(rng.uniform(0.0, math.pi, 12)),
                         np.cos(rng.uniform(0.0, 1e-4, 3))])
@@ -243,7 +242,7 @@ def test_laplace_series_equals_level_loop(n):
 @pytest.mark.parametrize("n,t", [(2, 1e-3), (3, 2e-4)])
 def test_laplace_series_point_blocks(n, t):
     # more points than one block of the series sum equal one zonal_values call
-    sk = sphere_kernel_series(n, 0.25, l_max=8000, t_min=0.0)
+    sk = SphereHeatKernel(n, 0.25, l_max=8000, t_min=0.0)
     u = np.cos(np.random.default_rng(5).uniform(0.0, math.pi, (40, 60)))
     vals, tail, cutoff = sk._laplace_series(u, t)
     assert (cutoff + 1) * u.size > 2 ** 16
@@ -259,7 +258,7 @@ def test_laplace_series_point_blocks(n, t):
 
 
 def test_cylinder_mass_one_without_coupling():
-    ck = cylinder_kernel(3, 0.0)
+    ck = CylinderHeatKernel(3, 0.0)
     sp = ck.space
     x = sp.point([1.0, 0.0, 0.0], s=0.0)
     t = 0.8
@@ -274,7 +273,7 @@ def test_cylinder_mass_one_without_coupling():
 
 
 def test_cylinder_large_time_factor_limit():
-    ck = cylinder_kernel(3, 0.25)
+    ck = CylinderHeatKernel(3, 0.25)
     sp = ck.space
     x = sp.point([1.0, 0.0, 0.0], s=0.0)
     t = 50.0
@@ -283,7 +282,7 @@ def test_cylinder_large_time_factor_limit():
 
 
 def test_cylinder_symmetry_exact():
-    ck = cylinder_kernel(3, 0.25)
+    ck = CylinderHeatKernel(3, 0.25)
     sp = ck.space
     rng = np.random.default_rng(4)
     x, y = sp.random_point(rng), sp.random_point(rng)
@@ -292,7 +291,7 @@ def test_cylinder_symmetry_exact():
 
 def test_cylinder_needs_n3():
     with pytest.raises(Exception):
-        cylinder_kernel(2, 0.25)
+        CylinderHeatKernel(2, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +302,7 @@ def test_cylinder_needs_n3():
 @pytest.fixture(scope="module")
 def fd3():
     op = discretize_radial(make_space("gaussian", 3), 20.0, 1024)
-    return fd_kernel(op, 1e-3, r_accuracy=4.5)
+    return DirichletRadialHeatKernel(op, 1e-3, r_accuracy=4.5)
 
 
 def test_fd_matches_closed_form(fd3):
@@ -343,13 +342,13 @@ def test_fd_requires_gaussian_space():
     class FakeOp:
         space = make_space("sphere", 2)
     with pytest.raises(KindMismatchError):
-        fd_kernel(FakeOp(), 1e-3)
+        DirichletRadialHeatKernel(FakeOp(), 1e-3)
 
 
 @pytest.mark.parametrize("n,rm,m", [(1, 16.0, 512), (3, 20.0, 1024)])
 def test_fd_error_estimate_covers_actual_error(n, rm, m):
     op = discretize_radial(make_space("gaussian", n), rm, m)
-    k = fd_kernel(op, 1e-3, r_accuracy=4.5)
+    k = DirichletRadialHeatKernel(op, 1e-3, r_accuracy=4.5)
     for t in (0.1, 0.5, 1.0):
         for r in (0.0, 1.0, 2.0, 4.0):
             v, err = k.evaluate(r, t)

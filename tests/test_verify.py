@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from solitonlab.cli import ExperimentConfig, run_theorem
 from solitonlab.entropy import RadialProfile, TrialFunction, mu_closed_form, random_trials
 from solitonlab.kernels import (
+    CylinderHeatKernel,
+    DirichletRadialHeatKernel,
     EuclideanHeatKernel,
-    cylinder_kernel,
-    fd_kernel,
+    SphereHeatKernel,
     green,
-    sphere_kernel_series,
 )
 from solitonlab.spaces import make_space, parse_space
 from solitonlab.spectral import discretize_radial, eigen_solve, sphere_spectrum
@@ -29,13 +30,14 @@ def test_kernel_axioms_gaussian_closed_form():
 
 
 def test_kernel_axioms_sphere_series():
-    rep = verify.kernel_axioms(sphere_kernel_series(2, 0.25), seed=3)
+    rep = verify.kernel_axioms(SphereHeatKernel(2, 0.25), seed=3)
     assert rep.passed
 
 
 def test_kernel_axioms_fd():
     op = discretize_radial(make_space("gaussian", 3), 16.0, 512)
-    rep = verify.kernel_axioms(fd_kernel(op, 1e-3, r_accuracy=4.0), seed=0, tol=1e-3)
+    rep = verify.kernel_axioms(DirichletRadialHeatKernel(op, 1e-3, r_accuracy=4.0),
+                               seed=0, tol=1e-3)
     assert rep.passed
 
 
@@ -43,7 +45,7 @@ def test_kernel_axioms_fd():
 def test_kernel_axioms_cylinder_far_line_pairs(seed):
     # regression: far line separations make the composition bump extremely
     # narrow; these seeds used to defeat the quadrature
-    rep = verify.kernel_axioms(cylinder_kernel(3, 0.25), seed=seed)
+    rep = verify.kernel_axioms(CylinderHeatKernel(3, 0.25), seed=seed)
     assert rep.passed
 
 
@@ -52,9 +54,9 @@ def test_kernel_axioms_cylinder_far_line_pairs(seed):
 # ---------------------------------------------------------------------------
 
 
-def test_ultracontractivity_gaussian_sharp():
+def test_ultracontractivity_gaussian_sharp(default_table):
     ek = EuclideanHeatKernel(make_space("gaussian", 3), 0.25)
-    rep = verify.ultracontractivity(ek, 0.0, seed=1)
+    rep = verify.ultracontractivity(default_table(ek, 1), 0.0, seed=1)
     assert rep.passed
     assert rep.worst_case_slack == pytest.approx(1.0, abs=1e-13)
     # sharpness: the maximum sits on the diagonal
@@ -64,10 +66,10 @@ def test_ultracontractivity_gaussian_sharp():
     assert all(r["ratio"] < 1.0 for r in off)
 
 
-def test_ultracontractivity_sphere_small_time_diagonal_limit():
+def test_ultracontractivity_sphere_small_time_diagonal_limit(default_table):
     sp = parse_space("sphere:2")
-    sk = sphere_kernel_series(2, 0.25)
-    rep = verify.ultracontractivity(sk, mu_closed_form(sp), seed=1)
+    sk = SphereHeatKernel(2, 0.25)
+    rep = verify.ultracontractivity(default_table(sk, 1), mu_closed_form(sp), seed=1)
     assert rep.passed
     # short-time diagonal ratio approaches e^mu = 2/e
     t0 = 1e-3
@@ -76,9 +78,10 @@ def test_ultracontractivity_sphere_small_time_diagonal_limit():
     assert ratio == pytest.approx(2.0 / math.e, rel=2e-3)
 
 
-def test_ultracontractivity_cylinder():
+def test_ultracontractivity_cylinder(default_table):
     sp = parse_space("cylinder:3")
-    rep = verify.ultracontractivity(cylinder_kernel(3, 0.25), mu_closed_form(sp), seed=1)
+    rep = verify.ultracontractivity(default_table(CylinderHeatKernel(3, 0.25), 1),
+                                    mu_closed_form(sp), seed=1)
     assert rep.passed
     assert rep.worst_case_slack <= 1.0 + 1e-6
 
@@ -88,9 +91,9 @@ def test_ultracontractivity_cylinder():
 # ---------------------------------------------------------------------------
 
 
-def test_gaussian_bound_flat_space_constant_is_one():
+def test_gaussian_bound_flat_space_constant_is_one(default_table):
     ek = EuclideanHeatKernel(make_space("gaussian", 3), 0.25)
-    rep = verify.gaussian_bound(ek, 0.0, 5.0, seed=2)
+    rep = verify.gaussian_bound(default_table(ek, 2, refined=True), 0.0, 5.0, seed=2)
     assert rep.passed
     assert rep.extracted_constants["A_emp"] == pytest.approx(1.0, abs=1e-12)
     # one-dimensional optimization oracle over s = d^2/t >= 0
@@ -98,21 +101,22 @@ def test_gaussian_bound_flat_space_constant_is_one():
     assert np.max(np.exp(-s / 4.0 + s / 5.0)) == 1.0
 
 
-def test_gaussian_bound_c45_on_flat_space():
+def test_gaussian_bound_c45_on_flat_space(default_table):
     ek = EuclideanHeatKernel(make_space("gaussian", 3), 0.25)
-    rep = verify.gaussian_bound(ek, 0.0, 4.5, seed=2)
+    rep = verify.gaussian_bound(default_table(ek, 2, refined=True), 0.0, 4.5, seed=2)
     assert rep.extracted_constants["A_emp"] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_gaussian_bound_rejects_small_c():
-    ek = EuclideanHeatKernel(make_space("gaussian", 3), 0.25)
+def test_gaussian_bound_rejects_small_c(default_table):
+    table = default_table(EuclideanHeatKernel(make_space("gaussian", 3), 0.25), 0, refined=True)
     with pytest.raises(ValueError):
-        verify.gaussian_bound(ek, 0.0, 4.0)
+        verify.gaussian_bound(table, 0.0, 4.0)
 
 
-def test_gaussian_bound_sphere_stable():
+def test_gaussian_bound_sphere_stable(default_table):
     sp = parse_space("sphere:2")
-    rep = verify.gaussian_bound(sphere_kernel_series(2, 0.25), mu_closed_form(sp), 8.0, seed=2)
+    rep = verify.gaussian_bound(default_table(SphereHeatKernel(2, 0.25), 2, refined=True),
+                                mu_closed_form(sp), 8.0, seed=2)
     assert rep.passed
     assert math.isfinite(rep.extracted_constants["A_emp"])
     assert rep.extracted_constants["splitting_max_ratio"] <= 1.0 + 1e-5
@@ -123,16 +127,17 @@ def test_gaussian_bound_sphere_stable():
 # ---------------------------------------------------------------------------
 
 
-def test_cr_bound_gaussian_reduces_to_ultracontractivity():
+def test_cr_bound_gaussian_reduces_to_ultracontractivity(default_table):
     ek = EuclideanHeatKernel(make_space("gaussian", 3), 0.0)
-    rep = verify.cr_bound(ek, 0.0, 0.0, seed=1)
+    rep = verify.cr_bound(default_table(ek, 1, hi=50.0), 0.0, 0.0, seed=1)
     assert rep.passed
     assert rep.worst_case_slack == pytest.approx(1.0, abs=1e-12)
 
 
-def test_cr_bound_sphere2_passes_and_half_exponent_fails():
+def test_cr_bound_sphere2_passes_and_half_exponent_fails(default_table):
     sp = parse_space("sphere:2")
-    rep = verify.cr_bound(sphere_kernel_series(2, 0.0), mu_closed_form(sp), 1.0, seed=1)
+    rep = verify.cr_bound(default_table(SphereHeatKernel(2, 0.0), 1, hi=50.0),
+                          mu_closed_form(sp), 1.0, seed=1)
     assert rep.passed
     # long-time diagonal: ratio (t/e) e^{-t/6} peaks at 6/e^2 < 1
     assert rep.worst_case_slack == pytest.approx(6.0 / math.e ** 2, rel=0.02)
@@ -141,15 +146,57 @@ def test_cr_bound_sphere2_passes_and_half_exponent_fails():
     assert any("fails empirically" in note for note in rep.notes)
 
 
-def test_cr_bound_sphere3():
+def test_cr_bound_sphere3(default_table):
     sp = parse_space("sphere:3")
-    rep = verify.cr_bound(sphere_kernel_series(3, 0.0), mu_closed_form(sp), 1.5, seed=1)
+    rep = verify.cr_bound(default_table(SphereHeatKernel(3, 0.0), 1, hi=50.0),
+                          mu_closed_form(sp), 1.5, seed=1)
     assert rep.passed
 
 
-def test_cr_bound_requires_laplace_kernel():
+def test_cr_bound_requires_laplace_kernel(default_table):
+    table = default_table(SphereHeatKernel(2, 0.25), 0, hi=50.0)
     with pytest.raises(ValueError):
-        verify.cr_bound(sphere_kernel_series(2, 0.25), 0.0, 1.0)
+        verify.cr_bound(table, 0.0, 1.0)
+
+
+def test_cylinder_ratio_rows_are_sphere_rows_times_line_factor():
+    # cylinder:3 is the model 2-sphere times a line, with the same R and mu,
+    # so its gaussian-bound ratio at (theta, ds, t) is the sphere:2 ratio at
+    # (theta, t) times exp(-ds^2 (1/4 - 1/c) / t)
+    cyl, sph = parse_space("cylinder:3"), parse_space("sphere:2")
+    grid = verify.pair_grid(cyl, 24, seed=0)
+    sgrid = verify.PairGrid([sph.point(p.vector) for p in grid.points], grid.pairs, grid.labels)
+    times = verify.time_grid()
+    ctab = verify.kernel_table(CylinderHeatKernel(3, 0.25), grid, times)
+    stab = verify.kernel_table(SphereHeatKernel(2, 0.25), sgrid, times)
+    ds = [grid.points[i].s - grid.points[j].s for i, j in grid.pairs]
+    compared = 0
+    for c in (4.5, 5.0, 8.0, 16.0):
+        crows = verify._ratio_rows(ctab, mu_closed_form(cyl), lambda d, t: d * d / (c * t))
+        srows = verify._ratio_rows(stab, mu_closed_form(sph), lambda d, t: d * d / (c * t))
+        for idx, (cr, sr) in enumerate(zip(crows, srows)):
+            k, m = divmod(idx, len(times))
+            hc, ec = ctab.values[k, m], ctab.errors[k, m]
+            hs, es = stab.values[k, m], stab.errors[k, m]
+            if not (hc > 10.0 * ec and hs > 10.0 * es):
+                continue  # compare only values that resolve on both sides
+            expected = sr["ratio"] * math.exp(-ds[k] ** 2 * (0.25 - 1.0 / c) / cr["t"])
+            allowance = cr["ratio"] * ec / hc + expected * es / hs + 1e-12 * expected
+            assert abs(cr["ratio"] - expected) <= allowance, (c, cr)
+            compared += 1
+    assert compared >= 0.5 * 4 * len(crows)
+
+
+def test_cylinder_a_emp_bounded_by_sphere_a_emp():
+    # the line factor only lowers the ratio, so the cylinder constant cannot
+    # exceed the sphere one on the default grids (up to rounding)
+    a_emp = {}
+    for tok in ("sphere:2", "cylinder:3"):
+        cfg, store = ExperimentConfig(space=tok), {}
+        a_emp[tok] = [run_theorem("gaussian-bound", cfg, store=store, c=c)
+                      .extracted_constants["A_emp"] for c in cfg.c_values]
+    for cyl, sph in zip(a_emp["cylinder:3"], a_emp["sphere:2"]):
+        assert cyl <= sph * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +283,8 @@ def test_log_sobolev_sharp_gaussian_case():
         sp = make_space("gaussian", n)
         for tau in (0.05, 1.0, 4.0):
             tr = verify.sharp_gaussian_trial(sp, tau)
-            assert abs(verify.log_sobolev_slack(sp, 0.0, tr, tau)) <= 1e-6
+            (slack,) = verify.log_sobolev_slack(sp, 0.0, tr, [tau])[2]
+            assert abs(slack) <= 1e-6
 
 
 def test_log_sobolev_random_trials_each_space():
@@ -254,7 +302,7 @@ def test_log_sobolev_constant_trial_on_sphere():
     mu = mu_closed_form(sp)
     tr = TrialFunction(sp, sp.pole(),
                        RadialProfile("const", 1.0, math.pi * sp.sphere_radius + 1.0))
-    slack = verify.log_sobolev_slack(sp, mu, tr, 1.0)
+    (slack,) = verify.log_sobolev_slack(sp, mu, tr, [1.0])[2]
     closed = 1.0 - mu - 2.0 - math.log(4.0 * math.pi) + math.log(sp.volume)
     assert closed == pytest.approx(0.0, abs=1e-14)
     assert slack == pytest.approx(closed, abs=1e-9)
@@ -391,7 +439,7 @@ def test_weighted_energy_hypothesis_failure_aborts():
 def test_exploratory_a_sweep_records_without_gating():
     sp = parse_space("sphere:2")
     mu = mu_closed_form(sp)
-    rows = verify.exploratory_a_sweep(sp, [0.0, 0.1], lambda a: sphere_kernel_series(2, a),
+    rows = verify.exploratory_a_sweep(sp, [0.0, 0.1], lambda a: SphereHeatKernel(2, a),
                                       mu, seed=0)
     assert [r["a"] for r in rows] == [0.0, 0.1]
     # without the coupling the long-time diagonal grows past the bound
