@@ -671,6 +671,9 @@ def _dispatch(args, cfg: ExperimentConfig) -> int:
         return EXIT_PASS
 
     if args.command == "kernel":
+        if cfg.method == "fd_dirichlet":
+            raise ConfigError("the fd_dirichlet kernel has its source at the origin and takes "
+                              "radii, not point pairs; check it with 'verify kernel-axioms'")
         sp = parse_space(cfg.space)
         ev = _evaluator(cfg, cfg.a)
         x = _parse_point(sp, args.x)

@@ -10,7 +10,10 @@ Three evaluation routes are implemented, matched to the catalogue:
   sphere-factor series and the one-dimensional line kernel;
 * implicit finite differences on truncated Dirichlet balls of the gaussian
   space, bootstrapped from the exact profile at a small positive time so no
-  initial-layer error enters the comparisons.
+  initial-layer error enters the comparisons. One engine, ``RadialMarch``,
+  holds the time -> state cache, the tridiagonal stepper that Crank-Nicolson
+  and Numerov steps share, and the Simpson rule over the nodes; a state may
+  hold one solution per row, and the weighted-energy probe is a view on it.
 
 Every evaluator reports a per-evaluation error estimate next to the value,
 and owns the quadratures of its mass, its semigroup identity and (for the
@@ -36,7 +39,7 @@ from .exceptions import (
 )
 from .quadrature import gaussian_cutoff, leggauss_ab, quad_ab, quad_log
 from .spaces import Point, SolitonSpace, make_space, sphere_area
-from .spectral import DiscretizedOperator, sphere_multiplicity
+from .spectral import DiscretizedOperator, discretize_radial, sphere_multiplicity
 
 EPS = float(np.finfo(float).eps)
 FD_DT_MIN, FD_DT_MAX = 1e-7, 4e-3  # bounds on a finite-difference march step
@@ -425,24 +428,118 @@ def _product_kernel(sval, serr, line, damp):
 
 
 # ---------------------------------------------------------------------------
-# finite-difference Dirichlet kernel on the gaussian space
+# finite-difference engine and the Dirichlet kernel on the gaussian space
 # ---------------------------------------------------------------------------
 
 
-def crank_nicolson(op: DiscretizedOperator, w: np.ndarray, dts) -> np.ndarray:
-    """March nodal values w on the operator's grid through Crank-Nicolson
-    steps of the sizes in ``dts``; the banded system is rebuilt only when the
-    step size changes."""
-    ab = np.zeros((3, op.m))
+def _tridiagonal_march(scheme, w: np.ndarray, dts) -> np.ndarray:
+    """Two-level steps of the sizes in ``dts`` on w (one solution per row):
+    ``scheme(dt)`` gives the banded matrix and the explicit side, built again
+    only when dt changes. The rows share one banded solve per step."""
     built = None
     for dt in dts:
         if dt != built:
-            ab[0, 1:] = 0.5 * dt * op.upper
-            ab[1, :] = 1.0 + 0.5 * dt * op.diag
-            ab[2, :-1] = 0.5 * dt * op.lower
+            ab, explicit = scheme(dt)
             built = dt
-        w = solve_banded((1, 1), ab, w - 0.5 * dt * op.apply(w))
+        w = solve_banded((1, 1), ab, explicit(w).T).T
     return w
+
+
+def _crank_nicolson(op: DiscretizedOperator, dt: float):
+    """Crank-Nicolson on the conservative second-order operator."""
+    ab = np.zeros((3, op.m))
+    ab[0, 1:] = 0.5 * dt * op.upper
+    ab[1, :] = 1.0 + 0.5 * dt * op.diag
+    ab[2, :-1] = 0.5 * dt * op.lower
+    return ab, lambda w: w - 0.5 * dt * op.apply(w)
+
+
+def _numerov(size: int, h: float, even: bool, dt: float):
+    """Crank-Nicolson on the compact fourth-order (Numerov) form of v_rr over
+    ``size`` unknowns; ``even`` folds the ghost v_{-1} = v_1 of an even v
+    into the first row."""
+    c = dt / (2.0 * h * h)
+    ab = np.empty((3, size))
+    ab[[0, 2]] = 1.0 / 12.0 - c
+    ab[1] = 10.0 / 12.0 + 2.0 * c
+    if even:
+        ab[0, 1] *= 2.0
+    rdi = 10.0 / 12.0 - 2.0 * c
+    roff = 1.0 / 12.0 + c
+
+    def explicit(v):
+        rhs = rdi * v
+        rhs[..., :-1] += roff * v[..., 1:]
+        rhs[..., 1:] += roff * v[..., :-1]
+        if even:
+            rhs[..., 0] += roff * v[..., 1]
+        return rhs
+
+    return ab, explicit
+
+
+def graded_steps(t_from: float, t: float, dt_max: float):
+    """Steps of min(dt_max, t / 6), at least 1e-6, from t_from to t: data
+    marched from sharp initial values evolve on the timescale t itself."""
+    t_cur = t_from
+    while t_cur < t - 1e-15 * max(t, 1.0):
+        dt = min(dt_max, max(t_cur / 6.0, 1e-6), t - t_cur)
+        yield dt
+        t_cur += dt
+
+
+class RadialMarch:
+    """The finite-difference engine for radial Dirichlet problems.
+
+    A state holds values at the nodes r_0 .. r_{m-1} on its last axis, one
+    solution per row, and vanishes at the Dirichlet node r_m = R_max.
+    ``state(t)`` fills one time -> state cache behind one lock, marching from
+    the latest cached time before t through the steps ``steps(t_from, t)``:
+    Crank-Nicolson on the conservative operator or, with ``numerov`` (n in
+    {1, 3}), on the compact fourth-order form of v = r^{(n-1)/2} u, for which
+    the radial operator is a pure second derivative.
+    """
+
+    def __init__(self, op: DiscretizedOperator, t0: float, state0: np.ndarray,
+                 steps, numerov: bool = False):
+        self.op = op
+        self.nodes = np.append(op.r, op.R_max)  # the Dirichlet node included
+        self.t0 = t0
+        self._steps = steps
+        self.numerov = numerov
+        self._cache = {t0: state0}
+        self._lock = threading.Lock()  # marches fill the cache
+
+    def state(self, t: float) -> np.ndarray:
+        if t < self.t0:
+            raise TimeDomainError(f"finite-difference states need t >= t0 = {self.t0}")
+        with self._lock:
+            if t not in self._cache:
+                t_from = max(s for s in self._cache if s <= t)
+                self._cache[t] = self._march(self._cache[t_from], t_from, t)
+            return self._cache[t]
+
+    def _march(self, u: np.ndarray, t_from: float, t: float) -> np.ndarray:
+        op, dts = self.op, self._steps(t_from, t)
+        if not self.numerov:
+            return _tridiagonal_march(lambda dt: _crank_nicolson(op, dt), u, dts)
+        if op.space.n == 1:  # v = u is even: ghost reflection at the origin
+            return _tridiagonal_march(lambda dt: _numerov(op.m, op.h, True, dt), u, dts)
+        # n = 3: v = r u vanishes at both ends; the unknowns are nodes 1 .. m-1
+        r = op.r[1:]
+        out = np.empty(u.shape)
+        out[..., 1:] = _tridiagonal_march(lambda dt: _numerov(op.m - 1, op.h, False, dt),
+                                          r * u[..., 1:], dts) / r
+        out[..., 0] = (4.0 * out[..., 1] - out[..., 2]) / 3.0  # even extension through r = 0
+        return out
+
+    def integrate(self, values: np.ndarray):
+        """Simpson's rule over the nodes for the volume integral of nodal
+        ``values``, zero at the Dirichlet node: a float, or one per row. Rows
+        reduce along their contiguous axis, so each sums as it would alone."""
+        n, r = self.op.space.n, self.nodes
+        values = np.concatenate((values, np.zeros(values.shape[:-1] + (1,))), axis=-1)
+        return np.asarray(simpson(values * sphere_area(n - 1) * r ** (n - 1), x=r)).tolist()
 
 
 class DirichletRadialHeatKernel:
@@ -450,16 +547,14 @@ class DirichletRadialHeatKernel:
 
     The source sits at the origin; u(., t0) is the exact closed-form profile,
     so the comparison against the free kernel carries no initial-layer error.
-    Time stepping is Crank-Nicolson (unconditionally stable, second order in
-    time) with steps sized per segment so the time error stays inside
-    ``time_tol`` for saddle modes up to r_accuracy / (2 t).
+    ``states`` marches it with Crank-Nicolson (unconditionally stable, second
+    order in time), one step size per segment, sized so the time error stays
+    inside ``time_tol`` for saddle modes up to r_accuracy / (2 t).
 
-    For n in {1, 3} the substitution v = r^{(n-1)/2} u turns the radial
-    operator into a pure second derivative and the march uses the compact
-    fourth-order (Numerov) spatial form; the plain second-order stencil at
-    the acceptance grid sizes has a far-tail error above one percent, which
-    the error model below makes visible. Other dimensions fall back to
-    Crank-Nicolson on the conservative second-order operator.
+    For n in {1, 3} the march takes the compact fourth-order (Numerov)
+    spatial form; the plain second-order stencil at the acceptance grid
+    sizes has a far-tail error above one percent, which the error model
+    below makes visible. Other dimensions keep the second-order operator.
     """
 
     method = "fd_dirichlet"
@@ -483,115 +578,41 @@ class DirichletRadialHeatKernel:
         self.h = op.h
         self.m = op.m
         self.numerov = self.n in (1, 3)  # compact fourth-order march
-        self._nodes = np.arange(self.m + 1) * self.h  # includes the Dirichlet node
         self._segments: list[tuple[float, float, float]] = []
-        self._cache: dict[float, np.ndarray] = {self.t0: self._bootstrap()}
-        self._lock = threading.Lock()  # marches mutate the cache
+        bootstrap = (4.0 * math.pi * self.t0) ** (-self.n / 2.0) * np.exp(
+            -op.r * op.r / (4.0 * self.t0))
+        self.states = RadialMarch(op, self.t0, bootstrap, self._segment_steps, self.numerov)
 
-    # -- exact bootstrap -----------------------------------------------------
-
-    def _free_profile(self, t: float) -> np.ndarray:
-        r = self._nodes
-        return (4.0 * math.pi * t) ** (-self.n / 2.0) * np.exp(-r * r / (4.0 * t))
-
-    def _bootstrap(self) -> np.ndarray:
-        u = self._free_profile(self.t0)
-        u[-1] = 0.0  # Dirichlet boundary
-        return u
-
-    # -- marching -------------------------------------------------------------
-
-    def _dt_for_segment(self, t_from: float, t_to: float) -> float:
+    def _segment_steps(self, t_from: float, t_to: float) -> list[float]:
+        """One step size for the segment, recorded for the error model."""
         if self.kappa_mode == "diffusive":
             kappa = self.r_accuracy / math.sqrt(t_to)
         else:
             kappa = self.r_accuracy / (2.0 * t_to)
         om = kappa * kappa
         length = t_to - t_from
-        if om <= 0.0 or length <= 0.0:
-            return FD_DT_MAX
-        dt = math.sqrt(12.0 * self.time_tol / (length * om ** 3))
-        return min(max(dt, FD_DT_MIN), FD_DT_MAX, length)
-
-    def _march(self, u: np.ndarray, t_from: float, t_to: float) -> np.ndarray:
-        dt = self._dt_for_segment(t_from, t_to)
-        steps = max(int(math.ceil((t_to - t_from) / dt)), 1)
-        dt = (t_to - t_from) / steps
+        dt = FD_DT_MAX
+        if om > 0.0 and length > 0.0:
+            dt = min(max(math.sqrt(12.0 * self.time_tol / (length * om ** 3)), FD_DT_MIN),
+                     FD_DT_MAX, length)
+        steps = max(int(math.ceil(length / dt)), 1)
+        dt = length / steps
         self._segments.append((t_from, t_to, dt))
-        if self.numerov:
-            return self._march_numerov(u, dt, steps)
-        # Crank-Nicolson on the conservative operator; second-order fallback
-        out = np.zeros(self.m + 1)
-        out[: self.m] = crank_nicolson(self.op, u[: self.m], [dt] * steps)
-        return out
-
-    def _march_numerov(self, u: np.ndarray, dt: float, steps: int) -> np.ndarray:
-        h, m, n = self.h, self.m, self.n
-        r = self._nodes
-        c = dt / (2.0 * h * h)
-        if n == 3:
-            # v = r u vanishes at both ends; unknowns are nodes 1..m-1
-            v = r[1:m] * u[1:m]
-            N = m - 1
-            neumann0 = False
-        else:
-            # n = 1: v = u is even; ghost reflection at the origin
-            v = u[:m].copy()
-            N = m
-            neumann0 = True
-        lo = 1.0 / 12.0 - c
-        di = 10.0 / 12.0 + 2.0 * c
-        up = 1.0 / 12.0 - c
-        rlo = 1.0 / 12.0 + c
-        rdi = 10.0 / 12.0 - 2.0 * c
-        rup = 1.0 / 12.0 + c
-        ab = np.zeros((3, N))
-        ab[0, 1:] = up
-        ab[1, :] = di
-        ab[2, :-1] = lo
-        if neumann0:
-            ab[0, 1] = up + lo  # ghost v_{-1} = v_1 folds into the first row
-        for _ in range(steps):
-            rhs = rdi * v
-            rhs[:-1] += rup * v[1:]
-            rhs[1:] += rlo * v[:-1]
-            if neumann0:
-                rhs[0] += rlo * v[1]  # ghost on the explicit side
-            v = solve_banded((1, 1), ab, rhs)
-        out = np.zeros(m + 1)
-        if n == 3:
-            out[1:m] = v / r[1:m]
-            out[0] = (4.0 * out[1] - out[2]) / 3.0  # even extension through r = 0
-        else:
-            out[:m] = v
-        return out
+        return [dt] * steps
 
     def profile(self, t: float) -> np.ndarray:
-        """Nodal Dirichlet kernel values at time t (marching lazily)."""
-        if t <= self.t0:
-            if t == self.t0:
-                return self._cache[self.t0]
-            raise TimeDomainError(f"fd kernel needs t > t0 = {self.t0}")
-        with self._lock:
-            if t in self._cache:
-                return self._cache[t]
-            t_from = max(s for s in self._cache if s <= t)
-            u = self._march(self._cache[t_from], t_from, t)
-            self._cache[t] = u
-            return u
+        """Nodal kernel values at time t, the Dirichlet node included."""
+        return np.append(self.states.state(t), 0.0)
 
     def mass(self, t: float) -> float:
         """Discrete volume integral of the kernel at time t."""
-        u = self.profile(t)
-        return float(np.sum(self.op.weights * u[: self.m]))
+        return self.op.mass(self.states.state(t))
 
     def semigroup_defect(self, t: float, s: float) -> float:
         """Relative defect of the composition identity on the diagonal at the
         source. Simpson over the nodes, since the cell-volume weights are only
         a second-order quadrature."""
-        r = self._nodes
-        comp = float(simpson(self.profile(t) * self.profile(s) * sphere_area(self.n - 1)
-                             * r ** (self.n - 1), x=r))
+        comp = self.states.integrate(self.states.state(t) * self.states.state(s))
         direct = self(0.0, t + s)
         return abs(comp - direct) / abs(direct)
 
@@ -609,7 +630,7 @@ class DirichletRadialHeatKernel:
         # cubic Lagrange on the four nearest nodes
         i = int(y / self.h)
         i0 = min(max(i - 1, 0), self.m - 3)
-        xs = self._nodes[i0:i0 + 4]
+        xs = self.states.nodes[i0:i0 + 4]
         ys = u[i0:i0 + 4]
         val = 0.0
         for j in range(4):
@@ -628,11 +649,8 @@ class DirichletRadialHeatKernel:
             spatial = kappa ** 6 * self.h ** 4 * (t - self.t0) / 360.0
         else:
             spatial = kappa ** 4 * self.h ** 2 * (t - self.t0) / 12.0
-        time_exp = 0.0
-        for (a, b, dt) in self._segments:
-            if a >= t:
-                continue
-            time_exp += (min(b, t) - a) * (kappa ** 2) ** 3 * dt * dt / 12.0
+        time_exp = sum((min(b, t) - a) * (kappa ** 2) ** 3 * dt * dt / 12.0
+                       for (a, b, dt) in self._segments if a < t)
         interp = kappa ** 4 * self.h ** 4 / 24.0
         # roundoff stays relative to the local scale in the graded solve
         rounding = 3e-12
@@ -663,13 +681,8 @@ def heat_kernel(space: SolitonSpace, a: float, method: str = "auto", **params):
             return CylinderHeatKernel(space.n, a, **params)
         raise KindMismatchError("no spectral series on the gaussian space; use closed_form")
     if method == "fd_dirichlet":
-        from .spectral import discretize_radial
-
-        R_max = params.pop("R_max", 40.0)
-        m = params.pop("m", 4096)
-        t0 = params.pop("t0", 1e-3)
-        op = discretize_radial(space, R_max, m, a)
-        return DirichletRadialHeatKernel(op, t0, **params)
+        op = discretize_radial(space, params.pop("R_max", 40.0), params.pop("m", 4096), a)
+        return DirichletRadialHeatKernel(op, params.pop("t0", 1e-3), **params)
     raise ValueError(f"unknown kernel method {method!r}")
 
 

@@ -110,9 +110,10 @@ class DiscretizedOperator:
     upper: np.ndarray
 
     def apply(self, u: np.ndarray) -> np.ndarray:
+        """The operator on nodal values along the last axis of u."""
         out = self.diag * u
-        out[:-1] += self.upper * u[1:]
-        out[1:] += self.lower * u[:-1]
+        out[..., :-1] += self.upper * u[..., 1:]
+        out[..., 1:] += self.lower * u[..., :-1]
         return out
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:

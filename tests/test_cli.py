@@ -167,8 +167,11 @@ def test_kernel_rejects_bad_time(tmp_path, capsys, space, x, y, t):
     ["spectrum", "--space", "gaussian:3", "--m", "10"],
     ["spectrum", "--space", "gaussian:3", "--k", "0"],
     ["spectrum", "--space", "gaussian:3", "--r-max", "-1"],
+    ["kernel", "--space", "gaussian:3", "--method", "fd_dirichlet", "--t", "1",
+     "--x", "0,0,0", "--y", "1,0,0"],
 ], ids=["wrong-length", "not-a-number", "zero-direction", "nan-coordinate", "inf-line",
-        "green-diagonal", "negative-l-max", "m-below-16", "k-0", "negative-r-max"])
+        "green-diagonal", "negative-l-max", "m-below-16", "k-0", "negative-r-max",
+        "fd-kernel-point-pair"])
 def test_bad_point_and_spectrum_input_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "r.json"
     assert main(["--json", str(out)] + argv) == EXIT_CONFIG

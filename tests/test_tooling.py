@@ -1,0 +1,30 @@
+"""The benchmark's span tracer wraps package names that exist and restores them."""
+
+import importlib.util
+from pathlib import Path
+
+import scipy.linalg
+
+from solitonlab import kernels, verify
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _wrapped_names():
+    return (kernels.DirichletRadialHeatKernel.profile, verify.GrigoryanProbe.state,
+            scipy.linalg.solve_banded, kernels.solve_banded)
+
+
+def test_tracer_install_and_uninstall_restore_the_originals():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    originals = _wrapped_names()
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        # the engine's banded solver is the one the tracer counts
+        assert all(new is not old for new, old in zip(_wrapped_names(), originals))
+    finally:
+        tracer.uninstall()
+    assert all(new is old for new, old in zip(_wrapped_names(), originals))

@@ -159,6 +159,23 @@ def test_cr_bound_requires_laplace_kernel(default_table):
         verify.cr_bound(table, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("check", [
+    lambda table: verify.ultracontractivity(table, 0.0),
+    lambda table: verify.gaussian_bound(table, 0.0, 8.0),
+    lambda table: verify.cr_bound(table, 0.0, 0.0),
+], ids=["ultracontractivity", "gaussian-bound", "cr-bound"])
+def test_ratio_check_without_a_resolved_row_fails_with_a_note(check):
+    # every value sits inside its own error estimate, so no row certifies anything
+    ev = EuclideanHeatKernel(make_space("gaussian", 3), 0.0)
+    grid = verify.pair_grid(ev.space, 8, 0)
+    times = np.array([1.0, 3.0, 10.0])
+    d = [ev.space.distance(grid.points[i], grid.points[j]) for i, j in grid.pairs]
+    shape = (len(grid), len(times))
+    rep = check(verify.KernelTable(ev, grid, times, d, np.zeros(shape), np.ones(shape)))
+    assert not rep.passed
+    assert verify.NO_RESOLVED_NOTE in rep.notes
+
+
 def test_cylinder_ratio_rows_are_sphere_rows_times_line_factor():
     # cylinder:3 is the model 2-sphere times a line, with the same R and mu,
     # so its gaussian-bound ratio at (theta, ds, t) is the sphere:2 ratio at
@@ -309,6 +326,16 @@ def test_log_sobolev_constant_trial_on_sphere():
     assert slack >= -1e-9
 
 
+@pytest.mark.parametrize("token", ["gaussian:3", "sphere:2"])
+def test_log_sobolev_rhs_minus_lhs_is_the_slack(token):
+    rep = run_theorem("log-sobolev", ExperimentConfig(space=token))
+    assert len(rep.points) >= 2000
+    eps = np.finfo(float).eps
+    for r in rep.points:
+        assert abs(r["rhs"] - r["lhs"] - r["slack"]) <= 4 * eps * max(abs(r["rhs"]),
+                                                                      abs(r["lhs"]))
+
+
 # ---------------------------------------------------------------------------
 # Sobolev
 # ---------------------------------------------------------------------------
@@ -415,6 +442,37 @@ def test_energy_monotonicity_violations_shrink_under_refinement():
         trials=6, seed=5, dt=1e-3)
     assert fine.extracted_constants["max_violation"] <= \
         coarse.extracted_constants["max_violation"] + 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_energy_monotonicity_rows_equal_single_column_probes(n):
+    # reference: one probe per trial, as each trial was marched alone
+    op = discretize_radial(make_space("gaussian", n), 8.0, 192)
+    rep = verify.energy_monotonicity(op, s=1.0, trials=6, seed=4, dt=2e-3)
+    ts = rep.grid["times"]
+    data = verify.random_dirichlet_data(op, 6, 4)
+    columns = verify.GrigoryanProbe(op, ts[0], data0=data, dt=2e-3)
+    ref_rows = []
+    for k, row in enumerate(data):
+        single = verify.GrigoryanProbe(op, ts[0], data0=row, dt=2e-3)
+        energies = [single.weighted_energy(t, 2.0, 1.0) for t in ts]
+        assert energies == [columns.weighted_energy(t, 2.0, 1.0)[k] for t in ts]
+        assert np.array_equal(single.state(ts[-1]), columns.state(ts[-1])[k])
+        viol = float(max(0.0, (np.diff(energies) / max(energies[0], 1e-300)).max()))
+        ref_rows.append({"x_id": f"trial{k}", "y_id": "", "t": math.nan,
+                         "lhs": viol, "rhs": 0.0, "slack": -viol, "ratio": math.nan})
+    assert rep.points == ref_rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_source_probe_state_is_the_kernel_profile(n):
+    op = discretize_radial(make_space("gaussian", n), 8.0, 256)
+    probe = verify.GrigoryanProbe(op, 1e-3)
+    kernel = DirichletRadialHeatKernel(op, probe.t0, time_tol=1e-4, r_accuracy=3.5,
+                                       kappa_mode="diffusive")
+    for t in (probe.t0, 0.01, 0.1, 0.5):
+        assert np.array_equal(probe.state(t), kernel.profile(t)[:op.m])
+        assert kernel.profile(t)[op.m] == 0.0
 
 
 def test_weighted_energy_bound_gaussian1():
