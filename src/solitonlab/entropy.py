@@ -1,25 +1,36 @@
 """Entropy functional on the catalogue spaces.
 
-The normalization constant mu is available in closed form on every catalogue
-space and is cross-checked here by quadrature of (4 pi)^{-n/2} exp(-f) dv.
-The W functional is evaluated for densities of the form f + c (+ small
-closed-form perturbations), which is enough to verify both the minimizer
-identity W(g, f + c, 1) = mu and the infimum property W >= mu.
+Every catalogue space is a product of at most two one-dimensional factors
+(``factors``): the radial factor of R^n, the zonal factor of a round sphere,
+and on the cylinder the zonal factor of S^{n-1} times the line. A factor
+carries its measure weight, its coordinate range, its map to geodesic
+distance and its part of the potential f. The three consumers are written
+once over that list:
+
+* ``mu`` cross-checks the closed-form entropy constant by the quadrature
+  (4 pi)^{-n/2} prod_i integral of w_i exp(-f_i);
+* ``w_entropy`` evaluates W at a product density (the soliton potential plus
+  closed-form perturbations, one per factor) from one-dimensional factor
+  moments, W = tau (sum_i E_i|phi_i'|^2 + R) + sum_i E_i[phi_i] + c - n;
+* ``TrialFunction`` holds phi = amplitude * prod_i g_i, computes each factor
+  integral of its profiles once and combines them with the product rule.
+
+Together they verify the minimizer identity W(g, f + c, 1) = mu, the infimum
+property W >= mu, and supply the trial integrals of the entropy-energy and
+Sobolev checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .exceptions import KindMismatchError, NormalizationError
 from .quadrature import gaussian_cutoff, quad_ab
 from .spaces import Point, SolitonSpace, sphere_area
-
-SQRT2 = math.sqrt(2.0)
-
 
 def mu_closed_form(space: SolitonSpace) -> float:
     """Entropy constant mu of a catalogue space from the closed form.
@@ -42,40 +53,86 @@ def mu_closed_form(space: SolitonSpace) -> float:
     )
 
 
+# ---------------------------------------------------------------------------
+# the factor list
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Factor:
+    """One one-dimensional factor of a catalogue space, in its coordinate x.
+
+    ``weight`` is the measure density in x and ``scale * x`` the geodesic
+    distance from the pole (signed on the line). x runs over [0, end], or
+    over [-end, end] when ``signed``. ``f`` is the factor's part of the
+    potential and ``df`` its derivative in arc length; ``tail`` is the
+    distance past which exp(-f) is negligible (infinite on a compact factor).
+    """
+
+    weight: Callable[[float], float]
+    scale: float
+    end: float
+    signed: bool
+    f: Callable[[float], float]
+    df: Callable[[float], float]
+    tail: float
+
+    def interval(self, radius: float) -> tuple[float, float]:
+        """Coordinate range of the points within ``radius`` of the pole."""
+        hi = min(radius / self.scale, self.end)
+        return (-hi if self.signed else 0.0), hi
+
+
+def factors(space: SolitonSpace) -> list[Factor]:
+    """The space as a product of one-dimensional factors about its pole."""
+    n = space.n
+    tail = gaussian_cutoff(math.sqrt(2.0))  # exp(-x^2/4) has width sqrt 2 at every tau
+
+    def quarter_square(x):
+        return x * x / 4.0
+
+    def half(x):
+        return x / 2.0
+
+    if space.kind == "gaussian":
+        area = sphere_area(n - 1)
+        return [Factor(lambda x: area * x ** (n - 1), 1.0, math.inf, False,
+                       quarter_square, half, tail)]
+    # the zonal factor of a round S^k of radius sqrt(2(k-1)) carries f = k/2
+    k = n if space.kind == "sphere" else n - 1
+    r = space.sphere_radius
+    area = sphere_area(k - 1) * r ** k
+    zonal = Factor(lambda u: area * math.sin(u) ** (k - 1), r, math.pi, False,
+                   lambda u: k / 2.0, lambda u: 0.0, math.inf)
+    if space.kind == "sphere":
+        return [zonal]
+    return [zonal, Factor(lambda s: 1.0, 1.0, math.inf, True, quarter_square, half, tail)]
+
+
+def _product_rule(values, parts) -> float:
+    """Sum over i of parts[i] times the product of values[j], j != i."""
+    return sum(math.prod(p if j == i else v for j, (v, p) in enumerate(zip(values, parts)))
+               for i in range(len(values)))
+
+
 @dataclass(frozen=True)
 class EntropyReport:
     mu: float
     method: str                 # closed_form | quadrature
-    quadrature_error: float
+    quadrature_error: float     # error estimate of that quadrature, over all factors
     normalization_check: float  # quadrature of (4 pi)^{-n/2} e^{-f} dv minus e^mu
 
 
 def mu(space: SolitonSpace) -> EntropyReport:
     """Closed-form mu together with its quadrature cross-check."""
     closed = mu_closed_form(space)
-    n = space.n
-    if space.kind == "gaussian":
-        area = sphere_area(n - 1)
-        rmax = gaussian_cutoff(SQRT2)
-        val, err = quad_ab(
-            lambda r: area * r ** (n - 1) * math.exp(-r * r / 4.0), 0.0, rmax
-        )
-        total = (4.0 * math.pi) ** (-n / 2.0) * val
-    elif space.kind == "sphere":
-        r = space.sphere_radius
-        val, err = quad_ab(lambda u: math.sin(u) ** (n - 1), 0.0, math.pi)
-        vol = sphere_area(n - 1) * r ** n * val
-        total = (4.0 * math.pi) ** (-n / 2.0) * math.exp(-n / 2.0) * vol
-    else:
-        r = space.sphere_radius
-        smax = gaussian_cutoff(SQRT2)
-        line, err = quad_ab(lambda s: math.exp(-s * s / 4.0), -smax, smax)
-        total = (
-            (4.0 * math.pi) ** (-n / 2.0)
-            * math.exp(-(n - 1) / 2.0)
-            * sphere_area(n - 1, r)
-            * line
-        )
+    pref = (4.0 * math.pi) ** (-space.n / 2.0)
+    parts = [quad_ab(lambda x, fac=fac: fac.weight(x) * math.exp(-fac.f(x)),
+                     *fac.interval(fac.tail))
+             for fac in factors(space)]
+    values = [v for v, _ in parts]
+    total = pref * math.prod(values)
+    err = pref * _product_rule(values, [e for _, e in parts])
     return EntropyReport(closed, "closed_form", err, total - math.exp(closed))
 
 
@@ -128,14 +185,21 @@ class RadialProfile:
         return -d / self.sigma ** 2 * math.exp(-d * d / (2.0 * self.sigma ** 2))
 
 
+def _xlogx(v: float) -> float:
+    return v * math.log(v) if v > 0.0 else 0.0
+
+
 @dataclass
 class TrialFunction:
     """A normalized trial phi for the entropy-energy inequalities.
 
-    On gaussian and sphere spaces phi(x) = amplitude * g(d(x, center)); on the
-    cylinder phi is the product of a sphere-factor profile (in arc length from
-    the center direction) and a line profile (in s - s_center). |grad phi| is
-    available in closed form because profiles carry their derivatives.
+    phi = amplitude * prod_i g_i, one profile per factor of the space, each
+    in the geodesic distance of its factor: on gaussian and sphere spaces
+    phi(x) = amplitude * g(d(x, center)); on the cylinder phi is a sphere
+    factor profile (in arc length from the center direction) times a line
+    profile (in s - s_center). The factor integrals of the profiles (g^2,
+    g'^2, g^2 ln g^2, |g|^p) are computed once per trial and combined with
+    the product rule.
     """
 
     space: SolitonSpace
@@ -144,6 +208,7 @@ class TrialFunction:
     line_profile: RadialProfile | None = None
     amplitude: float = field(default=1.0)
     norm_defect: float = field(default=0.0)
+    _integrals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.space.kind == "cylinder" and self.line_profile is None:
@@ -152,47 +217,21 @@ class TrialFunction:
             raise KindMismatchError("line profile only makes sense on the cylinder")
         self.normalize()
 
-    # -- reduced one-dimensional integrals ---------------------------------
+    def _factor_integrals(self, key, h) -> list[float]:
+        """Integral of h(profile, distance) over each factor, computed once."""
+        if key not in self._integrals:
+            self._integrals[key] = [
+                quad_ab(lambda x, fac=fac, g=g: fac.weight(x) * h(g, fac.scale * x),
+                        *fac.interval(g.cutoff))[0]
+                for fac, g in zip(factors(self.space), (self.profile, self.line_profile))]
+        return self._integrals[key]
 
-    def _angular_integral(self, h) -> float:
-        """Integral of h(profile stuff) over the radial/zonal factor."""
-        n = self.space.n
-        if self.space.kind == "gaussian":
-            area = sphere_area(n - 1)
-            val, _ = quad_ab(lambda d: area * d ** (n - 1) * h(d), 0.0, self.profile.cutoff)
-            return val
-        if self.space.kind == "sphere":
-            r = self.space.sphere_radius
-            umax = min(self.profile.cutoff / r, math.pi)
-            val, _ = quad_ab(
-                lambda u: sphere_area(n - 1) * r ** n * math.sin(u) ** (n - 1) * h(r * u),
-                0.0,
-                umax,
-            )
-            return val
-        r = self.space.sphere_radius
-        umax = min(self.profile.cutoff / r, math.pi)
-        val, _ = quad_ab(
-            lambda u: sphere_area(n - 2) * r ** (n - 1) * math.sin(u) ** (n - 2) * h(r * u),
-            0.0,
-            umax,
-        )
-        return val
-
-    def _line_integral(self, h) -> float:
-        q = self.line_profile
-        val, _ = quad_ab(h, -q.cutoff, q.cutoff)
-        return val
+    def _mass(self) -> list[float]:
+        return self._factor_integrals("mass", lambda g, d: g.value(d) ** 2)
 
     def normalize(self) -> None:
         """Scale the amplitude so that the L2 norm is one."""
-        g = self.profile
-        if self.space.kind == "cylinder":
-            ig2 = self._angular_integral(lambda d: g.value(d) ** 2)
-            iq2 = self._line_integral(lambda s: self.line_profile.value(s) ** 2)
-            total = ig2 * iq2
-        else:
-            total = self._angular_integral(lambda d: g.value(d) ** 2)
+        total = math.prod(self._mass())
         if total <= 0.0:
             raise NormalizationError("trial function has zero L2 mass")
         self.amplitude = 1.0 / math.sqrt(total)
@@ -203,26 +242,12 @@ class TrialFunction:
             )
 
     def int_phi2(self) -> float:
-        g = self.profile
-        a2 = self.amplitude ** 2
-        if self.space.kind == "cylinder":
-            return a2 * self._angular_integral(lambda d: g.value(d) ** 2) * self._line_integral(
-                lambda s: self.line_profile.value(s) ** 2
-            )
-        return a2 * self._angular_integral(lambda d: g.value(d) ** 2)
+        return math.prod(self._mass(), start=self.amplitude ** 2)
 
     def int_grad2(self) -> float:
         """Integral of |grad phi|^2."""
-        g = self.profile
-        a2 = self.amplitude ** 2
-        if self.space.kind != "cylinder":
-            return a2 * self._angular_integral(lambda d: g.deriv(d) ** 2)
-        q = self.line_profile
-        ig2 = self._angular_integral(lambda d: g.value(d) ** 2)
-        igp = self._angular_integral(lambda d: g.deriv(d) ** 2)
-        iq2 = self._line_integral(lambda s: q.value(s) ** 2)
-        iqp = self._line_integral(lambda s: q.deriv(s) ** 2)
-        return a2 * (igp * iq2 + ig2 * iqp)
+        grad = self._factor_integrals("grad", lambda g, d: g.deriv(d) ** 2)
+        return self.amplitude ** 2 * _product_rule(self._mass(), grad)
 
     def int_R_phi2(self) -> float:
         return self.space.sup_R * self.int_phi2()  # R is constant on the catalogue
@@ -230,31 +255,13 @@ class TrialFunction:
     def int_entropy(self) -> float:
         """Integral of phi^2 ln(phi^2), using the normalization ∫phi^2 = 1."""
         a2 = self.amplitude ** 2
-        g = self.profile
-
-        def xlogx(v):
-            return v * math.log(v) if v > 0.0 else 0.0
-
-        if self.space.kind != "cylinder":
-            core = self._angular_integral(lambda d: xlogx(g.value(d) ** 2))
-            return math.log(a2) + a2 * core
-        q = self.line_profile
-        ig2 = self._angular_integral(lambda d: g.value(d) ** 2)
-        iq2 = self._line_integral(lambda s: q.value(s) ** 2)
-        igl = self._angular_integral(lambda d: xlogx(g.value(d) ** 2))
-        iql = self._line_integral(lambda s: xlogx(q.value(s) ** 2))
-        return math.log(a2) + a2 * (igl * iq2 + ig2 * iql)
+        ent = self._factor_integrals("entropy", lambda g, d: _xlogx(g.value(d) ** 2))
+        return math.log(a2) + a2 * _product_rule(self._mass(), ent)
 
     def int_power(self, p: float) -> float:
         """Integral of |phi|^p."""
-        ap = self.amplitude ** p
-        g = self.profile
-        if self.space.kind != "cylinder":
-            return ap * self._angular_integral(lambda d: abs(g.value(d)) ** p)
-        q = self.line_profile
-        return ap * self._angular_integral(lambda d: abs(g.value(d)) ** p) * self._line_integral(
-            lambda s: abs(q.value(s)) ** p
-        )
+        powers = self._factor_integrals(("power", p), lambda g, d: abs(g.value(d)) ** p)
+        return math.prod(powers, start=self.amplitude ** p)
 
     def dilated(self, lam: float) -> "TrialFunction":
         """u(lam x) rescaling; only meaningful on the flat gaussian space."""
@@ -274,14 +281,12 @@ def random_trials(space: SolitonSpace, count: int, seed: int,
         kind = "bump" if rng.random() < 0.5 else "gaussian"
         sigma = float(rng.uniform(*sigma_range))
         cutoff = sigma * float(rng.uniform(3.0, 6.0))
-        if space.kind == "sphere":
+        if space.kind != "gaussian":
             cutoff = min(cutoff, 0.95 * math.pi * space.sphere_radius)
+        line = None
         if space.kind == "cylinder":
-            cutoff = min(cutoff, 0.95 * math.pi * space.sphere_radius)
             line = RadialProfile(kind, float(rng.uniform(*sigma_range)), float(rng.uniform(1.5, 5.0)))
-            out.append(TrialFunction(space, space.pole(), RadialProfile(kind, sigma, cutoff), line))
-        else:
-            out.append(TrialFunction(space, space.pole(), RadialProfile(kind, sigma, cutoff)))
+        out.append(TrialFunction(space, space.pole(), RadialProfile(kind, sigma, cutoff), line))
     return out
 
 
@@ -318,126 +323,43 @@ def w_entropy(space: SolitonSpace, trial: DensityPerturbation | None, tau: float
     The log density is phi = f + c + perturbation with c fixed by the
     constraint that (4 pi tau)^{-n/2} exp(-phi) integrates to one; a
     NormalizationError is raised if an independent re-check of that
-    constraint is off by more than ``norm_tol``.
+    constraint is off by more than ``norm_tol``. The density is a product
+    over the factors, so every term of W is a sum of factor moments E_i.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    n = space.n
-    pref = (4.0 * math.pi * tau) ** (-n / 2.0)
+    bumps = [(0.0, None)] * 2 if trial is None else [
+        (trial.eps, trial.bump), (trial.line_eps, trial.line_bump)]
+    log_z, mass, energy = zip(*(_density_moments(fac, eps, b, tau)
+                                for fac, (eps, b) in zip(factors(space), bumps)))
+    defect = abs(math.prod(mass) - 1.0)
+    if not defect <= norm_tol:  # also catches a non-finite mass
+        raise NormalizationError(f"density normalization defect {defect:.3e}")
+    # c = ln((4 pi tau)^{-n/2} prod_i Z_i), the log of the density's total mass
+    c = sum(log_z) - 0.5 * space.n * math.log(4.0 * math.pi * tau)
+    # W = tau (sum_i E_i|phi_i'|^2 + R) + sum_i E_i[phi_i] + c - n
+    return sum(energy) + tau * space.sup_R + c - space.n
 
-    if space.kind == "gaussian":
-        area = sphere_area(n - 1)
-        eps, b = _bump_parts(trial)
-        rmax = max(gaussian_cutoff(SQRT2 * math.sqrt(tau)), b.cutoff if b else 0.0)
 
-        def phi0(r):
-            return r * r / 4.0 + (eps * b.value(r) if b else 0.0)
+def _density_moments(fac: Factor, eps: float, b: RadialProfile | None, tau: float):
+    """(ln Z, E[1], E[tau phi'^2 + phi]) of the factor density exp(-phi) / Z,
+    phi = f + eps * b(distance), with E[1] an independent re-quadrature."""
 
-        def dphi(r):
-            return r / 2.0 + (eps * b.deriv(r) if b else 0.0)
+    def phi(x):
+        return fac.f(x) + (eps * b.value(fac.scale * x) if b else 0.0)
 
-        def weight(r):
-            return area * r ** (n - 1) * pref * math.exp(-phi0(r))
+    def dphi(x):
+        return fac.df(x) + (eps * b.deriv(fac.scale * x) if b else 0.0)
 
-        brk = [b.cutoff] if b else None
-        z, _ = quad_ab(weight, 0.0, rmax, points=brk)
-        c = math.log(z)
-        mass, _ = quad_ab(lambda r: weight(r) * math.exp(-c), 0.0, rmax, points=brk)
-        _require_normalized(mass, norm_tol)
-        val, _ = quad_ab(
-            lambda r: weight(r) * math.exp(-c) * (tau * dphi(r) ** 2 + phi0(r) + c - n),
-            0.0,
-            rmax,
-            points=brk,
-        )
+    lo, hi = fac.interval(max(fac.tail, b.cutoff if b else 0.0))
+    brk = fac.interval(b.cutoff) if b else None  # the bump's edge is a kink
+
+    def moment(h):
+        val, _ = quad_ab(lambda x: fac.weight(x) * math.exp(-phi(x)) * h(x), lo, hi, points=brk)
         return val
 
-    if space.kind == "sphere":
-        r0 = space.sphere_radius
-        area = sphere_area(n - 1) * r0 ** n
-        eps, b = _bump_parts(trial)
-        rr = space.sup_R
-
-        def phi0(u):  # u = angle from the pole
-            return n / 2.0 + (eps * b.value(r0 * u) if b else 0.0)
-
-        def dphi(u):
-            return eps * b.deriv(r0 * u) if b else 0.0
-
-        def weight(u):
-            return area * math.sin(u) ** (n - 1) * pref * math.exp(-phi0(u))
-
-        brk = [b.cutoff / r0] if b else None
-        z, _ = quad_ab(weight, 0.0, math.pi, points=brk)
-        c = math.log(z)
-        mass, _ = quad_ab(lambda u: weight(u) * math.exp(-c), 0.0, math.pi, points=brk)
-        _require_normalized(mass, norm_tol)
-        val, _ = quad_ab(
-            lambda u: weight(u) * math.exp(-c) * (tau * (dphi(u) ** 2 + rr) + phi0(u) + c - n),
-            0.0,
-            math.pi,
-            points=brk,
-        )
-        return val
-
-    # cylinder: the density stays a product over S^{n-1} x R, so every term
-    # of W splits into one-dimensional factor moments
-    r0 = space.sphere_radius
-    eps, b = _bump_parts(trial)
-    line_eps = trial.line_eps if trial else 0.0
-    q = trial.line_bump if trial else None
-    rr = space.sup_R
-    area = sphere_area(n - 2) * r0 ** (n - 1)
-    smax = max(gaussian_cutoff(SQRT2 * math.sqrt(tau)), q.cutoff if q else 0.0)
-
-    def phi_ang(u):
-        return eps * b.value(r0 * u) if b else 0.0
-
-    def dphi_ang(u):
-        return eps * b.deriv(r0 * u) if b else 0.0
-
-    def phi_line(s):
-        return s * s / 4.0 + (line_eps * q.value(s) if q else 0.0)
-
-    def dphi_line(s):
-        return s / 2.0 + (line_eps * q.deriv(s) if q else 0.0)
-
-    brk_a = [b.cutoff / r0] if b else None
-    brk_s = [-q.cutoff, q.cutoff] if q else None
-    za, _ = quad_ab(lambda u: area * math.sin(u) ** (n - 2) * math.exp(-phi_ang(u)), 0.0, math.pi,
-                    points=brk_a)
-    zs, _ = quad_ab(lambda s: math.exp(-phi_line(s)), -smax, smax, points=brk_s)
-    # f contributes (n-1)/2 + s^2/4; the additive normalization constant is
-    # C = ln(pref za zs) - (n-1)/2, so the constant part of E[phi] collapses
-    # to ln(pref za zs)
-    log_mass = math.log(pref * za * zs)
-
-    def m_ang(h):
-        val, _ = quad_ab(
-            lambda u: area * math.sin(u) ** (n - 2) * math.exp(-phi_ang(u)) * h(u), 0.0, math.pi,
-            points=brk_a,
-        )
-        return val / za
-
-    def m_line(h):
-        val, _ = quad_ab(lambda s: math.exp(-phi_line(s)) * h(s), -smax, smax, points=brk_s)
-        return val / zs
-
-    _require_normalized(m_ang(lambda u: 1.0) * m_line(lambda s: 1.0), norm_tol)
-    grad = m_ang(lambda u: dphi_ang(u) ** 2) + m_line(lambda s: dphi_line(s) ** 2)
-    mean_phi = m_ang(phi_ang) + m_line(phi_line) + log_mass
-    return tau * (grad + rr) + mean_phi - n
-
-
-def _bump_parts(trial: DensityPerturbation | None):
-    if trial is None:
-        return 0.0, None
-    return trial.eps, trial.bump
-
-
-def _require_normalized(mass: float, tol: float) -> None:
-    if not math.isfinite(mass) or abs(mass - 1.0) > tol:
-        raise NormalizationError(f"density normalization defect {abs(mass - 1.0):.3e}")
+    z = moment(lambda x: 1.0)
+    return math.log(z), moment(lambda x: 1.0 / z), moment(lambda x: tau * dphi(x) ** 2 + phi(x)) / z
 
 
 def minimizer_check(space: SolitonSpace) -> float:
@@ -454,14 +376,12 @@ def random_perturbations(space: SolitonSpace, count: int, seed: int,
         kind = "bump" if rng.random() < 0.5 else "gaussian"
         sigma = float(rng.uniform(0.4, 1.8))
         cutoff = sigma * float(rng.uniform(3.0, 6.0))
-        if space.kind in ("sphere", "cylinder"):
+        if space.kind != "gaussian":
             cutoff = min(cutoff, 0.95 * math.pi * space.sphere_radius)
         eps = float(rng.uniform(-eps_scale, eps_scale))
+        line_eps, line = 0.0, None
         if space.kind == "cylinder" and rng.random() < 0.5:
             line = RadialProfile(kind, float(rng.uniform(0.4, 1.5)), float(rng.uniform(1.5, 4.0)))
-            out.append(DensityPerturbation(eps, RadialProfile(kind, sigma, cutoff),
-                                           line_eps=float(rng.uniform(-eps_scale, eps_scale)),
-                                           line_bump=line))
-        else:
-            out.append(DensityPerturbation(eps, RadialProfile(kind, sigma, cutoff)))
+            line_eps = float(rng.uniform(-eps_scale, eps_scale))
+        out.append(DensityPerturbation(eps, RadialProfile(kind, sigma, cutoff), line_eps, line))
     return out

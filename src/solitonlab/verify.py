@@ -314,6 +314,19 @@ def _ratio_rows(table: KernelTable, mu: float, log_weight) -> list:
 NO_RESOLVED_NOTE = "no resolved grid point: every kernel value is inside the method noise floor"
 
 
+# the note of a check given no trial or time at all; it fails instead of
+# passing vacuously
+EMPTY_GRID_NOTE = "empty grid: the check was given no trial or time to certify"
+
+
+def _empty_grid_report(theorem_id: str, space: str, a, grid: dict, tol: float, seed: int,
+                       mode: str) -> VerificationReport:
+    return VerificationReport(theorem_id=theorem_id, space=space, a=a, grid=grid,
+                              tolerance=tol, seed=seed, mode=mode,
+                              worst_case_slack=-math.inf if mode == "slack" else math.inf,
+                              notes=[EMPTY_GRID_NOTE])
+
+
 def _max_resolved_ratio(rows) -> tuple[float, int]:
     vals = [r["ratio"] for r in rows if r["resolved"]]
     unresolved = sum(1 for r in rows if not r["resolved"])
@@ -680,6 +693,10 @@ def log_sobolev(space: SolitonSpace, mu: float, trials=100, tau_grid=None,
         trial_list = trials if isinstance(trials, list) else random_trials(space, trials, seed)
         if space.kind == "gaussian":
             trial_list = trial_list + [sharp_gaussian_trial(space, 1.0)]
+        if not (trial_list and len(taus)):
+            return _empty_grid_report("log-sobolev", space.token, None,
+                                      {"trials": len(trial_list), "taus": len(taus)}, tol, seed,
+                                      "slack")
         rows = []
         worst = math.inf
         for idx, tr in enumerate(trial_list):
@@ -704,18 +721,6 @@ def log_sobolev(space: SolitonSpace, mu: float, trials=100, tau_grid=None,
         )
 
     return _timed(run)
-
-
-def _sobolev_base_trials(space: SolitonSpace, count: int, seed: int) -> list:
-    """Deterministic near-extremal trials plus seeded random bumps."""
-    n = space.n
-    base = []
-    if space.kind == "gaussian":
-        for scale in (1.0, 2.0):
-            base.append(TrialFunction(space, space.pole(),
-                                      RadialProfile("talenti", scale, 40.0 * scale,
-                                                    power=(n - 2) / 2.0)))
-    return base + random_trials(space, count, seed)
 
 
 def sobolev(space: SolitonSpace, mu: float, a: float = 0.25, trials: int = 50,
@@ -743,19 +748,25 @@ def sobolev(space: SolitonSpace, mu: float, a: float = 0.25, trials: int = 50,
             den = damp * (tr.int_grad2() + a * tr.int_R_phi2())
             return num / den
 
-        base_list = _sobolev_base_trials(space, trials, seed)
-        rows = [{"x_id": f"trial{i}", "y_id": "", "t": math.nan,
-                 "lhs": quotient(tr), "rhs": math.nan, "slack": math.nan,
-                 "ratio": quotient(tr)} for i, tr in enumerate(base_list)]
-        c_base = max(r["ratio"] for r in rows)
-        ref_list = _sobolev_base_trials(space, 2 * trials, seed)
-        c_ref = max(quotient(tr) for tr in ref_list)
+        # near-extremal Talenti shapes on the flat space, then seeded random
+        # trials; the base trials are the prefix of the refined list
+        ref_list = [TrialFunction(space, space.pole(), RadialProfile(
+            "talenti", scale, 40.0 * scale, power=(n - 2) / 2.0))
+            for scale in (1.0, 2.0) if space.kind == "gaussian"]
+        ref_list += random_trials(space, 2 * trials, seed)
+        ref = [quotient(tr) for tr in ref_list]
+        base = ref[:len(ref_list) - trials]
+        rows = [{"x_id": f"trial{i}", "y_id": "", "t": math.nan, "lhs": q, "rhs": math.nan,
+                 "slack": math.nan, "ratio": q} for i, q in enumerate(base)]
+        if not rows:
+            return _empty_grid_report("sobolev", space.token, a, {"trials": 0}, stability,
+                                      seed, "ratio")
+        c_base, c_ref = max(base), max(ref)
 
         notes = [f"C_emp base {c_base:.6g}, refined {c_ref:.6g}"]
         dilation_dev = 0.0
         if space.kind == "gaussian":
-            tr = base_list[0]
-            q0 = quotient(tr)
+            tr, q0 = ref_list[0], ref[0]
             for lam in (0.5, 2.0):
                 dilation_dev = max(dilation_dev, abs(quotient(tr.dilated(lam)) - q0) / q0)
             notes.append(f"dilation invariance deviation {dilation_dev:.2e}")
@@ -766,7 +777,7 @@ def sobolev(space: SolitonSpace, mu: float, a: float = 0.25, trials: int = 50,
             theorem_id="sobolev",
             space=space.token,
             a=a,
-            grid={"trials": len(base_list)},
+            grid={"trials": len(base)},
             tolerance=stability,
             seed=seed,
             mode="ratio",
@@ -917,6 +928,10 @@ def energy_monotonicity(op: DiscretizedOperator, s: float, trials: int = 20,
 
     def run():
         ts = np.asarray(times) if times is not None else np.linspace(t0, 0.8 * s, 14)
+        if trials < 1 or len(ts) < 2:  # a time difference needs two times
+            return _empty_grid_report("energy-monotonicity", op.space.token, op.a,
+                                      {"trials": trials, "times": [float(t) for t in ts]},
+                                      tol, seed, "slack")
         if ts[-1] >= s:
             raise ValueError("sampled times must stay below s")
         rows = []

@@ -15,7 +15,7 @@ from solitonlab.entropy import (
     w_entropy,
 )
 from solitonlab.exceptions import NormalizationError
-from solitonlab.spaces import parse_space
+from solitonlab.spaces import parse_space, sphere_area
 
 
 def test_mu_gaussian_vanishes():
@@ -59,6 +59,17 @@ def test_w_entropy_minimizer_values():
         math.log(2.0) - 1.0, abs=1e-10)
     for tok in ("gaussian:3", "sphere:3", "cylinder:3"):
         assert minimizer_check(parse_space(tok)) <= 1e-8
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.1, 1.0, 10.0])
+@pytest.mark.parametrize("tok", ["gaussian:1", "gaussian:3", "sphere:2", "sphere:3",
+                                 "cylinder:3", "cylinder:4"])
+def test_unperturbed_w_matches_its_closed_form_at_every_tau(tok, tau):
+    # phi = f + c gives c = mu - (n/2) ln tau, and the soliton identities give
+    # E[|grad f|^2 + R] = E[f] = n/2, so W = mu + (n/2)(tau - 1 - ln tau)
+    sp = parse_space(tok)
+    expected = mu_closed_form(sp) + 0.5 * sp.n * (tau - 1.0 - math.log(tau))
+    assert w_entropy(sp, None, tau) == pytest.approx(expected, abs=1e-10)
 
 
 def test_w_entropy_rejects_bad_tau():
@@ -110,6 +121,64 @@ def test_trial_integrals_against_direct_quadrature():
     assert tr.int_grad2() == pytest.approx(float(np.trapezoid(w * dphi ** 2, r)), rel=1e-7)
     p6 = float(np.trapezoid(w * phi ** 6, r))
     assert tr.int_power(6.0) == pytest.approx(p6, rel=1e-7)
+
+
+def _profile_on_nodes(prof, d):
+    """Value and derivative of a bump or gaussian profile, closed on its support."""
+    inside = np.abs(d) <= prof.cutoff
+    if prof.kind == "bump":
+        u = 1.0 - (d / prof.cutoff) ** 2
+        g, dg = u * u, -4.0 * d / prof.cutoff ** 2 * u
+    else:
+        e = np.exp(-d * d / (2.0 * prof.sigma ** 2))
+        g = e - math.exp(-prof.cutoff ** 2 / (2.0 * prof.sigma ** 2))
+        dg = -d / prof.sigma ** 2 * e
+    return np.where(inside, g, 0.0), np.where(inside, dg, 0.0)
+
+
+def _trial_integrands(phi, grad2):
+    phi2 = phi * phi
+    logs = np.log(np.where(phi2 > 0.0, phi2, 1.0))
+    return phi2, grad2, phi2 * logs, np.abs(phi) ** 6
+
+
+def _trial_integrals(tr):
+    return tr.int_phi2(), tr.int_grad2(), tr.int_entropy(), tr.int_power(6.0)
+
+
+def test_sphere_trial_integrals_against_a_zonal_trapezoid():
+    # oracle: phi = a g(r u) on fixed nodes in the polar angle u
+    sp = parse_space("sphere:2")
+    r = sp.sphere_radius
+    for tr in random_trials(sp, 3, seed=11):
+        u = np.linspace(0.0, min(tr.profile.cutoff / r, math.pi), 40001)
+        w = sphere_area(1) * r ** 2 * np.sin(u)
+        g, dg = _profile_on_nodes(tr.profile, r * u)
+        a = tr.amplitude
+        oracle = [np.trapezoid(w * f, u) for f in _trial_integrands(a * g, (a * dg) ** 2)]
+        assert _trial_integrals(tr) == pytest.approx(oracle, rel=1e-7)
+
+
+def test_cylinder_trial_integrals_against_a_two_dimensional_trapezoid():
+    # oracle: the whole function phi = a g(r u) q(s) on a fixed (s, u) grid,
+    # integrated over u in blocks of s rows and then over s
+    sp = parse_space("cylinder:3")
+    r = sp.sphere_radius
+    for tr in random_trials(sp, 3, seed=11):
+        u = np.linspace(0.0, min(tr.profile.cutoff / r, math.pi), 16001)
+        s = np.linspace(-tr.line_profile.cutoff, tr.line_profile.cutoff, 1001)
+        w = sphere_area(1) * r ** 2 * np.sin(u)
+        g, dg = _profile_on_nodes(tr.profile, r * u)
+        q, dq = _profile_on_nodes(tr.line_profile, s)
+        a = tr.amplitude
+        rows = np.empty((4, len(s)))
+        for lo in range(0, len(s), 128):
+            qb, dqb = q[lo:lo + 128, None], dq[lo:lo + 128, None]
+            grad2 = a * a * (dqb ** 2 * g ** 2 + qb ** 2 * dg ** 2)
+            for k, f in enumerate(_trial_integrands(a * qb * g, grad2)):
+                rows[k, lo:lo + 128] = np.trapezoid(w * f, u, axis=1)
+        oracle = [np.trapezoid(row, s) for row in rows]
+        assert _trial_integrals(tr) == pytest.approx(oracle, rel=1e-7)
 
 
 def test_trial_dilation_restricted_to_flat_space():

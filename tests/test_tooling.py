@@ -5,14 +5,17 @@ from pathlib import Path
 
 import scipy.linalg
 
-from solitonlab import kernels, verify
+from solitonlab import entropy, kernels, verify
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
 def _wrapped_names():
+    trial = entropy.TrialFunction
     return (kernels.DirichletRadialHeatKernel.profile, verify.GrigoryanProbe.state,
-            scipy.linalg.solve_banded, kernels.solve_banded)
+            scipy.linalg.solve_banded, kernels.solve_banded,
+            trial.normalize, trial.int_phi2, trial.int_grad2, trial.int_R_phi2,
+            trial.int_entropy, trial.int_power)
 
 
 def test_tracer_install_and_uninstall_restore_the_originals():

@@ -176,6 +176,22 @@ def test_ratio_check_without_a_resolved_row_fails_with_a_note(check):
     assert verify.NO_RESOLVED_NOTE in rep.notes
 
 
+@pytest.mark.parametrize("check", [
+    lambda: verify.energy_monotonicity(discretize_radial(make_space("gaussian", 1), 8.0, 64),
+                                       s=1.0, trials=0),
+    lambda: verify.log_sobolev(parse_space("sphere:2"), mu_closed_form(parse_space("sphere:2")),
+                               trials=0),
+    lambda: verify.log_sobolev(parse_space("gaussian:3"), 0.0, trials=3, tau_grid=[]),
+    lambda: verify.sobolev(parse_space("sphere:3"), mu_closed_form(parse_space("sphere:3")),
+                           trials=0),
+], ids=["energy-monotonicity", "log-sobolev-no-trials", "log-sobolev-no-taus", "sobolev"])
+def test_check_on_an_empty_grid_fails_with_a_note(check):
+    rep = check()
+    assert not rep.passed
+    assert rep.points == []
+    assert rep.notes == [verify.EMPTY_GRID_NOTE]
+
+
 def test_cylinder_ratio_rows_are_sphere_rows_times_line_factor():
     # cylinder:3 is the model 2-sphere times a line, with the same R and mu,
     # so its gaussian-bound ratio at (theta, ds, t) is the sphere:2 ratio at
