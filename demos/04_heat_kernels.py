@@ -32,9 +32,9 @@ print("sphere:2 zonal series (a = 1/4)")
 print("=" * 72)
 sk = SphereHeatKernel(2, 0.25)
 for theta in (0.0, 1.0, math.pi):
-    v, err = sk.kernel_theta(theta, 0.5)
+    v, err = sk.at(theta, 0.5)
     print(f"  theta = {theta:5.3f}, t = 0.5:  H = {v: .9e}   series error <= {err:.1e}")
-v, _ = sk.kernel_theta(1.0, 60.0)
+v, _ = sk.at(1.0, 60.0)
 print(f"  long time projects onto the gap mode: H(t=60) = {v:.3e}"
       f"  vs e^(-t/4)/V = {math.exp(-15.0) / (8 * math.pi):.3e}")
 

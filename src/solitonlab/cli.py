@@ -245,8 +245,8 @@ def _json_default(o):
 
 
 def _write_json(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True, default=_json_default,
-                      allow_nan=True)
+    # unindented, so json takes its C encoder
+    text = json.dumps(doc, sort_keys=True, default=_json_default, allow_nan=True)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -307,13 +307,10 @@ def _seed_for(cfg: ExperimentConfig, name: str) -> int:
 
 
 def _evaluator(cfg: ExperimentConfig, a: float):
-    space = parse_space(cfg.space)
-    params = {}
-    if cfg.method in ("spectral_series",) or (cfg.method == "auto" and space.kind != "gaussian"):
-        params = {"eps": cfg.series_eps, "t_min": cfg.t_min}
+    params = {"eps": cfg.series_eps, "t_min": cfg.t_min}
     if cfg.method == "fd_dirichlet":
         params = {"R_max": cfg.r_max, "m": cfg.m, "t0": cfg.t0, "time_tol": cfg.time_tol}
-    return kernels.heat_kernel(space, a, method=cfg.method, **params)
+    return kernels.heat_kernel(parse_space(cfg.space), a, method=cfg.method, **params)
 
 
 def _skip_reason(theorem_id: str, cfg: ExperimentConfig) -> str | None:

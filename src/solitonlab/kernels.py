@@ -1,13 +1,17 @@
 """Heat kernels of -Laplacian + a R, Green's functions, and volume growth.
 
-Three evaluation routes are implemented, matched to the catalogue:
+The two-point evaluators share one protocol, ``TwoPointKernel``: a kernel
+supplies its separation, values and quadratures, and the base derives
+``evaluate``, ``table``, ``pair`` and the semigroup defect from them. Three
+evaluation routes are implemented, matched to the catalogue:
 
 * closed form on the flat gaussian space (where R = 0 makes the Schrodinger
   kernel literally the classical Gaussian kernel for every coupling a);
 * zonal spectral series on round spheres, with the constant-curvature
   factorization exp(-a R t) * (Laplace kernel), justified by uniqueness of
-  the minimal fundamental solution; the cylinder kernel is the product of a
-  sphere-factor series and the one-dimensional line kernel;
+  the minimal fundamental solution; the cylinder S^{n-1} x R has the scalar
+  curvature of its sphere factor, so its kernel is the sphere factor's
+  Schrodinger kernel times the line's Gaussian kernel;
 * implicit finite differences on truncated Dirichlet balls of the gaussian
   space, bootstrapped from the exact profile at a small positive time so no
   initial-layer error enters the comparisons. One engine, ``RadialMarch``,
@@ -15,9 +19,7 @@ Three evaluation routes are implemented, matched to the catalogue:
   and Numerov steps share, and the Simpson rule over the nodes; a state may
   hold one solution per row, and the weighted-energy probe is a view on it.
 
-Every evaluator reports a per-evaluation error estimate next to the value,
-and owns the quadratures of its mass, its semigroup identity and (for the
-closed-form and series routes) its weighted L2 integral.
+Every evaluator reports a per-evaluation error estimate next to the value.
 """
 
 from __future__ import annotations
@@ -91,18 +93,66 @@ def zonal_values(sphere_dim: int, l_max: int, u) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# closed form on the gaussian space
+# the two-point evaluator protocol and the closed form on the gaussian space
 # ---------------------------------------------------------------------------
 
 
+class TwoPointKernel:
+    """A kernel supplies ``separation(x, y)``, the ungated ``at(separation,
+    t)`` -> (value, error estimate), and its quadratures ``mass``,
+    ``weighted_l2`` and ``compose``; a batched route overrides ``column``.
+    ``evaluate`` and ``table`` reject times below ``t_min``."""
+
+    t_min = 0.0
+
+    def _gated(self, t) -> float:
+        if t < self.t_min:
+            raise TimeDomainError(f"kernel times must be positive and >= t_min = {self.t_min}")
+        return float(t)
+
+    def evaluate(self, x: Point, y: Point, t: float) -> tuple[float, float]:
+        return self.at(self.separation(x, y), self._gated(t))
+
+    def __call__(self, x: Point, y: Point, t: float) -> float:
+        return self.evaluate(x, y, t)[0]
+
+    def column(self, seps, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Values and errors at the separations ``seps`` and one time."""
+        cells = np.array([self.at(sep, t) for sep in seps]).reshape(len(seps), 2)
+        return cells[:, 0], cells[:, 1]
+
+    def table(self, xs, ys, times) -> tuple[np.ndarray, np.ndarray]:
+        """``evaluate`` at the pairs (xs[k], ys[k]) x ``times``: (values, errors),
+        each of shape (pairs, times), one ``column`` per time."""
+        seps = [self.separation(x, y) for x, y in zip(xs, ys)]
+        h, err = np.empty((2, len(seps), len(times)))
+        for k, t in enumerate(times):
+            h[:, k], err[:, k] = self.column(seps, self._gated(t))
+        return h, err
+
+    def pair(self, x: Point, y: Point):
+        """t -> H(x, y, t) without the t_min gate, for integrals over time."""
+        sep = self.separation(x, y)
+        return lambda t: self.at(sep, t)[0]
+
+    def semigroup_defect(self, x: Point, y: Point, t: float, s: float) -> float:
+        """Relative defect of the composition identity at (x, y, t, s)."""
+        direct = self(x, y, t + s)
+        return abs(self.compose(x, y, t, s) - direct) / abs(direct)
+
+
 @dataclass(frozen=True)
-class EuclideanHeatKernel:
+class EuclideanHeatKernel(TwoPointKernel):
     """Classical Gaussian kernel; equal to the Schrodinger kernel for any a
-    on the flat space because R vanishes identically."""
+    on the flat space because R vanishes identically. The separation is the
+    distance."""
 
     space: SolitonSpace
     a: float = 0.0
     method: str = "closed_form"
+
+    def separation(self, x: Point, y: Point) -> float:
+        return self.space.distance(x, y)
 
     def value_at_distance(self, r: float, t: float) -> float:
         if not (math.isfinite(t) and t > 0.0):
@@ -110,22 +160,11 @@ class EuclideanHeatKernel:
         n = self.space.n
         return (4.0 * math.pi * t) ** (-n / 2.0) * math.exp(-r * r / (4.0 * t))
 
-    def evaluate(self, x: Point, y: Point, t: float) -> tuple[float, float]:
-        r = self.space.distance(x, y)
+    def at(self, r: float, t: float) -> tuple[float, float]:
         v = self.value_at_distance(r, t)
         # exp turns the rounding of the exponent r^2/4t into a relative
         # error of that size times eps
         return v, 4.0 * EPS * abs(v) * (1.0 + r * r / (4.0 * t))
-
-    def __call__(self, x: Point, y: Point, t: float) -> float:
-        return self.evaluate(x, y, t)[0]
-
-    def table(self, xs, ys, times) -> tuple[np.ndarray, np.ndarray]:
-        """``evaluate`` at the pairs (xs[k], ys[k]) x ``times``: (values, errors),
-        each of shape (pairs, times); the closed form needs no batching."""
-        cells = np.array([[self.evaluate(x, y, float(t)) for t in times]
-                          for x, y in zip(xs, ys)]).reshape(len(xs), len(times), 2)
-        return cells[..., 0], cells[..., 1]
 
     def mass(self, x: Point, t: float) -> float:
         """Volume integral of H(x, ., t) by radial quadrature."""
@@ -138,14 +177,10 @@ class EuclideanHeatKernel:
         )
         return val
 
-    def semigroup_defect(self, x: Point, y: Point, t: float, s: float) -> float:
-        """Relative defect of the composition identity; the composition
-        factorizes into one line composition per coordinate."""
-        direct = self(x, y, t + s)
-        comp = 1.0
-        for xi, yi in zip(x.vector, y.vector):
-            comp *= line_compose(xi, yi, t, s)
-        return abs(comp - direct) / abs(direct)
+    def compose(self, x: Point, y: Point, t: float, s: float) -> float:
+        """Integral of H(x, z, t) H(z, y, s) dv(z): one line composition per
+        coordinate."""
+        return math.prod(line_compose(xi, yi, t, s) for xi, yi in zip(x.vector, y.vector))
 
     def weighted_l2(self, x: Point, t: float, D: float) -> float:
         """E_D(x, t): integral of H(x, z, t)^2 exp(d(x,z)^2 / (D t)) dv(z)."""
@@ -183,13 +218,13 @@ def line_compose(p: float, q: float, t: float, s: float) -> float:
 
 
 @dataclass
-class SphereHeatKernel:
+class SphereHeatKernel(TwoPointKernel):
     """Schrodinger heat kernel on the model n-sphere via its zonal series.
 
-    The series is cut once the rigorous term bound mult(l) e^{-lambda_l t}/V
-    drops below ``eps`` while decreasing; ``l_max`` caps the level. Times
-    below ``t_min`` are rejected in the public evaluator because the series
-    loses accuracy to cancellation there.
+    The separation is the angle d / radius. The series is cut once the
+    rigorous term bound mult(l) e^{-lambda_l t}/V drops below ``eps`` while
+    decreasing; ``l_max`` caps the level. Times below ``t_min`` are rejected
+    by ``evaluate`` because the series loses accuracy to cancellation there.
     """
 
     n: int
@@ -262,35 +297,16 @@ class SphereHeatKernel:
         rounding = 1e-15 * (cutoff + 1) * (4.0 * math.pi * t) ** (-self.n / 2.0)
         return damp * vals, damp * tail + rounding
 
-    def kernel_theta(self, theta: float, t: float) -> tuple[float, float]:
+    def separation(self, x: Point, y: Point) -> float:
+        return self.space.distance(x, y) / self.space.sphere_radius
+
+    def at(self, theta: float, t: float) -> tuple[float, float]:
         v, e = self.profile(np.cos(theta), t)
         return float(v), float(e)
 
-    def evaluate(self, x: Point, y: Point, t: float) -> tuple[float, float]:
-        if t < self.t_min:
-            raise TimeDomainError(f"series evaluator needs t >= t_min = {self.t_min}")
-        theta = self.space.distance(x, y) / self.space.sphere_radius
-        return self.kernel_theta(theta, t)
-
-    def __call__(self, x: Point, y: Point, t: float) -> float:
-        return self.evaluate(x, y, t)[0]
-
-    def table(self, xs, ys, times) -> tuple[np.ndarray, np.ndarray]:
-        """``evaluate`` at the pairs (xs[k], ys[k]) x ``times``: (values, errors),
-        each of shape (pairs, times)."""
-        r0 = self.space.sphere_radius
-        return self.zonal_table(np.array([np.cos(self.space.distance(x, y) / r0)
-                                          for x, y in zip(xs, ys)]), times)
-
-    def zonal_table(self, u: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
-        """Values and errors at the cos-angles u and ``times``, shape (len(u),
-        len(times)): one series profile per time, gated at t_min as in ``evaluate``."""
-        h, err = np.empty((2, len(u), len(times)))
-        for k, t in enumerate(times):
-            if t < self.t_min:
-                raise TimeDomainError(f"series evaluator needs t >= t_min = {self.t_min}")
-            h[:, k], err[:, k] = self.profile(u, float(t))
-        return h, err
+    def column(self, thetas, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """One series profile at the cos-angles of ``thetas``."""
+        return self.profile(np.array([np.cos(th) for th in thetas]), t)
 
     # -- zonal quadratures; the sphere is homogeneous, so x only fixes the
     # interface and may be None ----------------------------------------------
@@ -313,10 +329,11 @@ class SphereHeatKernel:
         weight = np.exp(np.minimum((self.space.sphere_radius * u) ** 2 / (D * t), 700.0))
         return float(np.sum(dv * vals ** 2 * weight))
 
-    def compose(self, theta: float, t: float, s: float) -> float:
-        """Integral of H(x, z, t) H(z, y, s) dv(z) for x, y at angle theta,
-        by quadrature over the zonal angle and azimuth of z about x."""
+    def compose(self, x: Point, y: Point, t: float, s: float) -> float:
+        """Integral of H(x, z, t) H(z, y, s) dv(z), by quadrature over the
+        zonal angle and azimuth of z about x."""
         n, r0 = self.n, self.space.sphere_radius
+        theta = self.separation(x, y)
         ug, wg = leggauss_ab(170, 0.0, math.pi)
         U, V = np.meshgrid(ug, ug, indexing="ij")
         cos_zy = np.cos(U) * math.cos(theta) + np.sin(U) * math.sin(theta) * np.cos(V)
@@ -331,20 +348,17 @@ class SphereHeatKernel:
         return float(np.sum(wg * k1 * np.sin(ug) ** (n - 1) * inner)
                      * r0 ** n * sphere_area(n - 2))
 
-    def semigroup_defect(self, x: Point, y: Point, t: float, s: float) -> float:
-        """Relative defect of the composition identity at (x, y, t, s)."""
-        direct = self(x, y, t + s)
-        comp = self.compose(self.space.distance(x, y) / self.space.sphere_radius, t, s)
-        return abs(comp - direct) / abs(direct)
-
 
 @dataclass
-class CylinderHeatKernel:
-    """Product kernel on S^{n-1} x R with the constant-curvature damping.
+class CylinderHeatKernel(TwoPointKernel):
+    """Schrodinger kernel on S^{n-1} x R, the product of its factors' kernels.
 
-    The sphere factor of the model cylinder coincides with the model
-    (n-1)-sphere, so its Laplace kernel series is reused; the line factor is
-    the one-dimensional Gaussian kernel.
+    R = (n-1)/2 is also the scalar curvature of the sphere factor, the model
+    (n-1)-sphere, so that factor's kernel carries the whole damping
+    e^{-a R t}; the line factor is the one-dimensional Gaussian kernel. The
+    separation is (sphere-factor angle, line offset). Values multiply, errors
+    follow the product rule e1 v2 + v1 e2, and the mass, weighted L2 integral
+    and composition are the factors' products, as exp(d^2 / (D t)) splits.
     """
 
     n: int
@@ -359,72 +373,42 @@ class CylinderHeatKernel:
         if self.n < 3:
             raise DimensionError("cylinder kernels need n >= 3")
         self.space = make_space("cylinder", self.n)
-        self._factor = SphereHeatKernel(self.n - 1, 0.0, eps=self.eps,
-                                        l_max=self.l_max, t_min=self.t_min)
-        self._aR = self.a * self.space.sup_R
+        self.sphere = SphereHeatKernel(self.n - 1, self.a, eps=self.eps, l_max=self.l_max)
+        self.line = EuclideanHeatKernel(make_space("gaussian", 1))
 
-    def components(self, theta: float, ds: float, t: float) -> tuple[float, float, float, float]:
-        """(sphere factor, its error, line factor, damping)."""
-        sval, serr = self._factor.kernel_theta(theta, t)
-        return sval, serr, _line_kernel(ds, t), math.exp(-self._aR * t)
-
-    def _geometry(self, x: Point, y: Point) -> tuple[float, float]:
-        """Sphere-factor angle and line offset between x and y."""
+    def separation(self, x: Point, y: Point) -> tuple[float, float]:
         self.space._check(x)
         self.space._check(y)
         cosang = float(np.clip(np.dot(x.vector, y.vector), -1.0, 1.0))
         return math.acos(cosang), x.s - y.s
 
-    def evaluate(self, x: Point, y: Point, t: float) -> tuple[float, float]:
-        if t < self.t_min:
-            raise TimeDomainError(f"series evaluator needs t >= t_min = {self.t_min}")
-        return _product_kernel(*self.components(*self._geometry(x, y), t))
+    def at(self, sep: tuple[float, float], t: float) -> tuple[float, float]:
+        v1, e1 = self.sphere.at(sep[0], t)
+        v2, e2 = self.line.at(sep[1], t)
+        return v1 * v2, e1 * v2 + v1 * e2
 
-    def __call__(self, x: Point, y: Point, t: float) -> float:
-        return self.evaluate(x, y, t)[0]
+    def column(self, seps, t: float) -> tuple[np.ndarray, np.ndarray]:
+        v1, e1 = self.sphere.column([theta for theta, _ in seps], t)
+        v2, e2 = self.line.column([ds for _, ds in seps], t)
+        return v1 * v2, e1 * v2 + v1 * e2
 
-    def table(self, xs, ys, times) -> tuple[np.ndarray, np.ndarray]:
-        """``evaluate`` at the pairs (xs[k], ys[k]) x ``times``: (values, errors),
-        each of shape (pairs, times), from the sphere factor's zonal table."""
-        geometry = [self._geometry(x, y) for x, y in zip(xs, ys)]
-        sval, serr = self._factor.zonal_table(np.array([np.cos(th) for th, _ in geometry]), times)
-        ts = [float(t) for t in times]
-        line = np.array([[_line_kernel(ds, t) for t in ts] for _, ds in geometry])
-        return _product_kernel(sval, serr, line, np.array([math.exp(-self._aR * t) for t in ts]))
-
-    # -- quadratures: sphere-factor zonal rule x line rule x damping ----------
+    def _factors(self, p: Point) -> tuple[Point, Point]:
+        return Point("sphere", p.vector), Point("gaussian", [p.s])
 
     def mass(self, x: Point, t: float) -> float:
         """Volume integral of H(x, ., t)."""
-        smax = gaussian_cutoff(math.sqrt(2.0 * t)) + abs(x.s)
-        line, _ = quad_ab(lambda z: _line_kernel(z - x.s, t), x.s - smax, x.s + smax)
-        return math.exp(-self._aR * t) * self._factor.mass(None, t) * line
-
-    def semigroup_defect(self, x: Point, y: Point, t: float, s: float) -> float:
-        """Relative defect of the composition identity at (x, y, t, s)."""
-        direct = self(x, y, t + s)
-        theta, _ = self._geometry(x, y)
-        comp = (math.exp(-self._aR * (t + s)) * self._factor.compose(theta, t, s)
-                * line_compose(x.s, y.s, t, s))
-        return abs(comp - direct) / abs(direct)
+        xs, xl = self._factors(x)
+        return self.sphere.mass(xs, t) * self.line.mass(xl, t)
 
     def weighted_l2(self, x: Point, t: float, D: float) -> float:
         """E_D(x, t): integral of H(x, z, t)^2 exp(d(x,z)^2 / (D t)) dv(z)."""
-        smax = gaussian_cutoff(math.sqrt(t * D / max(D - 2.0, 1e-9)))
-        line, _ = quad_ab(lambda z: _line_kernel(z, t) ** 2 * math.exp(z * z / (D * t)),
-                          -smax, smax)
-        return math.exp(-2.0 * self._aR * t) * self._factor.weighted_l2(None, t, D) * line
+        xs, xl = self._factors(x)
+        return self.sphere.weighted_l2(xs, t, D) * self.line.weighted_l2(xl, t, D)
 
-
-def _line_kernel(ds: float, t: float) -> float:
-    """The one-dimensional Gaussian kernel at offset ds."""
-    return (4.0 * math.pi * t) ** -0.5 * math.exp(-ds * ds / (4.0 * t))
-
-
-def _product_kernel(sval, serr, line, damp):
-    """Cylinder (value, error) from the sphere factor's, the line factor and the damping."""
-    value = damp * sval * line
-    return value, damp * serr * line + 1e-15 * abs(value)
+    def compose(self, x: Point, y: Point, t: float, s: float) -> float:
+        """Integral of H(x, z, t) H(z, y, s) dv(z)."""
+        (xs, xl), (ys, yl) = self._factors(x), self._factors(y)
+        return self.sphere.compose(xs, ys, t, s) * self.line.compose(xl, yl, t, s)
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +650,9 @@ def heat_kernel(space: SolitonSpace, a: float, method: str = "auto", **params):
     """Build the natural evaluator for a catalogue space.
 
     ``auto`` picks the closed form on gaussian spaces and the spectral series
-    elsewhere. ``fd_dirichlet`` needs grid parameters (R_max, m, t0).
+    elsewhere; the closed form needs no parameters and ignores the series
+    ones (eps, l_max, t_min). ``fd_dirichlet`` needs grid parameters (R_max,
+    m, t0).
     """
     if method == "auto":
         method = "closed_form" if space.kind == "gaussian" else "spectral_series"
@@ -694,11 +680,11 @@ def heat_kernel(space: SolitonSpace, a: float, method: str = "auto", **params):
 class GreenEvaluator:
     """Time integral of the heat kernel, split at t = r^2.
 
-    The near part is integrated adaptively on [t_floor, r^2] (t_floor = 0 on
-    the gaussian space; on series spaces it is chosen so the omitted mass is
-    below rounding, and recorded in the error estimate); the far part runs
-    over doubling log windows until a rigorous remainder bound falls under
-    1e-12 of the running total.
+    The near part is integrated adaptively on [t_floor, r^2]: t_floor = 0
+    without a Schrodinger gap (a R = 0, the gaussian space); with a gap it is
+    chosen so the omitted mass is below rounding, and recorded in the error
+    estimate. The far part runs over doubling log windows until a rigorous
+    remainder bound falls under ``rel_tail`` of the running total.
     """
 
     def __init__(self, space: SolitonSpace, a: float, eps: float = 1e-12,
@@ -708,58 +694,36 @@ class GreenEvaluator:
         self.space = space
         self.a = float(a)
         self.rel_tail = rel_tail
-        if space.kind == "gaussian":
-            self._kernel = EuclideanHeatKernel(space, a)
-        elif space.kind == "sphere":
-            if a * space.sup_R <= 0.0:
-                raise DivergenceError(
-                    "no positive Green's function on a compact space without a spectral gap"
-                )
-            self._kernel = SphereHeatKernel(space.n, a, eps=eps, l_max=l_max, t_min=0.0)
-        else:
-            if a * space.sup_R <= 0.0:
-                raise DivergenceError(
-                    "cylinder Green's function needs the Schrodinger gap a R > 0"
-                )
-            self._kernel = CylinderHeatKernel(space.n, a, eps=eps, l_max=l_max, t_min=0.0)
         self._gap = self.a * space.sup_R
-
-    def _integrand(self, x: Point, y: Point):
-        if self.space.kind == "gaussian":
-            r = self.space.distance(x, y)
-            return lambda t: self._kernel.value_at_distance(r, t)
-        if self.space.kind == "sphere":
-            theta = self.space.distance(x, y) / self.space.sphere_radius
-            return lambda t: self._kernel.profile(math.cos(theta), t)[0]
-        theta, ds = self._kernel._geometry(x, y)
-        return lambda t: _product_kernel(*self._kernel.components(theta, ds, t))[0]
+        if space.kind != "gaussian" and self._gap <= 0.0:
+            raise DivergenceError(
+                f"{space.token} has no positive Green's function without the gap a R > 0"
+            )
+        self._kernel = heat_kernel(space, a, eps=eps, l_max=l_max, t_min=0.0)
 
     def evaluate(self, x: Point, y: Point) -> tuple[float, float]:
         d = self.space.distance(x, y)
         if d == 0.0:
             raise ValueError("Green's function is singular on the diagonal")
-        h = self._integrand(x, y)
-        n = self.space.n
+        h = self._kernel.pair(x, y)
+        n, gap = self.space.n, self._gap
 
-        if self.space.kind == "gaussian":
-            t_floor, floor_bound = 0.0, 0.0
-            near, near_err = quad_ab(h, 0.0, d * d)
-        else:
+        if gap > 0.0:
             # below t_floor the kernel is Gaussian-small; bound the omitted mass
             t_floor = d * d / (4.0 * 8.4 ** 2)
             floor_bound = 2.0 * (4.0 * math.pi) ** (-n / 2.0) * _gaussian_time_tail(n, d, t_floor)
             near, near_err = quad_log(h, t_floor, d * d)
 
-        if self.space.kind == "gaussian":
-            def bound(T):
-                # integrand <= (4 pi t)^{-n/2}
-                return (4.0 * math.pi) ** (-n / 2.0) * T ** (1.0 - n / 2.0) / (n / 2.0 - 1.0)
-        else:
-            gap = self._gap
-
             def bound(T):
                 # integrand decays at least at the spectral-gap rate past T
                 return h(T) / gap
+        else:
+            floor_bound = 0.0
+            near, near_err = quad_ab(h, 0.0, d * d)
+
+            def bound(T):
+                # integrand <= (4 pi t)^{-n/2}
+                return (4.0 * math.pi) ** (-n / 2.0) * T ** (1.0 - n / 2.0) / (n / 2.0 - 1.0)
 
         total = near
         err = near_err
@@ -773,7 +737,7 @@ class GreenEvaluator:
             b = bound(lo)
             if b < self.rel_tail * max(total, 1e-300):
                 break
-            if self.space.kind != "gaussian" and lo > 1e6 / max(self._gap, 1e-12):
+            if gap > 0.0 and lo > 1e6 / gap:
                 raise DivergenceError("Green tail failed to come down; integral diverges")
         else:
             raise DivergenceError("Green tail not summable within the window budget")

@@ -16,6 +16,7 @@ them are finiteness plus stability under nested grid refinement.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -146,11 +147,17 @@ def refine_times(ts: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([ts, mids]))
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    report = fn()
-    report.runtime_seconds = time.perf_counter() - start
-    return report
+def _timed(check):
+    """The check, with the wall time of each run in its report's runtime_seconds."""
+
+    @functools.wraps(check)
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        report = check(*args, **kwargs)
+        report.runtime_seconds = time.perf_counter() - start
+        return report
+
+    return timed
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +165,7 @@ def _timed(fn):
 # ---------------------------------------------------------------------------
 
 
+@_timed
 def kernel_axioms(evaluator, samples: int = 6, seed: int = 0,
                   tol: float | None = None) -> VerificationReport:
     """Symmetry, positivity, mass <= 1, and the semigroup identity.
@@ -165,79 +173,75 @@ def kernel_axioms(evaluator, samples: int = 6, seed: int = 0,
     Failures are reported, not raised. The tolerance defaults to the method
     class of the evaluator (analytic vs finite differences).
     """
+    space = evaluator.space
+    is_fd = isinstance(evaluator, DirichletRadialHeatKernel)
+    tol_eff = tol if tol is not None else (FD_TOL if is_fd else ANALYTIC_TOL)
+    rng = np.random.default_rng(seed)
+    rows = []
+    worst = math.inf
 
-    def run():
-        space = evaluator.space
-        is_fd = isinstance(evaluator, DirichletRadialHeatKernel)
-        tol_eff = tol if tol is not None else (FD_TOL if is_fd else ANALYTIC_TOL)
-        rng = np.random.default_rng(seed)
-        rows = []
-        worst = math.inf
-
-        ts = [0.05, 0.3, 1.0]
-        notes = []
-        sym_viol = 0.0
-        if is_fd:
-            ts = [t for t in ts if t > evaluator.t0 * 4] or [8.0 * evaluator.t0]
-            pos_viol = max(max(0.0, -float(evaluator.profile(t).min())) for t in ts)
-            mass_viol = max(max(0.0, evaluator.mass(t) - 1.0) for t in ts)
-            semi_viol = max(evaluator.semigroup_defect(t, t / 2) for t in ts)
-        else:
-            pairs = [(space.random_point(rng), space.random_point(rng)) for _ in range(samples)]
-            pos_viol = 0.0
-            for (px, py) in pairs:
-                for t in ts:
-                    hxy, err = evaluator.evaluate(px, py, t)
-                    hyx, _ = evaluator.evaluate(py, px, t)
-                    sym_viol = max(sym_viol, abs(hxy - hyx))
-                    pos_viol = max(pos_viol, -min(hxy + err, 0.0))
-            mass_viol = max(
-                max(0.0, evaluator.mass(px, t) - 1.0)
-                for (px, _) in pairs[:2]
-                for t in ts
-            )
-            # a moderate deterministic pair keeps the identity resolvable even
-            # when the random pairs land in the far-tail noise of the series
-            semi_pairs = [(space.pole(), space.point_at_distance(1.0))] + pairs[:2]
-            semi_viol = 0.0
-            skipped = 0
-            for (px, py) in semi_pairs:
-                for t in ts[:2]:
-                    direct, derr = evaluator.evaluate(px, py, 1.5 * t)
-                    # the composition quadrature carries a few orders more
-                    # noise than a pointwise evaluation; skip where the
-                    # identity cannot be certified at the 1e-3 tolerance
-                    if direct <= 1e3 * derr:
-                        skipped += 1
-                        continue
-                    semi_viol = max(semi_viol, evaluator.semigroup_defect(px, py, t, t / 2))
-            if skipped:
-                notes.append(f"{skipped} semigroup samples below the noise floor (skipped)")
-
-        checks = [
-            ("symmetry", sym_viol, 1e-10),
-            ("positivity", pos_viol, tol_eff),
-            ("mass", mass_viol, tol_eff),
-            ("semigroup", semi_viol, 1e-3),
-        ]
-        for name, viol, limit in checks:
-            rows.append({"check": name, "violation": viol, "limit": limit,
-                         "slack": limit - viol})
-            worst = min(worst, limit - viol)
-        return VerificationReport(
-            theorem_id="kernel-axioms",
-            space=space.token,
-            a=getattr(evaluator, "a", None),
-            grid={"samples": samples, "times": ts},
-            tolerance=0.0,
-            seed=seed,
-            mode="slack",
-            worst_case_slack=worst,
-            points=rows,
-            notes=notes,
+    ts = [0.05, 0.3, 1.0]
+    notes = []
+    sym_viol = 0.0
+    if is_fd:
+        ts = [t for t in ts if t > evaluator.t0 * 4] or [8.0 * evaluator.t0]
+        pos_viol = max(max(0.0, -float(evaluator.profile(t).min())) for t in ts)
+        mass_viol = max(max(0.0, evaluator.mass(t) - 1.0) for t in ts)
+        semi_viol = max(evaluator.semigroup_defect(t, t / 2) for t in ts)
+    else:
+        pairs = [(space.random_point(rng), space.random_point(rng)) for _ in range(samples)]
+        pos_viol = 0.0
+        for (px, py) in pairs:
+            for t in ts:
+                hxy, err = evaluator.evaluate(px, py, t)
+                hyx, _ = evaluator.evaluate(py, px, t)
+                sym_viol = max(sym_viol, abs(hxy - hyx))
+                pos_viol = max(pos_viol, -min(hxy + err, 0.0))
+        mass_viol = max(
+            max(0.0, evaluator.mass(px, t) - 1.0)
+            for (px, _) in pairs[:2]
+            for t in ts
         )
+        # a moderate deterministic pair keeps the identity resolvable even
+        # when the random pairs land in the far-tail noise of the series
+        semi_pairs = [(space.pole(), space.point_at_distance(1.0))] + pairs[:2]
+        semi_viol = 0.0
+        skipped = 0
+        for (px, py) in semi_pairs:
+            for t in ts[:2]:
+                direct, derr = evaluator.evaluate(px, py, 1.5 * t)
+                # the composition quadrature carries a few orders more
+                # noise than a pointwise evaluation; skip where the
+                # identity cannot be certified at the 1e-3 tolerance
+                if direct <= 1e3 * derr:
+                    skipped += 1
+                    continue
+                semi_viol = max(semi_viol, evaluator.semigroup_defect(px, py, t, t / 2))
+        if skipped:
+            notes.append(f"{skipped} semigroup samples below the noise floor (skipped)")
 
-    return _timed(run)
+    checks = [
+        ("symmetry", sym_viol, 1e-10),
+        ("positivity", pos_viol, tol_eff),
+        ("mass", mass_viol, tol_eff),
+        ("semigroup", semi_viol, 1e-3),
+    ]
+    for name, viol, limit in checks:
+        rows.append({"check": name, "violation": viol, "limit": limit,
+                     "slack": limit - viol})
+        worst = min(worst, limit - viol)
+    return VerificationReport(
+        theorem_id="kernel-axioms",
+        space=space.token,
+        a=getattr(evaluator, "a", None),
+        grid={"samples": samples, "times": ts},
+        tolerance=0.0,
+        seed=seed,
+        mode="slack",
+        worst_case_slack=worst,
+        points=rows,
+        notes=notes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +337,7 @@ def _max_resolved_ratio(rows) -> tuple[float, int]:
     return (max(vals) if vals else math.inf), unresolved
 
 
+@_timed
 def ultracontractivity(table: KernelTable, mu: float, tol: float = ANALYTIC_TOL,
                        seed: int = 0) -> VerificationReport:
     """On-diagonal-type bound H <= e^{-mu} (4 pi t)^{-n/2} over the table.
@@ -341,47 +346,44 @@ def ultracontractivity(table: KernelTable, mu: float, tol: float = ANALYTIC_TOL,
     (the sharp case) and stay strictly below one off it; both facts are
     recorded in the notes and gate the check there.
     """
-
-    def run():
-        space = table.evaluator.space
-        rows = _ratio_rows(table, mu, lambda d, t: 0.0)
-        worst, unresolved = _max_resolved_ratio(rows)
-        arg = max((r for r in rows if r["resolved"]), key=lambda r: r["ratio"], default=None)
-        notes = []
-        if unresolved:
-            notes.append(f"{unresolved} grid points below the method noise floor (excluded)")
-        if arg is None:
-            notes.append(NO_RESOLVED_NOTE)
-        elif space.kind == "gaussian":
-            diag = [r for r in rows if r["d"] == 0.0]
-            off = [r for r in rows if r["d"] > 0.0]
-            diag_dev = max(abs(r["ratio"] - 1.0) for r in diag) if diag else math.inf
-            off_ok = all(r["ratio"] < 1.0 for r in off)
-            notes.append(f"diagonal ratio deviation from 1: {diag_dev:.2e}")
-            notes.append("off-diagonal ratios strictly below 1: " + ("yes" if off_ok else "NO"))
-            if diag_dev > 1e-13 or not off_ok:
-                worst = math.inf  # sharpness structure broken
-        return VerificationReport(
-            theorem_id="ultracontractivity",
-            space=space.token,
-            a=getattr(table.evaluator, "a", None),
-            grid={"pairs": len(table.grid), "times": len(table.times)},
-            tolerance=tol,
-            seed=seed,
-            mode="ratio",
-            worst_case_slack=worst,
-            extracted_constants={
-                "max_ratio": worst,
-                "argmax": None if arg is None else {"x_id": arg["x_id"], "y_id": arg["y_id"],
-                                                    "t": arg["t"]},
-            },
-            points=rows,
-            notes=notes,
-        )
-
-    return _timed(run)
+    space = table.evaluator.space
+    rows = _ratio_rows(table, mu, lambda d, t: 0.0)
+    worst, unresolved = _max_resolved_ratio(rows)
+    arg = max((r for r in rows if r["resolved"]), key=lambda r: r["ratio"], default=None)
+    notes = []
+    if unresolved:
+        notes.append(f"{unresolved} grid points below the method noise floor (excluded)")
+    if arg is None:
+        notes.append(NO_RESOLVED_NOTE)
+    elif space.kind == "gaussian":
+        diag = [r for r in rows if r["d"] == 0.0]
+        off = [r for r in rows if r["d"] > 0.0]
+        diag_dev = max(abs(r["ratio"] - 1.0) for r in diag) if diag else math.inf
+        off_ok = all(r["ratio"] < 1.0 for r in off)
+        notes.append(f"diagonal ratio deviation from 1: {diag_dev:.2e}")
+        notes.append("off-diagonal ratios strictly below 1: " + ("yes" if off_ok else "NO"))
+        if diag_dev > 1e-13 or not off_ok:
+            worst = math.inf  # sharpness structure broken
+    return VerificationReport(
+        theorem_id="ultracontractivity",
+        space=space.token,
+        a=getattr(table.evaluator, "a", None),
+        grid={"pairs": len(table.grid), "times": len(table.times)},
+        tolerance=tol,
+        seed=seed,
+        mode="ratio",
+        worst_case_slack=worst,
+        extracted_constants={
+            "max_ratio": worst,
+            "argmax": None if arg is None else {"x_id": arg["x_id"], "y_id": arg["y_id"],
+                                                "t": arg["t"]},
+        },
+        points=rows,
+        notes=notes,
+    )
 
 
+@_timed
 def gaussian_bound(table: KernelTable, mu: float, c: float, tol: float = ANALYTIC_TOL,
                    seed: int = 0, stability: float = 0.05) -> VerificationReport:
     """Off-diagonal bound with weight exp(-d^2/(c t)) and extracted A_emp(c).
@@ -394,55 +396,52 @@ def gaussian_bound(table: KernelTable, mu: float, c: float, tol: float = ANALYTI
     """
     if c <= 4.0:
         raise ValueError("the off-diagonal weight requires c > 4")
+    evaluator, g = table.evaluator, table.grid
+    space = evaluator.space
+    rows2 = _ratio_rows(table, mu, lambda d, t: d * d / (c * t))
+    a_ref, unresolved2 = _max_resolved_ratio(rows2)
+    nt, pairs = len(table.times), len(g) // 2
+    rows = [rows2[k * nt + j] for k in range(pairs) for j in range(0, nt, 2)]
+    a_base, unresolved = _max_resolved_ratio(rows)
+    ts = table.times[::2]
 
-    def run():
-        evaluator, g = table.evaluator, table.grid
-        space = evaluator.space
-        rows2 = _ratio_rows(table, mu, lambda d, t: d * d / (c * t))
-        a_ref, unresolved2 = _max_resolved_ratio(rows2)
-        nt, pairs = len(table.times), len(g) // 2
-        rows = [rows2[k * nt + j] for k in range(pairs) for j in range(0, nt, 2)]
-        a_base, unresolved = _max_resolved_ratio(rows)
-        ts = table.times[::2]
-
-        # splitting cross-check: H <= sqrt(E_D(x, t/2) E_D(y, t/2)) e^{-d^2/(2 D t)}
-        D = c / 2.0
-        split_worst = 0.0
-        for (i, j) in g.pairs[:4]:
-            x, y = g.points[i], g.points[j]
-            d = space.distance(x, y)
-            for t in (float(ts[len(ts) // 2]), float(ts[-1])):
-                ex = evaluator.weighted_l2(x, t / 2.0, D)
-                ey = evaluator.weighted_l2(y, t / 2.0, D)
-                bound = math.sqrt(ex * ey) * math.exp(-d * d / (2.0 * D * t))
-                split_worst = max(split_worst, evaluator(x, y, t) / bound)
-        notes = [f"A_emp base {a_base:.6g}, refined {a_ref:.6g}",
-                 f"splitting cross-check max ratio {split_worst:.6g}"]
-        if unresolved or unresolved2:
-            notes.append(f"unresolved noise-floor points: {unresolved} base, {unresolved2} refined")
-        if unresolved == len(rows):
-            notes.append(NO_RESOLVED_NOTE)
-        worst = a_ref / a_base if a_base > 0 else math.inf
-        if not (math.isfinite(a_ref) and math.isfinite(a_base)) or split_worst > 1.0 + 10 * tol:
-            worst = math.inf
-        return VerificationReport(
-            theorem_id="gaussian-bound",
-            space=space.token,
-            a=getattr(evaluator, "a", None),
-            grid={"pairs": pairs, "times": len(ts), "c": c},
-            tolerance=stability,
-            seed=seed,
-            mode="ratio",
-            worst_case_slack=worst,
-            extracted_constants={"A_emp": a_ref, "A_emp_base": a_base,
-                                 "splitting_max_ratio": split_worst},
-            points=rows,
-            notes=notes,
-        )
-
-    return _timed(run)
+    # splitting cross-check: H <= sqrt(E_D(x, t/2) E_D(y, t/2)) e^{-d^2/(2 D t)}
+    D = c / 2.0
+    split_worst = 0.0
+    for (i, j) in g.pairs[:4]:
+        x, y = g.points[i], g.points[j]
+        d = space.distance(x, y)
+        for t in (float(ts[len(ts) // 2]), float(ts[-1])):
+            ex = evaluator.weighted_l2(x, t / 2.0, D)
+            ey = evaluator.weighted_l2(y, t / 2.0, D)
+            bound = math.sqrt(ex * ey) * math.exp(-d * d / (2.0 * D * t))
+            split_worst = max(split_worst, evaluator(x, y, t) / bound)
+    notes = [f"A_emp base {a_base:.6g}, refined {a_ref:.6g}",
+             f"splitting cross-check max ratio {split_worst:.6g}"]
+    if unresolved or unresolved2:
+        notes.append(f"unresolved noise-floor points: {unresolved} base, {unresolved2} refined")
+    if unresolved == len(rows):
+        notes.append(NO_RESOLVED_NOTE)
+    worst = a_ref / a_base if a_base > 0 else math.inf
+    if not (math.isfinite(a_ref) and math.isfinite(a_base)) or split_worst > 1.0 + 10 * tol:
+        worst = math.inf
+    return VerificationReport(
+        theorem_id="gaussian-bound",
+        space=space.token,
+        a=getattr(evaluator, "a", None),
+        grid={"pairs": pairs, "times": len(ts), "c": c},
+        tolerance=stability,
+        seed=seed,
+        mode="ratio",
+        worst_case_slack=worst,
+        extracted_constants={"A_emp": a_ref, "A_emp_base": a_base,
+                             "splitting_max_ratio": split_worst},
+        points=rows,
+        notes=notes,
+    )
 
 
+@_timed
 def cr_bound(table: KernelTable, mu: float, C_R: float, tol: float = ANALYTIC_TOL,
              seed: int = 0) -> VerificationReport:
     """Laplace-kernel bound with the curvature growth factor exp(C_R t / 6).
@@ -453,34 +452,30 @@ def cr_bound(table: KernelTable, mu: float, C_R: float, tol: float = ANALYTIC_TO
     """
     if getattr(table.evaluator, "a", 0.0) != 0.0:
         raise ValueError("the curvature-corrected bound applies to the Laplace kernel (a = 0)")
-
-    def run():
-        rows = _ratio_rows(table, mu, lambda d, t: -C_R * t / 6.0)
-        worst, unresolved = _max_resolved_ratio(rows)
-        worst12, _ = _max_resolved_ratio(_ratio_rows(table, mu, lambda d, t: -C_R * t / 12.0))
-        notes = [
-            f"exploratory exponent C_R t/12: max ratio {worst12:.6g} "
-            + ("(holds empirically)" if worst12 <= 1.0 + tol else "(fails empirically)")
-        ]
-        if unresolved:
-            notes.append(f"{unresolved} grid points below the method noise floor (excluded)")
-        if unresolved == len(rows):
-            notes.append(NO_RESOLVED_NOTE)
-        return VerificationReport(
-            theorem_id="cr-bound",
-            space=table.evaluator.space.token,
-            a=0.0,
-            grid={"pairs": len(table.grid), "times": len(table.times), "C_R": C_R},
-            tolerance=tol,
-            seed=seed,
-            mode="ratio",
-            worst_case_slack=worst,
-            extracted_constants={"max_ratio": worst, "max_ratio_exponent_12": worst12},
-            points=rows,
-            notes=notes,
-        )
-
-    return _timed(run)
+    rows = _ratio_rows(table, mu, lambda d, t: -C_R * t / 6.0)
+    worst, unresolved = _max_resolved_ratio(rows)
+    worst12, _ = _max_resolved_ratio(_ratio_rows(table, mu, lambda d, t: -C_R * t / 12.0))
+    notes = [
+        f"exploratory exponent C_R t/12: max ratio {worst12:.6g} "
+        + ("(holds empirically)" if worst12 <= 1.0 + tol else "(fails empirically)")
+    ]
+    if unresolved:
+        notes.append(f"{unresolved} grid points below the method noise floor (excluded)")
+    if unresolved == len(rows):
+        notes.append(NO_RESOLVED_NOTE)
+    return VerificationReport(
+        theorem_id="cr-bound",
+        space=table.evaluator.space.token,
+        a=0.0,
+        grid={"pairs": len(table.grid), "times": len(table.times), "C_R": C_R},
+        tolerance=tol,
+        seed=seed,
+        mode="ratio",
+        worst_case_slack=worst,
+        extracted_constants={"max_ratio": worst, "max_ratio_exponent_12": worst12},
+        points=rows,
+        notes=notes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +483,7 @@ def cr_bound(table: KernelTable, mu: float, C_R: float, tol: float = ANALYTIC_TO
 # ---------------------------------------------------------------------------
 
 
+@_timed
 def green_bound(green_evaluator: GreenEvaluator, mu: float,
                 distances=None, tol: float = ANALYTIC_TOL,
                 stability: float = 0.05, seed: int = 0) -> VerificationReport:
@@ -496,63 +492,59 @@ def green_bound(green_evaluator: GreenEvaluator, mu: float,
     Pass requires finiteness and refinement stability; the small-separation
     power law (log-log slope 2 - n) is fitted and recorded.
     """
-
-    def run():
-        space = green_evaluator.space
-        n = space.n
-        if distances is None:
-            if space.kind == "sphere":
-                ds = space.sphere_radius * np.geomspace(0.02, 0.9 * math.pi, 8)
-            else:
-                ds = np.geomspace(0.25, 6.0, 8)
+    space = green_evaluator.space
+    n = space.n
+    if distances is None:
+        if space.kind == "sphere":
+            ds = space.sphere_radius * np.geomspace(0.02, 0.9 * math.pi, 8)
         else:
-            ds = np.asarray(distances, dtype=float)
-        pole = space.pole()
+            ds = np.geomspace(0.25, 6.0, 8)
+    else:
+        ds = np.asarray(distances, dtype=float)
+    pole = space.pole()
 
-        def b_rows(dd):
-            rows = []
-            for d in dd:
-                y = space.point_at_distance(float(d))
-                gval, gerr = green_evaluator.evaluate(pole, y)
-                rows.append({"x_id": "p0", "y_id": f"d={d:.6g}", "t": math.nan,
-                             "d": float(d), "lhs": gval,
-                             "rhs": math.exp(-mu) / d ** (n - 2),
-                             "slack": math.exp(-mu) / d ** (n - 2) - gval,
-                             "ratio": gval * d ** (n - 2) * math.exp(mu),
-                             "err": gerr})
-            return rows
+    def b_rows(dd):
+        rows = []
+        for d in dd:
+            y = space.point_at_distance(float(d))
+            gval, gerr = green_evaluator.evaluate(pole, y)
+            rows.append({"x_id": "p0", "y_id": f"d={d:.6g}", "t": math.nan,
+                         "d": float(d), "lhs": gval,
+                         "rhs": math.exp(-mu) / d ** (n - 2),
+                         "slack": math.exp(-mu) / d ** (n - 2) - gval,
+                         "ratio": gval * d ** (n - 2) * math.exp(mu),
+                         "err": gerr})
+        return rows
 
-        rows = b_rows(ds)
-        b_base = max(r["ratio"] for r in rows)
-        mids = np.sqrt(ds[:-1] * ds[1:])
-        rows_ref = rows + b_rows(mids)
-        b_ref = max(r["ratio"] for r in rows_ref)
+    rows = b_rows(ds)
+    b_base = max(r["ratio"] for r in rows)
+    mids = np.sqrt(ds[:-1] * ds[1:])
+    rows_ref = rows + b_rows(mids)
+    b_ref = max(r["ratio"] for r in rows_ref)
 
-        # small-separation slope of log G vs log d
-        small = sorted(rows_ref, key=lambda r: r["d"])[:6]
-        xs = np.log([r["d"] for r in small])
-        ys = np.log([r["lhs"] for r in small])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-        notes = [f"B_emp base {b_base:.6g}, refined {b_ref:.6g}",
-                 f"small-separation log-log slope {slope:.4f} (expected {2 - n})"]
-        worst = b_ref / max(b_base, 1e-300)
-        if not math.isfinite(b_ref):
-            worst = math.inf
-        return VerificationReport(
-            theorem_id="green-bound",
-            space=space.token,
-            a=green_evaluator.a,
-            grid={"distances": [float(d) for d in ds]},
-            tolerance=stability,
-            seed=seed,
-            mode="ratio",
-            worst_case_slack=worst,
-            extracted_constants={"B_emp": b_ref, "B_emp_base": b_base, "slope": slope},
-            points=rows_ref,
-            notes=notes,
-        )
-
-    return _timed(run)
+    # small-separation slope of log G vs log d
+    small = sorted(rows_ref, key=lambda r: r["d"])[:6]
+    xs = np.log([r["d"] for r in small])
+    ys = np.log([r["lhs"] for r in small])
+    slope = float(np.polyfit(xs, ys, 1)[0])
+    notes = [f"B_emp base {b_base:.6g}, refined {b_ref:.6g}",
+             f"small-separation log-log slope {slope:.4f} (expected {2 - n})"]
+    worst = b_ref / max(b_base, 1e-300)
+    if not math.isfinite(b_ref):
+        worst = math.inf
+    return VerificationReport(
+        theorem_id="green-bound",
+        space=space.token,
+        a=green_evaluator.a,
+        grid={"distances": [float(d) for d in ds]},
+        tolerance=stability,
+        seed=seed,
+        mode="ratio",
+        worst_case_slack=worst,
+        extracted_constants={"B_emp": b_ref, "B_emp_base": b_base, "slope": slope},
+        points=rows_ref,
+        notes=notes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +552,7 @@ def green_bound(green_evaluator: GreenEvaluator, mu: float,
 # ---------------------------------------------------------------------------
 
 
+@_timed
 def eigenvalue_bound(spectrum: Spectrum, mu: float, V: float, k_max: int, *,
                      n: int, times=None, tol: float = ANALYTIC_TOL,
                      seed: int = 0) -> VerificationReport:
@@ -569,94 +562,90 @@ def eigenvalue_bound(spectrum: Spectrum, mu: float, V: float, k_max: int, *,
     minimizing time t0 = n / (2 lambda) of e^{lambda t} (4 pi t)^{-n/2} by
     sampling, and the Weyl ratio window for k in [200, 400] when available.
     """
+    lam = spectrum.values
+    if len(lam) < k_max:
+        raise ValueError("spectrum truncation shorter than k_max")
+    ts = np.asarray(times) if times is not None else time_grid()
+    rows = []
+    worst = math.inf
+    coef = 2.0 * n * math.pi / math.e
+    for k in range(1, k_max + 1):
+        bound = coef * (k * math.exp(mu) / V) ** (2.0 / n)
+        lk = float(lam[k - 1])
+        rows.append({"x_id": f"k={k}", "y_id": "", "t": math.nan,
+                     "lhs": bound, "rhs": lk, "slack": lk - bound,
+                     "ratio": bound / lk if lk > 0 else math.inf})
+        worst = min(worst, lk - bound)
 
-    def run():
-        lam = spectrum.values
-        if len(lam) < k_max:
-            raise ValueError("spectrum truncation shorter than k_max")
-        ts = np.asarray(times) if times is not None else time_grid()
-        rows = []
-        worst = math.inf
-        coef = 2.0 * n * math.pi / math.e
-        for k in range(1, k_max + 1):
-            bound = coef * (k * math.exp(mu) / V) ** (2.0 / n)
-            lk = float(lam[k - 1])
-            rows.append({"x_id": f"k={k}", "y_id": "", "t": math.nan,
-                         "lhs": bound, "rhs": lk, "slack": lk - bound,
-                         "ratio": bound / lk if lk > 0 else math.inf})
-            worst = min(worst, lk - bound)
-
-        part_worst = math.inf
-        part_unresolved = 0
-        for t in ts:
-            z = partition_function(spectrum, float(t))
-            rhs = math.exp(-mu) * V * (4.0 * math.pi * t) ** (-n / 2.0)
-            # the truncated spectrum certifies the sum only while its tail
-            # estimate is negligible against the partial sum
-            if z.tail_bound > 1e-3 * max(z.value, 1e-300):
-                part_unresolved += 1
-                rows.append({"x_id": "partition", "y_id": "", "t": float(t),
-                             "lhs": z.total, "rhs": rhs, "slack": math.nan,
-                             "ratio": math.nan})
-                continue
-            slack = rhs - z.total
-            part_worst = min(part_worst, slack / rhs)
+    part_worst = math.inf
+    part_unresolved = 0
+    for t in ts:
+        z = partition_function(spectrum, float(t))
+        rhs = math.exp(-mu) * V * (4.0 * math.pi * t) ** (-n / 2.0)
+        # the truncated spectrum certifies the sum only while its tail
+        # estimate is negligible against the partial sum
+        if z.tail_bound > 1e-3 * max(z.value, 1e-300):
+            part_unresolved += 1
             rows.append({"x_id": "partition", "y_id": "", "t": float(t),
-                         "lhs": z.total, "rhs": rhs, "slack": slack,
-                         "ratio": z.total / rhs})
+                         "lhs": z.total, "rhs": rhs, "slack": math.nan,
+                         "ratio": math.nan})
+            continue
+        slack = rhs - z.total
+        part_worst = min(part_worst, slack / rhs)
+        rows.append({"x_id": "partition", "y_id": "", "t": float(t),
+                     "lhs": z.total, "rhs": rhs, "slack": slack,
+                     "ratio": z.total / rhs})
 
-        # the chained bound rests on minimizing e^{lambda t}(4 pi t)^{-n/2} at n/(2 lambda)
-        t0_ok = True
-        for k in (1, max(1, k_max // 2), k_max):
-            lk = float(lam[k - 1])
-            t0 = n / (2.0 * lk)
-            g0 = math.exp(lk * t0) * (4.0 * math.pi * t0) ** (-n / 2.0)
-            for fac in (0.5, 0.9, 1.1, 2.0):
-                gt = math.exp(lk * t0 * fac) * (4.0 * math.pi * t0 * fac) ** (-n / 2.0)
-                if gt < g0 * (1.0 - 1e-12):
-                    t0_ok = False
+    # the chained bound rests on minimizing e^{lambda t}(4 pi t)^{-n/2} at n/(2 lambda)
+    t0_ok = True
+    for k in (1, max(1, k_max // 2), k_max):
+        lk = float(lam[k - 1])
+        t0 = n / (2.0 * lk)
+        g0 = math.exp(lk * t0) * (4.0 * math.pi * t0) ** (-n / 2.0)
+        for fac in (0.5, 0.9, 1.1, 2.0):
+            gt = math.exp(lk * t0 * fac) * (4.0 * math.pi * t0 * fac) ** (-n / 2.0)
+            if gt < g0 * (1.0 - 1e-12):
+                t0_ok = False
 
-        notes = []
-        if part_unresolved:
-            notes.append(f"{part_unresolved} partition times beyond the spectrum "
-                         "truncation (excluded)")
-        if k_max >= 400:
-            cw = weyl_constant(n)
-            ratios = [float(lam[k - 1]) / (cw * (k / V) ** (2.0 / n)) for k in range(200, 401)]
-            notes.append(f"Weyl ratio over k in [200,400]: [{min(ratios):.4f}, {max(ratios):.4f}]")
-            count_ratios = [
-                counting_function(spectrum, float(lam[k - 1])) * cw ** (n / 2.0) /
-                (V * float(lam[k - 1]) ** (n / 2.0)) for k in (200, 300, 400)
-            ]
-            notes.append(f"counting ratios at k=200,300,400: {[round(c, 4) for c in count_ratios]}")
-            # the [0.9, 1.1] window is a dimension-two statement; higher
-            # dimensions have wider multiplicity blocks and only get recorded
-            weyl_ok = n != 2 or (0.9 <= min(ratios) and max(ratios) <= 1.1)
-        else:
-            weyl_ok = True
-        if not t0_ok:
-            worst = -math.inf
-        if not weyl_ok:
-            notes.append("Weyl window violated")
-            worst = -math.inf
-        worst = min(worst, part_worst)
-        return VerificationReport(
-            theorem_id="eigenvalue-bound",
-            space=None,
-            a=spectrum.a,
-            grid={"k_max": k_max, "times": len(ts)},
-            tolerance=tol,
-            seed=seed,
-            mode="slack",
-            worst_case_slack=worst,
-            extracted_constants={"min_eigen_slack": min(r["slack"] for r in rows
-                                                        if r["x_id"].startswith("k=")),
-                                 "min_partition_relative_slack": part_worst},
-            points=rows,
-            notes=notes,
-        )
-
-    return _timed(run)
+    notes = []
+    if part_unresolved:
+        notes.append(f"{part_unresolved} partition times beyond the spectrum "
+                     "truncation (excluded)")
+    if k_max >= 400:
+        cw = weyl_constant(n)
+        ratios = [float(lam[k - 1]) / (cw * (k / V) ** (2.0 / n)) for k in range(200, 401)]
+        notes.append(f"Weyl ratio over k in [200,400]: [{min(ratios):.4f}, {max(ratios):.4f}]")
+        count_ratios = [
+            counting_function(spectrum, float(lam[k - 1])) * cw ** (n / 2.0) /
+            (V * float(lam[k - 1]) ** (n / 2.0)) for k in (200, 300, 400)
+        ]
+        notes.append(f"counting ratios at k=200,300,400: {[round(c, 4) for c in count_ratios]}")
+        # the [0.9, 1.1] window is a dimension-two statement; higher
+        # dimensions have wider multiplicity blocks and only get recorded
+        weyl_ok = n != 2 or (0.9 <= min(ratios) and max(ratios) <= 1.1)
+    else:
+        weyl_ok = True
+    if not t0_ok:
+        worst = -math.inf
+    if not weyl_ok:
+        notes.append("Weyl window violated")
+        worst = -math.inf
+    worst = min(worst, part_worst)
+    return VerificationReport(
+        theorem_id="eigenvalue-bound",
+        space=None,
+        a=spectrum.a,
+        grid={"k_max": k_max, "times": len(ts)},
+        tolerance=tol,
+        seed=seed,
+        mode="slack",
+        worst_case_slack=worst,
+        extracted_constants={"min_eigen_slack": min(r["slack"] for r in rows
+                                                    if r["x_id"].startswith("k=")),
+                             "min_partition_relative_slack": part_worst},
+        points=rows,
+        notes=notes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -684,45 +673,43 @@ def sharp_gaussian_trial(space: SolitonSpace, tau: float) -> TrialFunction:
                          RadialProfile("gaussian", sigma, gaussian_cutoff(sigma)))
 
 
+@_timed
 def log_sobolev(space: SolitonSpace, mu: float, trials=100, tau_grid=None,
                 seed: int = 0, tol: float = ANALYTIC_TOL) -> VerificationReport:
     """Entropy-energy inequality over random trials and a tau grid."""
-
-    def run():
-        taus = np.asarray(tau_grid) if tau_grid is not None else np.geomspace(1e-2, 10.0, 20)
-        trial_list = trials if isinstance(trials, list) else random_trials(space, trials, seed)
-        if space.kind == "gaussian":
-            trial_list = trial_list + [sharp_gaussian_trial(space, 1.0)]
-        if not (trial_list and len(taus)):
-            return _empty_grid_report("log-sobolev", space.token, None,
-                                      {"trials": len(trial_list), "taus": len(taus)}, tol, seed,
-                                      "slack")
-        rows = []
-        worst = math.inf
-        for idx, tr in enumerate(trial_list):
-            energy, entropy_term, slacks = log_sobolev_slack(space, mu, tr, taus)
-            for tau, slack in zip(taus, slacks):
-                # right side tau E - (mu + n + (n/2) ln 4 pi tau) = slack + entropy
-                rows.append({"x_id": f"trial{idx}", "y_id": "", "t": float(tau),
-                             "lhs": entropy_term, "rhs": slack + entropy_term,
-                             "slack": slack, "ratio": math.nan})
-                worst = min(worst, slack)
-        return VerificationReport(
-            theorem_id="log-sobolev",
-            space=space.token,
-            a=None,
-            grid={"trials": len(trial_list), "taus": len(taus)},
-            tolerance=tol,
-            seed=seed,
-            mode="slack",
-            worst_case_slack=worst,
-            extracted_constants={"min_slack": worst},
-            points=rows,
-        )
-
-    return _timed(run)
+    taus = np.asarray(tau_grid) if tau_grid is not None else np.geomspace(1e-2, 10.0, 20)
+    trial_list = trials if isinstance(trials, list) else random_trials(space, trials, seed)
+    if space.kind == "gaussian":
+        trial_list = trial_list + [sharp_gaussian_trial(space, 1.0)]
+    if not (trial_list and len(taus)):
+        return _empty_grid_report("log-sobolev", space.token, None,
+                                  {"trials": len(trial_list), "taus": len(taus)}, tol, seed,
+                                  "slack")
+    rows = []
+    worst = math.inf
+    for idx, tr in enumerate(trial_list):
+        energy, entropy_term, slacks = log_sobolev_slack(space, mu, tr, taus)
+        for tau, slack in zip(taus, slacks):
+            # right side tau E - (mu + n + (n/2) ln 4 pi tau) = slack + entropy
+            rows.append({"x_id": f"trial{idx}", "y_id": "", "t": float(tau),
+                         "lhs": entropy_term, "rhs": slack + entropy_term,
+                         "slack": slack, "ratio": math.nan})
+            worst = min(worst, slack)
+    return VerificationReport(
+        theorem_id="log-sobolev",
+        space=space.token,
+        a=None,
+        grid={"trials": len(trial_list), "taus": len(taus)},
+        tolerance=tol,
+        seed=seed,
+        mode="slack",
+        worst_case_slack=worst,
+        extracted_constants={"min_slack": worst},
+        points=rows,
+    )
 
 
+@_timed
 def sobolev(space: SolitonSpace, mu: float, a: float = 0.25, trials: int = 50,
             seed: int = 0, tol: float = ANALYTIC_TOL,
             stability: float = 0.05) -> VerificationReport:
@@ -737,58 +724,54 @@ def sobolev(space: SolitonSpace, mu: float, a: float = 0.25, trials: int = 50,
         raise ValueError("the critical Sobolev exponent needs n >= 3")
     if a < 0.25:
         raise ValueError("the curvature term requires a >= 1/4")
+    if trials < 1:  # the Talenti shapes alone would refine nothing
+        return _empty_grid_report("sobolev", space.token, a, {"trials": trials}, stability,
+                                  seed, "ratio")
+    n = space.n
+    p_crit = 2.0 * n / (n - 2.0)
+    damp = math.exp(-2.0 * mu / n)
 
-    def run():
-        n = space.n
-        p_crit = 2.0 * n / (n - 2.0)
-        damp = math.exp(-2.0 * mu / n)
+    def quotient(tr):
+        num = tr.int_power(p_crit) ** ((n - 2.0) / n)
+        den = damp * (tr.int_grad2() + a * tr.int_R_phi2())
+        return num / den
 
-        def quotient(tr):
-            num = tr.int_power(p_crit) ** ((n - 2.0) / n)
-            den = damp * (tr.int_grad2() + a * tr.int_R_phi2())
-            return num / den
+    # near-extremal Talenti shapes on the flat space, then seeded random
+    # trials; the base trials are the prefix of the refined list
+    ref_list = [TrialFunction(space, space.pole(), RadialProfile(
+        "talenti", scale, 40.0 * scale, power=(n - 2) / 2.0))
+        for scale in (1.0, 2.0) if space.kind == "gaussian"]
+    ref_list += random_trials(space, 2 * trials, seed)
+    ref = [quotient(tr) for tr in ref_list]
+    base = ref[:len(ref_list) - trials]
+    rows = [{"x_id": f"trial{i}", "y_id": "", "t": math.nan, "lhs": q, "rhs": math.nan,
+             "slack": math.nan, "ratio": q} for i, q in enumerate(base)]
+    c_base, c_ref = max(base), max(ref)
 
-        # near-extremal Talenti shapes on the flat space, then seeded random
-        # trials; the base trials are the prefix of the refined list
-        ref_list = [TrialFunction(space, space.pole(), RadialProfile(
-            "talenti", scale, 40.0 * scale, power=(n - 2) / 2.0))
-            for scale in (1.0, 2.0) if space.kind == "gaussian"]
-        ref_list += random_trials(space, 2 * trials, seed)
-        ref = [quotient(tr) for tr in ref_list]
-        base = ref[:len(ref_list) - trials]
-        rows = [{"x_id": f"trial{i}", "y_id": "", "t": math.nan, "lhs": q, "rhs": math.nan,
-                 "slack": math.nan, "ratio": q} for i, q in enumerate(base)]
-        if not rows:
-            return _empty_grid_report("sobolev", space.token, a, {"trials": 0}, stability,
-                                      seed, "ratio")
-        c_base, c_ref = max(base), max(ref)
-
-        notes = [f"C_emp base {c_base:.6g}, refined {c_ref:.6g}"]
-        dilation_dev = 0.0
-        if space.kind == "gaussian":
-            tr, q0 = ref_list[0], ref[0]
-            for lam in (0.5, 2.0):
-                dilation_dev = max(dilation_dev, abs(quotient(tr.dilated(lam)) - q0) / q0)
-            notes.append(f"dilation invariance deviation {dilation_dev:.2e}")
-        worst = c_ref / max(c_base, 1e-300)
-        if not math.isfinite(c_ref) or dilation_dev > 1e-6:
-            worst = math.inf
-        return VerificationReport(
-            theorem_id="sobolev",
-            space=space.token,
-            a=a,
-            grid={"trials": len(base)},
-            tolerance=stability,
-            seed=seed,
-            mode="ratio",
-            worst_case_slack=worst,
-            extracted_constants={"C_emp": c_ref, "C_emp_base": c_base,
-                                 "dilation_deviation": dilation_dev},
-            points=rows,
-            notes=notes,
-        )
-
-    return _timed(run)
+    notes = [f"C_emp base {c_base:.6g}, refined {c_ref:.6g}"]
+    dilation_dev = 0.0
+    if space.kind == "gaussian":
+        tr, q0 = ref_list[0], ref[0]
+        for lam in (0.5, 2.0):
+            dilation_dev = max(dilation_dev, abs(quotient(tr.dilated(lam)) - q0) / q0)
+        notes.append(f"dilation invariance deviation {dilation_dev:.2e}")
+    worst = c_ref / max(c_base, 1e-300)
+    if not math.isfinite(c_ref) or dilation_dev > 1e-6:
+        worst = math.inf
+    return VerificationReport(
+        theorem_id="sobolev",
+        space=space.token,
+        a=a,
+        grid={"trials": len(base)},
+        tolerance=stability,
+        seed=seed,
+        mode="ratio",
+        worst_case_slack=worst,
+        extracted_constants={"C_emp": c_ref, "C_emp_base": c_base,
+                             "dilation_deviation": dilation_dev},
+        points=rows,
+        notes=notes,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -915,6 +898,7 @@ def random_dirichlet_data(op: DiscretizedOperator, trials: int, seed: int) -> np
     return data * np.clip(1.0 - (r / op.R_max) ** 2, 0.0, None) ** 2
 
 
+@_timed
 def energy_monotonicity(op: DiscretizedOperator, s: float, trials: int = 20,
                         seed: int = 0, cap_radius: float = 2.0,
                         t0: float = 0.02, times=None, dt: float = 5e-4,
@@ -925,42 +909,39 @@ def energy_monotonicity(op: DiscretizedOperator, s: float, trials: int = 20,
     data (smooth bump combinations vanishing at the boundary), normalized by
     the initial energy. The trials march together as the rows of one probe.
     """
-
-    def run():
-        ts = np.asarray(times) if times is not None else np.linspace(t0, 0.8 * s, 14)
-        if trials < 1 or len(ts) < 2:  # a time difference needs two times
-            return _empty_grid_report("energy-monotonicity", op.space.token, op.a,
-                                      {"trials": trials, "times": [float(t) for t in ts]},
-                                      tol, seed, "slack")
-        if ts[-1] >= s:
-            raise ValueError("sampled times must stay below s")
-        rows = []
-        worst = math.inf
-        probe = GrigoryanProbe(op, ts[0], data0=random_dirichlet_data(op, trials, seed), dt=dt)
-        energies = [probe.weighted_energy(float(t), cap_radius, s) for t in ts]
-        for trial, trial_energies in enumerate(zip(*energies)):
-            diffs = np.diff(trial_energies) / max(trial_energies[0], 1e-300)
-            viol = float(max(0.0, diffs.max()))
-            rows.append({"x_id": f"trial{trial}", "y_id": "", "t": math.nan,
-                         "lhs": viol, "rhs": 0.0, "slack": -viol, "ratio": math.nan})
-            worst = min(worst, -viol)
-        return VerificationReport(
-            theorem_id="energy-monotonicity",
-            space=op.space.token,
-            a=op.a,
-            grid={"trials": trials, "times": [float(t) for t in ts],
-                  "cap_radius": cap_radius, "s": s, "m": op.m, "R_max": op.R_max},
-            tolerance=tol,
-            seed=seed,
-            mode="slack",
-            worst_case_slack=worst,
-            extracted_constants={"max_violation": -worst},
-            points=rows,
-        )
-
-    return _timed(run)
+    ts = np.asarray(times) if times is not None else np.linspace(t0, 0.8 * s, 14)
+    if trials < 1 or len(ts) < 2:  # a time difference needs two times
+        return _empty_grid_report("energy-monotonicity", op.space.token, op.a,
+                                  {"trials": trials, "times": [float(t) for t in ts]},
+                                  tol, seed, "slack")
+    if ts[-1] >= s:
+        raise ValueError("sampled times must stay below s")
+    rows = []
+    worst = math.inf
+    probe = GrigoryanProbe(op, ts[0], data0=random_dirichlet_data(op, trials, seed), dt=dt)
+    energies = [probe.weighted_energy(float(t), cap_radius, s) for t in ts]
+    for trial, trial_energies in enumerate(zip(*energies)):
+        diffs = np.diff(trial_energies) / max(trial_energies[0], 1e-300)
+        viol = float(max(0.0, diffs.max()))
+        rows.append({"x_id": f"trial{trial}", "y_id": "", "t": math.nan,
+                     "lhs": viol, "rhs": 0.0, "slack": -viol, "ratio": math.nan})
+        worst = min(worst, -viol)
+    return VerificationReport(
+        theorem_id="energy-monotonicity",
+        space=op.space.token,
+        a=op.a,
+        grid={"trials": trials, "times": [float(t) for t in ts],
+              "cap_radius": cap_radius, "s": s, "m": op.m, "R_max": op.R_max},
+        tolerance=tol,
+        seed=seed,
+        mode="slack",
+        worst_case_slack=worst,
+        extracted_constants={"max_violation": -worst},
+        points=rows,
+    )
 
 
+@_timed
 def weighted_energy_bound(probe: GrigoryanProbe, mu: float, times=None,
                           radii=(1.0, 2.0, 4.0), tol: float = FD_TOL,
                           seed: int = 0) -> VerificationReport:
@@ -972,74 +953,70 @@ def weighted_energy_bound(probe: GrigoryanProbe, mu: float, times=None,
     closed-form Gaussian integral (finite exactly when D > 2) and must
     dominate the Dirichlet value.
     """
-
-    def run():
-        n = probe.n
-        D, gamma = probe.D, probe.gamma
-        consts = grigoryan_constants(gamma, D)
-        ts = np.asarray(times) if times is not None else np.geomspace(1e-2, 1.0, 10)
-        rows = []
-        worst = math.inf
-        hypothesis_ok = True
-        for t in ts:
-            i_t = probe.I(float(t))
-            hyp_rhs = math.exp(-mu) * (8.0 * math.pi * t) ** (-n / 2.0)
-            # the hypothesis is equality-sharp on the flat space, so its
-            # gate carries the probe's own method error scale
-            if i_t > hyp_rhs * (1.0 + max(tol, probe.sharp_allowance(float(t)))):
-                hypothesis_ok = False
-            rows.append({"x_id": "I", "y_id": "", "t": float(t), "lhs": i_t,
-                         "rhs": hyp_rhs, "slack": hyp_rhs - i_t,
-                         "ratio": i_t / hyp_rhs})
-        if not hypothesis_ok:
-            return VerificationReport(
-                theorem_id="weighted-energy", space=probe.op.space.token, a=probe.op.a,
-                grid={"times": len(ts)}, tolerance=tol, seed=seed, mode="slack",
-                worst_case_slack=-math.inf, points=rows,
-                notes=["hypothesis I(t) <= e^{-mu} (8 pi t)^{-n/2} failed; check aborted"],
-            )
-
-        exact_margin = math.inf
-        for t in ts:
-            e_t = probe.E_D(float(t))
-            rhs = 4.0 * math.exp(-mu) * (8.0 * math.pi * consts.delta * t) ** (-n / 2.0)
-            worst = min(worst, (rhs - e_t) / rhs)
-            rows.append({"x_id": "E_D", "y_id": "", "t": float(t), "lhs": e_t,
-                         "rhs": rhs, "slack": rhs - e_t, "ratio": e_t / rhs})
-            i_t = probe.I(float(t))
-            if i_t > e_t:  # exponential weight >= 1
-                worst = -math.inf
-            e_exact = (math.exp(-mu) * (8.0 * math.pi * t) ** (-n / 2.0)
-                       * (D / (D - 2.0)) ** (n / 2.0))
-            exact_margin = min(exact_margin,
-                               e_exact * (1.0 + max(tol, probe.sharp_allowance(float(t)))) - e_t)
-            for R in radii:
-                ir = probe.I_R(float(t), float(R))
-                tail_rhs = (2.0 * math.exp(-mu) * (8.0 * math.pi * t / gamma) ** (-n / 2.0)
-                            * math.exp(-R * R / (consts.D0 * t)))
-                worst = min(worst, (tail_rhs - ir) / tail_rhs)
-                rows.append({"x_id": f"I_R R={R}", "y_id": "", "t": float(t),
-                             "lhs": ir, "rhs": tail_rhs, "slack": tail_rhs - ir,
-                             "ratio": ir / tail_rhs})
-        notes = [f"m({gamma}) = {consts.m:.6e}, D0 = {consts.D0:.4f}, delta = {consts.delta:.6e}",
-                 f"exact-kernel E_D dominates the Dirichlet value with margin {exact_margin:.3e}"]
-        if exact_margin < 0:
-            worst = -math.inf
+    n = probe.n
+    D, gamma = probe.D, probe.gamma
+    consts = grigoryan_constants(gamma, D)
+    ts = np.asarray(times) if times is not None else np.geomspace(1e-2, 1.0, 10)
+    rows = []
+    worst = math.inf
+    hypothesis_ok = True
+    for t in ts:
+        i_t = probe.I(float(t))
+        hyp_rhs = math.exp(-mu) * (8.0 * math.pi * t) ** (-n / 2.0)
+        # the hypothesis is equality-sharp on the flat space, so its
+        # gate carries the probe's own method error scale
+        if i_t > hyp_rhs * (1.0 + max(tol, probe.sharp_allowance(float(t)))):
+            hypothesis_ok = False
+        rows.append({"x_id": "I", "y_id": "", "t": float(t), "lhs": i_t,
+                     "rhs": hyp_rhs, "slack": hyp_rhs - i_t,
+                     "ratio": i_t / hyp_rhs})
+    if not hypothesis_ok:
         return VerificationReport(
-            theorem_id="weighted-energy",
-            space=probe.op.space.token,
-            a=probe.op.a,
-            grid={"times": len(ts), "radii": list(radii), "D": D, "gamma": gamma},
-            tolerance=tol,
-            seed=seed,
-            mode="slack",
-            worst_case_slack=worst,
-            extracted_constants={"m": consts.m, "D0": consts.D0, "delta": consts.delta},
-            points=rows,
-            notes=notes,
+            theorem_id="weighted-energy", space=probe.op.space.token, a=probe.op.a,
+            grid={"times": len(ts)}, tolerance=tol, seed=seed, mode="slack",
+            worst_case_slack=-math.inf, points=rows,
+            notes=["hypothesis I(t) <= e^{-mu} (8 pi t)^{-n/2} failed; check aborted"],
         )
 
-    return _timed(run)
+    exact_margin = math.inf
+    for t in ts:
+        e_t = probe.E_D(float(t))
+        rhs = 4.0 * math.exp(-mu) * (8.0 * math.pi * consts.delta * t) ** (-n / 2.0)
+        worst = min(worst, (rhs - e_t) / rhs)
+        rows.append({"x_id": "E_D", "y_id": "", "t": float(t), "lhs": e_t,
+                     "rhs": rhs, "slack": rhs - e_t, "ratio": e_t / rhs})
+        i_t = probe.I(float(t))
+        if i_t > e_t:  # exponential weight >= 1
+            worst = -math.inf
+        e_exact = (math.exp(-mu) * (8.0 * math.pi * t) ** (-n / 2.0)
+                   * (D / (D - 2.0)) ** (n / 2.0))
+        exact_margin = min(exact_margin,
+                           e_exact * (1.0 + max(tol, probe.sharp_allowance(float(t)))) - e_t)
+        for R in radii:
+            ir = probe.I_R(float(t), float(R))
+            tail_rhs = (2.0 * math.exp(-mu) * (8.0 * math.pi * t / gamma) ** (-n / 2.0)
+                        * math.exp(-R * R / (consts.D0 * t)))
+            worst = min(worst, (tail_rhs - ir) / tail_rhs)
+            rows.append({"x_id": f"I_R R={R}", "y_id": "", "t": float(t),
+                         "lhs": ir, "rhs": tail_rhs, "slack": tail_rhs - ir,
+                         "ratio": ir / tail_rhs})
+    notes = [f"m({gamma}) = {consts.m:.6e}, D0 = {consts.D0:.4f}, delta = {consts.delta:.6e}",
+             f"exact-kernel E_D dominates the Dirichlet value with margin {exact_margin:.3e}"]
+    if exact_margin < 0:
+        worst = -math.inf
+    return VerificationReport(
+        theorem_id="weighted-energy",
+        space=probe.op.space.token,
+        a=probe.op.a,
+        grid={"times": len(ts), "radii": list(radii), "D": D, "gamma": gamma},
+        tolerance=tol,
+        seed=seed,
+        mode="slack",
+        worst_case_slack=worst,
+        extracted_constants={"m": consts.m, "D0": consts.D0, "delta": consts.delta},
+        points=rows,
+        notes=notes,
+    )
 
 
 def exploratory_a_sweep(space: SolitonSpace, a_values, make_evaluator,

@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from solitonlab.kernels import (
 )
 from solitonlab.spaces import make_space, parse_space, sphere_area
 from solitonlab.spectral import discretize_radial, sphere_multiplicity
+
+ORACLES = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +139,14 @@ def test_sphere_series_vs_direct_summation():
     sk = SphereHeatKernel(2, 0.25)
     for theta in (0.0, 0.4, 1.3, math.pi):
         for t in (0.5, 1.0, 3.0):
-            v, err = sk.kernel_theta(theta, t)
+            v, err = sk.at(theta, t)
             assert v == pytest.approx(legendre_sum_oracle(math.cos(theta), t, 0.25),
                                       abs=1e-10)
 
 
 def test_sphere_series_long_time_projects_onto_constants():
     sk = SphereHeatKernel(2, 0.0)
-    v, _ = sk.kernel_theta(2.0, 80.0)
+    v, _ = sk.at(2.0, 80.0)
     assert v == pytest.approx(1.0 / (8.0 * math.pi), rel=1e-12)
 
 
@@ -164,7 +168,7 @@ def test_sphere_series_time_gate_and_cap():
         sk(p, p, 1e-4)
     tiny = SphereHeatKernel(2, 0.25, l_max=5)
     with pytest.raises(SeriesTruncationError):
-        tiny.kernel_theta(0.3, 1e-3)
+        tiny.at(0.3, 1e-3)
 
 
 def test_sphere_series_symmetry():
@@ -265,7 +269,7 @@ def test_cylinder_mass_one_without_coupling():
     u, w = np.polynomial.legendre.leggauss(200)
     th = (u + 1) * math.pi / 2
     ww = w * math.pi / 2
-    svals, _ = ck._factor.profile(np.cos(th), t)
+    svals, _ = ck.sphere.profile(np.cos(th), t)
     smass = float(np.sum(ww * 2 * math.pi * 2.0 * np.sin(th) * svals))
     line, _ = quad(lambda z: (4 * math.pi * t) ** -0.5 * math.exp(-z * z / (4 * t)),
                    -30, 30)
@@ -292,6 +296,26 @@ def test_cylinder_symmetry_exact():
 def test_cylinder_needs_n3():
     with pytest.raises(Exception):
         CylinderHeatKernel(2, 0.25)
+
+
+def test_cylinder_error_estimate_covers_arbitrary_precision_product():
+    # the oracle restates S^2 x R apart from the package: the model 2-sphere's
+    # Legendre series in fixed point times the line kernel and e^{-a R t};
+    # the product rule e1 v2 + v1 e2 must cover every difference
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", ORACLES)
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    sp = make_space("cylinder", 3)
+    kernels = [CylinderHeatKernel(3, a) for a in (0.0, 0.25)]
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        x, y = sp.random_point(rng), sp.random_point(rng)
+        t = float(10.0 ** rng.uniform(-3.0, 2.0))
+        theta = math.acos(min(1.0, max(-1.0, float(np.dot(x.vector, y.vector)))))
+        for ck in kernels:
+            v, err = ck.evaluate(x, y, t)
+            exact = float(oracles.cylinder3_kernel(theta, x.s - y.s, t, ck.a))
+            assert abs(v - exact) <= err + sys.float_info.min, (theta, x.s - y.s, t, ck.a)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +436,7 @@ def test_table_equals_scalar_evaluate(token):
     grid = pair_grid(sp, count=12, seed=7)
     xs = [grid.points[i] for i, _ in grid.pairs]
     ys = [grid.points[j] for _, j in grid.pairs]
-    ts = np.append(time_grid(15), getattr(ev, "t_min", 1e-3))
+    ts = np.append(time_grid(15), ev.t_min or 1e-3)
     h, err = ev.table(xs, ys, ts)
     assert h.shape == err.shape == (12, 16)
     for k, (x, y) in enumerate(zip(xs, ys)):

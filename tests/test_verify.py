@@ -73,7 +73,7 @@ def test_ultracontractivity_sphere_small_time_diagonal_limit(default_table):
     assert rep.passed
     # short-time diagonal ratio approaches e^mu = 2/e
     t0 = 1e-3
-    h, _ = sk.kernel_theta(0.0, t0)
+    h, _ = sk.at(0.0, t0)
     ratio = h * 4.0 * math.pi * t0 * math.exp(mu_closed_form(sp))
     assert ratio == pytest.approx(2.0 / math.e, rel=2e-3)
 
@@ -184,7 +184,10 @@ def test_ratio_check_without_a_resolved_row_fails_with_a_note(check):
     lambda: verify.log_sobolev(parse_space("gaussian:3"), 0.0, trials=3, tau_grid=[]),
     lambda: verify.sobolev(parse_space("sphere:3"), mu_closed_form(parse_space("sphere:3")),
                            trials=0),
-], ids=["energy-monotonicity", "log-sobolev-no-trials", "log-sobolev-no-taus", "sobolev"])
+    # the two Talenti trials of the flat space are no refinement grid either
+    lambda: verify.sobolev(parse_space("gaussian:3"), 0.0, trials=0),
+], ids=["energy-monotonicity", "log-sobolev-no-trials", "log-sobolev-no-taus", "sobolev",
+        "sobolev-gaussian"])
 def test_check_on_an_empty_grid_fails_with_a_note(check):
     rep = check()
     assert not rep.passed
