@@ -7,7 +7,7 @@ The package is organized as a small numpy/scipy library:
 * :mod:`solitonlab.entropy`  -- the entropy constant mu, the W functional,
   and normalized trial functions.
 * :mod:`solitonlab.spectral` -- analytic sphere spectra, radial Dirichlet
-  discretizations, partition functions.
+  discretizations, the partition function as the heat-kernel trace.
 * :mod:`solitonlab.kernels`  -- heat-kernel evaluators (closed form, zonal
   series, finite differences), Green's functions, volume growth.
 * :mod:`solitonlab.verify`   -- the theorem suite producing verification

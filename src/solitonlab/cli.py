@@ -386,10 +386,12 @@ def run_theorem(theorem_id: str, cfg: ExperimentConfig, *, store: dict | None = 
         gv = kernels.green(space, cfg.a)
         return verify.green_bound(gv, mu, tol=cfg.tol_analytic, seed=seed)
     if theorem_id == "eigenvalue-bound":
-        l_max = _level_for_count(space.n, cfg.k_max, cfg.t_low)
-        spec = spectral.sphere_spectrum(space.n, cfg.a, l_max)
-        return verify.eigenvalue_bound(spec, mu, space.volume, cfg.k_max,
-                                       n=space.n, times=times,
+        # the partition rows read the series kernel's trace, whatever the
+        # configured method; the store's evaluator is that kernel under the series
+        kernel = (evaluator(cfg.a) if cfg.method in ("auto", "spectral_series") else
+                  kernels.heat_kernel(space, cfg.a, eps=cfg.series_eps, t_min=cfg.t_min))
+        spec = spectral.sphere_spectrum(space.n, cfg.a, _level_for_count(space.n, cfg.k_max))
+        return verify.eigenvalue_bound(spec, mu, kernel, cfg.k_max, times=times,
                                        tol=cfg.tol_analytic, seed=seed)
     if theorem_id == "log-sobolev":
         return verify.log_sobolev(space, mu, trials=cfg.trials,
@@ -420,22 +422,14 @@ def run_theorem(theorem_id: str, cfg: ExperimentConfig, *, store: dict | None = 
     raise ConfigError(f"unknown theorem id {theorem_id!r}")
 
 
-def _level_for_count(n: int, k_max: int, t_low: float = 1e-3) -> int:
-    """Harmonic levels needed for k_max eigenvalues and for the partition
-    sum to be certified down to t_low, capped so the expanded spectrum stays
-    at desk scale (times beyond the truncation are excluded by the check)."""
-    count = 0
-    l = 0
+def _level_for_count(n: int, k_max: int) -> int:
+    """The harmonic level whose spectrum holds the first k_max eigenvalues,
+    with whole levels to spare; the partition rows need no spectrum."""
+    count = l = 0
     while count < k_max + 1:
         count += spectral.sphere_multiplicity(n, l)
         l += 1
-    l_k = l + 2
-    l_part = int(math.sqrt(45.0 * 2.0 * (n - 1) / t_low)) + 2
-    l_cap, total = l_k, 0
-    while total < 600_000:
-        total += spectral.sphere_multiplicity(n, l_cap)
-        l_cap += 1
-    return min(max(l_k, l_part), l_cap)
+    return l + 2
 
 
 # ---------------------------------------------------------------------------
@@ -643,12 +637,14 @@ def _dispatch(args, cfg: ExperimentConfig) -> int:
         if sp.kind == "sphere":
             if args.l_max < 0:
                 raise ConfigError(f"--l-max must be >= 0, got {args.l_max}")
-            spec = spectral.sphere_spectrum(sp.n, cfg.a, args.l_max)
+            # one row per level, never the expanded spectrum: on S^3 that
+            # holds about (l_max + 1)^3 / 3 values
             rows = []
             idx = 0
-            for (l, lam, mult) in spec.levels:
+            for l in range(args.l_max + 1):
+                mult = spectral.sphere_multiplicity(sp.n, l)
                 idx += mult
-                rows.append((idx, lam, mult, "analytic"))
+                rows.append((idx, spectral.sphere_eigenvalue(sp.n, cfg.a, l), mult, "analytic"))
         else:
             if sp.kind != "gaussian":
                 raise ConfigError("discretized spectra are radial (gaussian spaces only)")

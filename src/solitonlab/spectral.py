@@ -1,8 +1,9 @@
 """Spectra of the Schrodinger operator -Laplacian + a R.
 
 Analytic spectra on round spheres (harmonic levels with their
-multiplicities), and symmetric finite-difference discretizations of the
-radial operator on truncated Dirichlet balls of the flat gaussian space.
+multiplicities), symmetric finite-difference discretizations of the
+radial operator on truncated Dirichlet balls of the flat gaussian space,
+and the partition function, read as the heat-kernel trace.
 The discretization is the conservative flux form, which is second-order
 accurate and exactly symmetric under the discrete volume weights; the origin
 row reduces to the removable-singularity limit n * u''(0).
@@ -12,11 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaincc, gammaln
 
 from .exceptions import DimensionError, EigenSolveError, KindMismatchError
 from .spaces import SolitonSpace, sphere_area
@@ -58,19 +57,6 @@ class Spectrum:
     def __len__(self):
         return len(self.values)
 
-    @cached_property
-    def growth(self) -> float:
-        """Exponent nu with lambda_k ~ k^{2/nu}, fit once from the top of the spectrum."""
-        lam = self.values
-        k = np.arange(1, len(lam) + 1, dtype=float)
-        sel = lam > 0
-        if np.count_nonzero(sel) < 8:
-            return 2.0
-        kk = k[sel][len(k[sel]) // 2:]
-        ll = lam[sel][len(lam[sel]) // 2:]
-        slope = np.polyfit(np.log(kk), np.log(ll), 1)[0]
-        return float(np.clip(2.0 / max(slope, 1e-3), 0.5, 64.0))
-
 
 def sphere_spectrum(n: int, a: float, l_max: int) -> Spectrum:
     """Analytic spectrum of -Laplacian + a R on the model n-sphere up to level l_max."""
@@ -78,14 +64,11 @@ def sphere_spectrum(n: int, a: float, l_max: int) -> Spectrum:
         raise DimensionError("sphere spectra need n >= 2")
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
-    levels = []
-    chunks = []
-    for l in range(l_max + 1):
-        lam = sphere_eigenvalue(n, a, l)
-        mult = sphere_multiplicity(n, l)
-        levels.append((l, lam, mult))
-        chunks.append(np.full(mult, lam))
-    return Spectrum(np.sort(np.concatenate(chunks)), a, "analytic", levels=levels)
+    levels = [(l, sphere_eigenvalue(n, a, l), sphere_multiplicity(n, l))
+              for l in range(l_max + 1)]
+    # the eigenvalues ascend with the level, so the expansion is sorted
+    _, lam, mult = zip(*levels)
+    return Spectrum(np.repeat(lam, mult), a, "analytic", levels=levels)
 
 
 @dataclass(frozen=True)
@@ -205,39 +188,15 @@ def _worst_residual(op: DiscretizedOperator, vals: np.ndarray, vecs: np.ndarray)
     return worst
 
 
-@dataclass(frozen=True)
-class PartitionValue:
-    value: float       # partial sum over the known spectrum
-    tail_bound: float  # estimate for the part past the last known eigenvalue
-
-    @property
-    def total(self) -> float:
-        return self.value + self.tail_bound
-
-
-def partition_function(spectrum: Spectrum, t: float) -> PartitionValue:
-    """Sum of exp(-lambda_i t) plus a tail estimate past the truncation.
-
-    The tail assumes the counting function keeps its power growth
-    N(lambda) ~ N_last (lambda / lambda_last)^{nu/2}; with k(lambda) inverted
-    this gives an incomplete-gamma bound. The exponent nu is
-    ``Spectrum.growth``, fitted from the top of every spectrum, analytic or
-    discretized.
-    """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    lam = spectrum.values
-    value = float(np.sum(np.exp(-lam * t)))
-    lam_last = float(lam[-1])
-    count = float(len(lam))
-    if lam_last <= 0.0:
-        return PartitionValue(value, 0.0)
-    # growth exponent: lambda_k ~ c k^{2/nu} fit from the top of the spectrum
-    s = spectrum.growth / 2.0
-    x = lam_last * t
-    # integral_{count}^inf exp(-lam_last (k/count)^{2/nu} t) dk
-    tail = count * s * x ** (-s) * math.exp(gammaln(s)) * gammaincc(s, x)
-    return PartitionValue(value, tail)
+def partition_function(kernel, t: float) -> tuple[float, float]:
+    """Z(t) = sum_i exp(-lambda_i t) on the homogeneous compact space of
+    ``kernel``, read as the heat-kernel trace V H(o, o, t): (V h, V err) from
+    the kernel's value and error estimate at the pole. Times the kernel does
+    not take raise its TimeDomainError, a ValueError."""
+    p = kernel.space.pole()
+    h, err = kernel.evaluate(p, p, t)
+    V = kernel.space.volume
+    return V * h, V * err
 
 
 def weyl_constant(n: int) -> float:

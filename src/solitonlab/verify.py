@@ -3,10 +3,10 @@
 Every sharp inequality in scope becomes a quantified check over an explicit
 grid: ultracontractivity, the Gaussian off-diagonal bound with its extracted
 constant A_emp, the curvature-corrected bound for the Laplace kernel, Green's
-function bounds (B_emp), eigenvalue lower bounds with the partition-function
-route, the entropy-energy (log-Sobolev) inequality, the critical Sobolev
-inequality (C_emp), and the weighted-energy machinery with its explicit
-iteration constants m(gamma), D0, delta.
+function bounds (B_emp), eigenvalue lower bounds with the route through the
+heat-kernel trace V H(o, o, t), the entropy-energy (log-Sobolev) inequality,
+the critical Sobolev inequality (C_emp), and the weighted-energy machinery
+with its explicit iteration constants m(gamma), D0, delta.
 
 Checks return a VerificationReport carrying the worst-case slack (or ratio),
 any extracted empirical constants, per-grid-point rows for CSV export, and a
@@ -553,15 +553,21 @@ def green_bound(green_evaluator: GreenEvaluator, mu: float,
 
 
 @_timed
-def eigenvalue_bound(spectrum: Spectrum, mu: float, V: float, k_max: int, *,
-                     n: int, times=None, tol: float = ANALYTIC_TOL,
+def eigenvalue_bound(spectrum: Spectrum, mu: float, kernel, k_max: int, *,
+                     times=None, tol: float = ANALYTIC_TOL,
                      seed: int = 0) -> VerificationReport:
     """lambda_k >= (2 n pi / e) (k e^mu / V)^{2/n} plus the partition route.
 
-    Also verified: the partition-function inequality on a time grid, the
-    minimizing time t0 = n / (2 lambda) of e^{lambda t} (4 pi t)^{-n/2} by
-    sampling, and the Weyl ratio window for k in [200, 400] when available.
+    Also verified: the partition-function inequality
+    Z(t) <= e^{-mu} V (4 pi t)^{-n/2} on a time grid, with Z the trace
+    V H(o, o, t) of ``kernel`` (certified at its upper value, trace plus
+    error estimate), the minimizing time t0 = n / (2 lambda) of
+    e^{lambda t} (4 pi t)^{-n/2} by sampling, and the Weyl ratio window for
+    k in [200, 400] when available. n and V are those of ``kernel.space``.
     """
+    if kernel.a != spectrum.a:
+        raise ValueError("the kernel and the spectrum must share the coupling a")
+    n, V = kernel.space.n, kernel.space.volume
     lam = spectrum.values
     if len(lam) < k_max:
         raise ValueError("spectrum truncation shorter than k_max")
@@ -578,23 +584,14 @@ def eigenvalue_bound(spectrum: Spectrum, mu: float, V: float, k_max: int, *,
         worst = min(worst, lk - bound)
 
     part_worst = math.inf
-    part_unresolved = 0
     for t in ts:
-        z = partition_function(spectrum, float(t))
+        z, err = partition_function(kernel, float(t))
+        upper = z + err
         rhs = math.exp(-mu) * V * (4.0 * math.pi * t) ** (-n / 2.0)
-        # the truncated spectrum certifies the sum only while its tail
-        # estimate is negligible against the partial sum
-        if z.tail_bound > 1e-3 * max(z.value, 1e-300):
-            part_unresolved += 1
-            rows.append({"x_id": "partition", "y_id": "", "t": float(t),
-                         "lhs": z.total, "rhs": rhs, "slack": math.nan,
-                         "ratio": math.nan})
-            continue
-        slack = rhs - z.total
+        slack = rhs - upper
         part_worst = min(part_worst, slack / rhs)
         rows.append({"x_id": "partition", "y_id": "", "t": float(t),
-                     "lhs": z.total, "rhs": rhs, "slack": slack,
-                     "ratio": z.total / rhs})
+                     "lhs": z, "rhs": rhs, "slack": slack, "ratio": upper / rhs})
 
     # the chained bound rests on minimizing e^{lambda t}(4 pi t)^{-n/2} at n/(2 lambda)
     t0_ok = True
@@ -608,9 +605,6 @@ def eigenvalue_bound(spectrum: Spectrum, mu: float, V: float, k_max: int, *,
                 t0_ok = False
 
     notes = []
-    if part_unresolved:
-        notes.append(f"{part_unresolved} partition times beyond the spectrum "
-                     "truncation (excluded)")
     if k_max >= 400:
         cw = weyl_constant(n)
         ratios = [float(lam[k - 1]) / (cw * (k / V) ** (2.0 / n)) for k in range(200, 401)]

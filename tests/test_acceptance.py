@@ -149,9 +149,10 @@ def test_criterion_6_eigenvalues():
         1.0 / math.e ** 2, rel=1e-12)
     assert 1.0 / math.e ** 2 == pytest.approx(0.13534, abs=5e-6)
 
+    kernel = SphereHeatKernel(2, 0.25)
     for t in np.geomspace(1e-3, 1e2, 40):
-        z = partition_function(spec, float(t))
-        assert z.total <= math.exp(-mu0) * V * (4.0 * math.pi * t) ** -1.0 * (1 + 1e-12)
+        z, err = partition_function(kernel, float(t))
+        assert z + err <= math.exp(-mu0) * V * (4.0 * math.pi * t) ** -1.0 * (1 + 1e-12)
 
     cw = 4.0 * math.pi  # Weyl constant in dimension two
     ratios = [lam[k - 1] / (cw * k / V) for k in range(200, 401)]

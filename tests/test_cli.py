@@ -129,6 +129,18 @@ def test_spectrum_subcommand_csv(tmp_path):
     assert lines[1].startswith("1,0.25,1,analytic")
 
 
+def test_spectrum_subcommand_prints_levels_without_expanding(tmp_path):
+    # one row per level straight from the level table; the expanded
+    # spectrum to l = 3000 on S^3 would hold 9e9 values
+    out = tmp_path / "spec.csv"
+    code = main(["spectrum", "--space", "sphere:3", "--l-max", "3000", "--out", str(out)])
+    assert code == EXIT_PASS
+    rows = out.read_text().strip().splitlines()[1:]
+    assert len(rows) == 3001
+    assert int(rows[-1].split(",")[0]) == sum((l + 1) ** 2 for l in range(3001))
+    assert rows[-1].split(",")[2] == str(3001 ** 2)
+
+
 def test_kernel_subcommand(tmp_path):
     out = tmp_path / "k.json"
     code = main(["--json", str(out), "kernel", "--space", "gaussian:3",
@@ -188,14 +200,22 @@ def test_green_subcommand(tmp_path):
     assert doc["value"] == pytest.approx(1.0 / (4 * math.pi), rel=1e-4)
 
 
-def test_verify_subcommand_exit_codes(tmp_path):
+@pytest.mark.parametrize("argv,theorem,constant,value,abs_tol", [
+    (["grigoryan-constants", "--gamma", "2.0", "--D", "10.0"],
+     "grigoryan-constants", "m", 0.002221, 1e-6),
+    # the partition rows read the series kernel whatever the configured method
+    (["eigenvalue-bound", "--space", "sphere:3", "--method", "fd_dirichlet"],
+     "eigenvalue-bound", "min_partition_relative_slack", 0.209123, 1e-6),
+    (["eigenvalue-bound", "--space", "sphere:3", "--method", "closed_form"],
+     "eigenvalue-bound", "min_partition_relative_slack", 0.209123, 1e-6),
+], ids=["grigoryan", "eigenvalue-fd-method", "eigenvalue-closed-form-method"])
+def test_verify_subcommand_exit_codes(tmp_path, argv, theorem, constant, value, abs_tol):
     out = tmp_path / "v.json"
-    code = main(["--json", str(out), "verify", "grigoryan-constants",
-                 "--gamma", "2.0", "--D", "10.0"])
+    code = main(["--json", str(out), "verify"] + argv)
     assert code == EXIT_PASS
     doc = json.loads(out.read_text())
-    assert doc["checks"]["grigoryan-constants"]["extracted_constants"]["m"] == \
-        pytest.approx(0.002221, abs=1e-6)
+    assert doc["checks"][theorem]["extracted_constants"][constant] == \
+        pytest.approx(value, abs=abs_tol)
 
 
 @pytest.mark.parametrize("before,after", [(["--seed", "5"], []), ([], ["--seed", "5"])])

@@ -1,10 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from solitonlab.exceptions import KindMismatchError
+from solitonlab.kernels import SphereHeatKernel
 from solitonlab.spaces import make_space
 from solitonlab.spectral import (
     DiscretizedOperator,
@@ -13,6 +15,7 @@ from solitonlab.spectral import (
     discretize_radial,
     eigen_solve,
     partition_function,
+    sphere_eigenvalue,
     sphere_multiplicity,
     sphere_spectrum,
     weyl_constant,
@@ -45,6 +48,17 @@ def test_sphere_spectrum_examples():
     l1 = [lv for lv in s3.levels if lv[0] == 1][0]
     assert l1[1] == pytest.approx(1.125, abs=1e-15)
     assert l1[2] == 4
+
+
+def test_sphere_spectrum_is_the_sorted_level_expansion():
+    # the level table ascends, so repeating each eigenvalue by its
+    # multiplicity gives the sorted expansion exactly
+    for n in (2, 3, 4):
+        for a in (0.0, 0.25, 1.0):
+            spec = sphere_spectrum(n, a, 30)
+            chunks = [np.full(sphere_multiplicity(n, l), sphere_eigenvalue(n, a, l))
+                      for l in range(31)]
+            assert np.array_equal(spec.values, np.sort(np.concatenate(chunks)))
 
 
 def test_spectrum_must_ascend():
@@ -153,35 +167,61 @@ def test_domain_monotonicity():
 
 
 def test_partition_function_oracle():
-    # direct summation oracle, levels to l = 50
-    spec = sphere_spectrum(2, 0.25, 50)
+    # direct summation oracle, levels to l = 50, against the trace V H(o, o, 1)
     l = np.arange(51)
     oracle = float(np.sum((2 * l + 1) * np.exp(-(l * (l + 1) / 2.0 + 0.25))))
-    pv = partition_function(spec, 1.0)
+    z, err = partition_function(SphereHeatKernel(2, 0.25), 1.0)
     assert oracle == pytest.approx(1.8460202375634427, rel=1e-14)
-    assert pv.value == pytest.approx(oracle, rel=1e-13)
-    assert pv.tail_bound <= 1e-12
+    assert z == pytest.approx(oracle, rel=1e-13)
+    assert err <= 1e-12
+
+
+def _level_sum(n, a, t):
+    """sum_l mult_l exp(-lambda_l t) in 40-digit arithmetic, summed until
+    the terms fall below 1e-35 of the partial sum."""
+    with mp.workdps(40):
+        total, l = mp.mpf(0), 0
+        while True:
+            lam = mp.mpf(l * (l + n - 1)) / (2 * (n - 1)) + mp.mpf(a) * n / 2
+            term = sphere_multiplicity(n, l) * mp.exp(-lam * t)
+            total += term
+            if l > 5 and term < total * mp.mpf(10) ** -35:
+                return total
+            l += 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("a", [0.25, 1.0])
+def test_partition_trace_against_level_sum(n, a):
+    # the trace V H(o, o, t) of the series kernel is the eigenvalue sum; its
+    # error estimate, plus a few roundings of the value, covers the gap
+    kernel = SphereHeatKernel(n, a)
+    for t in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0):
+        z, err = partition_function(kernel, t)
+        exact = _level_sum(n, a, t)
+        assert abs(mp.mpf(z) - exact) <= err + 4.0 * np.finfo(float).eps * z, (t, z, exact)
 
 
 def test_partition_long_time_dominated_by_ground_state():
-    spec = sphere_spectrum(2, 0.25, 20)
     t = 60.0
-    pv = partition_function(spec, t)
-    assert pv.total == pytest.approx(math.exp(-0.25 * t), rel=1e-10)
+    z, err = partition_function(SphereHeatKernel(2, 0.25), t)
+    assert z == pytest.approx(math.exp(-0.25 * t), rel=1e-10)
+    assert z - err <= math.exp(-0.25 * t) <= z + err
 
 
 def test_partition_shift_identity():
-    spec = sphere_spectrum(2, 0.25, 30)
-    shifted = Spectrum(spec.values + 0.6, spec.a, "analytic", levels=spec.levels)
+    # on the sphere R is constant, so H_{a'} = exp(-(a' - a) R t) H_a; R = 1 on S^2
     t = 0.8
-    assert partition_function(shifted, t).value == pytest.approx(
-        partition_function(spec, t).value * math.exp(-0.6 * t), rel=1e-12)
+    z, _ = partition_function(SphereHeatKernel(2, 0.25), t)
+    shifted, _ = partition_function(SphereHeatKernel(2, 0.85), t)
+    assert shifted == pytest.approx(z * math.exp(-0.6 * t), rel=1e-12)
 
 
 def test_partition_rejects_nonpositive_time():
-    spec = sphere_spectrum(2, 0.25, 5)
-    with pytest.raises(ValueError):
-        partition_function(spec, 0.0)
+    kernel = SphereHeatKernel(2, 0.25)
+    for t in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            partition_function(kernel, t)
 
 
 def test_weyl_constant_and_counting_window():

@@ -21,7 +21,7 @@ def _wrapped_names():
     trial = entropy.TrialFunction
     return (kernels.EuclideanHeatKernel.evaluate, kernels.SphereHeatKernel.evaluate,
             kernels.CylinderHeatKernel.evaluate, kernels.SphereHeatKernel.profile,
-            kernels.GreenEvaluator.evaluate,
+            kernels.GreenEvaluator.evaluate, verify.partition_function,
             kernels.DirichletRadialHeatKernel.profile, verify.GrigoryanProbe.state,
             scipy.linalg.solve_banded, kernels.solve_banded,
             trial.normalize, trial.int_phi2, trial.int_grad2, trial.int_R_phi2,

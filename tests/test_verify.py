@@ -275,7 +275,7 @@ def test_eigenvalue_bound_first_two_levels():
     sp = parse_space("sphere:2")
     mu = mu_closed_form(sp)
     spec = sphere_spectrum(2, 0.25, 30)
-    rep = verify.eigenvalue_bound(spec, mu, sp.volume, 50, n=2, seed=0)
+    rep = verify.eigenvalue_bound(spec, mu, SphereHeatKernel(2, 0.25), 50, seed=0)
     assert rep.passed
     # oracle: bound(k) = (4 pi / e)(k e^mu / V) = k / e^2 here
     rows = {r["x_id"]: r for r in rep.points if r["x_id"].startswith("k=")}
@@ -288,25 +288,34 @@ def test_eigenvalue_bound_first_two_levels():
 def test_eigenvalue_bound_requires_enough_spectrum():
     spec = sphere_spectrum(2, 0.25, 3)
     with pytest.raises(ValueError):
-        verify.eigenvalue_bound(spec, 0.0, 8 * math.pi, 500, n=2)
+        verify.eigenvalue_bound(spec, 0.0, SphereHeatKernel(2, 0.25), 500)
 
 
-def test_eigenvalue_bound_excludes_uncertified_partition_times():
-    # a shallow spectrum cannot certify the partition sum at small times;
-    # those rows are excluded and counted instead of reported as violations
-    sp3 = parse_space("sphere:3")
-    mu3 = mu_closed_form(sp3)
-    spec = sphere_spectrum(3, 0.25, 40)
-    rep = verify.eigenvalue_bound(spec, mu3, sp3.volume, 400, n=3,
-                                  times=np.geomspace(1e-3, 1e2, 20), seed=0)
+def test_eigenvalue_bound_rejects_a_kernel_of_another_coupling():
+    spec = sphere_spectrum(2, 0.25, 30)
+    with pytest.raises(ValueError):
+        verify.eigenvalue_bound(spec, 0.0, SphereHeatKernel(2, 1.0), 50)
+
+
+@pytest.mark.parametrize("token", ["sphere:2", "sphere:3"])
+def test_eigenvalue_bound_certifies_every_partition_time(token):
+    # the partition rows read the series kernel's trace: every time of the
+    # default grid is certified, each at V times the ultracontractivity
+    # table's pole diagonal, bit for bit
+    cfg, store = ExperimentConfig(space=token), {}
+    rep = run_theorem("eigenvalue-bound", cfg, store=store)
+    ultra = run_theorem("ultracontractivity", cfg, store=store)
+    V = parse_space(token).volume
+    part = [r for r in rep.points if r["x_id"] == "partition"]
+    diag = [r for r in ultra.points if r["x_id"] == r["y_id"] == "p0"]
+    assert len(part) == len(diag) == 40
+    assert all(math.isfinite(r["slack"]) and math.isfinite(r["ratio"]) for r in part)
+    assert not any("truncation" in note for note in rep.notes)
+    assert [r["t"] for r in part] == [r["t"] for r in diag]
+    assert [r["lhs"] for r in part] == [V * r["lhs"] for r in diag]
     assert rep.passed
-    assert any("excluded" in note for note in rep.notes)
-    excluded = [r for r in rep.points
-                if r["x_id"] == "partition" and math.isnan(r["ratio"])]
-    assert len(excluded) >= 1
     # the dimension-two Weyl window does not gate at n = 3 (recorded only)
     assert any("Weyl ratio" in note for note in rep.notes)
-    assert not any("violated" in note for note in rep.notes) or rep.passed
 
 
 # ---------------------------------------------------------------------------
