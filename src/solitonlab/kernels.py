@@ -65,15 +65,16 @@ def zonal_values(sphere_dim: int, l_max: int, u) -> np.ndarray:
         raise DimensionError("zonal harmonics need sphere dimension >= 2")
     out = np.empty((l_max + 1,) + u.shape)
     if sphere_dim == 3:
+        # Z_l(theta) = (-1)^l Z_l(pi - theta): the quotient keeps its relative
+        # accuracy only at angles up to pi/2, so farther angles are reflected
         theta = np.arccos(np.clip(u, -1.0, 1.0))
         l = np.arange(1, l_max + 2).reshape((-1,) + (1,) * u.ndim)
-        small = np.abs(np.sin(theta)) < 1e-9
+        far = theta > math.pi / 2
+        theta = np.where(far, math.pi - theta, theta)
+        small = np.sin(theta) < 1e-9  # the limit at theta = 0 is Z_l = 1
         safe = np.where(small, 1.0, np.sin(theta))
-        vals = np.sin(l * theta) / (l * safe)
-        # limits at theta = 0, pi: Z_l = 1 and (-1)^l
-        at_pi = theta > math.pi / 2
-        lim = np.where(at_pi, (-1.0) ** (l - 1), 1.0)
-        out[:] = np.where(small, lim, vals)
+        sign = np.where(far, (-1.0) ** (l - 1), 1.0)
+        out[:] = sign * np.where(small, 1.0, np.sin(l * theta) / (l * safe))
         return out
     alpha = (sphere_dim - 1) / 2.0
     c_m2 = np.ones_like(u)
@@ -293,9 +294,10 @@ class SphereHeatKernel(TwoPointKernel):
         if not (math.isfinite(t) and t > 0.0):
             raise TimeDomainError("kernel times must be finite and positive")
         vals, tail, cutoff = self._laplace_series(u, t)
+        # rounding relative to the series' size: (4 pi t)^{-n/2} early, 1/V late
+        rounding = 1e-15 * (cutoff + 1) * max((4.0 * math.pi * t) ** (-self.n / 2.0), 1.0 / self._V)
         damp = math.exp(-self._aR * t)
-        rounding = 1e-15 * (cutoff + 1) * (4.0 * math.pi * t) ** (-self.n / 2.0)
-        return damp * vals, damp * tail + rounding
+        return damp * vals, damp * (tail + rounding)
 
     def separation(self, x: Point, y: Point) -> float:
         return self.space.distance(x, y) / self.space.sphere_radius
@@ -339,11 +341,8 @@ class SphereHeatKernel(TwoPointKernel):
         cos_zy = np.cos(U) * math.cos(theta) + np.sin(U) * math.sin(theta) * np.cos(V)
         k1, _ = self.profile(np.cos(ug), t)
         k2, _ = self.profile(cos_zy, s)
-        if n == 2:
-            # z = (u, v) polar coordinates about x; measure r0^2 sin(u) du dv, v in [0, 2 pi)
-            inner = np.sum(wg * k2, axis=1) * 2.0  # azimuthal symmetry: double the [0, pi] half
-            return float(np.sum(wg * k1 * np.sin(ug) * inner) * r0 ** 2)
-        # general n: measure r0^n sin^{n-1}(u) du * A_{n-2} sin^{n-2}(v) dv
+        # measure r0^n sin^{n-1}(u) du * A_{n-2} sin^{n-2}(v) dv; at n = 2,
+        # A_0 = 2 doubles the azimuthal half [0, pi]
         inner = np.sum(wg * np.sin(ug) ** (n - 2) * k2, axis=1)
         return float(np.sum(wg * k1 * np.sin(ug) ** (n - 1) * inner)
                      * r0 ** n * sphere_area(n - 2))

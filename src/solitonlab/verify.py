@@ -11,7 +11,9 @@ with its explicit iteration constants m(gamma), D0, delta.
 Checks return a VerificationReport carrying the worst-case slack (or ratio),
 any extracted empirical constants, per-grid-point rows for CSV export, and a
 pass flag. Non-explicit constants are never assumed: the pass criteria for
-them are finiteness plus stability under nested grid refinement.
+them are finiteness plus stability under nested grid refinement. The three
+ratio checks read a shared KernelTable through ``ratios``, one array pass
+per weight, and build rows only for the cells their report carries.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -249,13 +252,6 @@ def kernel_axioms(evaluator, samples: int = 6, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 
-def _guarded_exp_product(v: float, shift: float) -> float:
-    if v <= 0.0:
-        return 0.0
-    lr = math.log(v) + shift
-    return math.exp(lr) if lr < 700.0 else math.inf
-
-
 @dataclass(frozen=True)
 class KernelTable:
     """Kernel values and error estimates on a pair grid x a time grid."""
@@ -277,41 +273,52 @@ def kernel_table(evaluator, grid: PairGrid, times) -> KernelTable:
     return KernelTable(evaluator, grid, np.asarray(times), d, values, errors)
 
 
-def _ratio_rows(table: KernelTable, mu: float, log_weight) -> list:
-    """Rows of the ratio H * exp(mu + (n/2) ln(4 pi t) + log_weight(d, t)).
+class Ratios(NamedTuple):
+    """A ratio check's arrays over a kernel table, each of the table's shape."""
 
-    Computed in log space since far pairs at small times underflow the
-    kernel while the weight overflows. Grid points where the kernel value
-    sits inside the method's own noise floor AND the noise amplified by the
-    weight could not certify the bound are marked unresolved (ratio NaN);
-    deep-tail series values are pure cancellation noise there and would
-    otherwise poison the extracted constants.
-    """
-    n = table.evaluator.space.n
-    labels = table.grid.labels
-    rows = []
-    for k, (i, j) in enumerate(table.grid.pairs):
-        d = table.d[k]
-        for t, h, err in zip(table.times, table.values[k].tolist(), table.errors[k].tolist()):
-            shift = mu + 0.5 * n * math.log(4.0 * math.pi * t) + log_weight(d, float(t))
-            if h > 10.0 * err:
-                ratio = _guarded_exp_product(h, shift)
-                resolved = True
-            else:
-                noise_ratio = _guarded_exp_product(max(err, abs(h)), shift)
-                if noise_ratio <= 0.5:
-                    ratio = noise_ratio  # bound certified despite the noise
-                    resolved = True
-                else:
-                    ratio = math.nan
-                    resolved = False
-            rhs = math.exp(-min(max(shift, -700.0), 700.0))
-            rows.append({
-                "x_id": labels[i], "y_id": labels[j], "t": float(t),
-                "d": d, "lhs": h, "rhs": rhs, "slack": rhs - h, "ratio": ratio,
-                "resolved": resolved,
-            })
-    return rows
+    ratio: np.ndarray     # NaN where unresolved
+    resolved: np.ndarray
+    rhs: np.ndarray       # e^{-mu} (4 pi t)^{-n/2} e^{-log_weight}: the bound on H
+
+    def cells(self, index) -> Ratios:
+        return Ratios(*(v[index] for v in self))
+
+
+def _each(f, x: np.ndarray) -> np.ndarray:
+    """math's ``f`` at every entry (numpy's log and exp differ in the last bit on some)."""
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def ratios(table: KernelTable, mu: float, log_weight) -> Ratios:
+    """The ratio H * exp(mu + (n/2) ln(4 pi t) + log_weight(d, t)) over the table
+    in one array pass; ``log_weight`` takes the column of pair distances and the
+    row of times. Computed in log space, since far pairs at small times
+    underflow the kernel while the weight overflows. A cell resolves when its
+    value exceeds ten times its error estimate, or when the noise max(err, |h|)
+    times the factor still certifies the bound (at most 0.5); otherwise the
+    value is cancellation noise that would poison the extracted constants, and
+    its ratio is NaN."""
+    h, err = table.values, table.errors
+    d = np.asarray(table.d, dtype=float).reshape(-1, 1)
+    shift = mu + 0.5 * table.evaluator.space.n * _each(math.log, 4.0 * math.pi * table.times)
+    shift = np.broadcast_to(shift + log_weight(d, table.times), h.shape)
+    clean = h > 10.0 * err
+    v = np.where(clean, h, np.maximum(err, np.abs(h)))
+    positive = v > 0.0
+    lr = np.where(positive, _each(math.log, np.where(positive, v, 1.0)) + shift, -math.inf)
+    prod = np.where(lr < 700.0, _each(math.exp, np.minimum(lr, 700.0)), math.inf)
+    resolved = clean | (prod <= 0.5)
+    return Ratios(np.where(resolved, prod, math.nan), resolved,
+                  _each(math.exp, -np.clip(shift, -700.0, 700.0)))
+
+
+def _max_resolved(r: Ratios) -> tuple[float, tuple | None]:
+    """The largest resolved ratio and its (pair, time) cell, or inf and None."""
+    if not r.resolved.any():
+        return math.inf, None
+    masked = np.where(r.resolved, r.ratio, -math.inf)
+    cell = np.unravel_index(int(np.argmax(masked)), masked.shape)
+    return float(masked[cell]), cell
 
 
 # the note of a ratio check that had nothing to certify; it fails with ratio inf
@@ -331,10 +338,37 @@ def _empty_grid_report(theorem_id: str, space: str, a, grid: dict, tol: float, s
                               notes=[EMPTY_GRID_NOTE])
 
 
-def _max_resolved_ratio(rows) -> tuple[float, int]:
-    vals = [r["ratio"] for r in rows if r["resolved"]]
-    unresolved = sum(1 for r in rows if not r["resolved"])
-    return (max(vals) if vals else math.inf), unresolved
+def _ratio_report(theorem_id: str, table: KernelTable, r: Ratios,
+                  cells=(slice(None), slice(None)), *, worst: float, constants: dict,
+                  notes: list, grid: dict, tol: float, seed: int) -> VerificationReport:
+    """The report of a ratio check whose rows are the (pair, time) ``cells``
+    of the table; with no cell it fails with EMPTY_GRID_NOTE alone. After the
+    check's ``notes`` come the count of unresolved cells (of the rows and,
+    when they are a sub-grid, of the whole table) and NO_RESOLVED_NOTE when
+    no row resolves."""
+    space, a = table.evaluator.space, getattr(table.evaluator, "a", None)
+    shown = r.cells(cells)
+    if not shown.ratio.size:
+        return _empty_grid_report(theorem_id, space.token, a, grid, tol, seed, "ratio")
+    unresolved = int(np.count_nonzero(~shown.resolved))
+    if shown.ratio.size < r.ratio.size:
+        everywhere = int(np.count_nonzero(~r.resolved))
+        if everywhere:
+            notes.append(f"unresolved noise-floor points: {unresolved} base, {everywhere} refined")
+    elif unresolved:
+        notes.append(f"{unresolved} grid points below the method noise floor (excluded)")
+    if unresolved == shown.ratio.size:
+        notes.append(NO_RESOLVED_NOTE)
+    labels, ts = table.grid.labels, table.times[cells[1]].tolist()
+    hs, ratio, resolved, rhs = (v.tolist() for v in (table.values[cells], *shown))
+    rows = []
+    for k, ((i, j), d) in enumerate(zip(table.grid.pairs[cells[0]], table.d[cells[0]])):
+        for t, h, q, ok, b in zip(ts, hs[k], ratio[k], resolved[k], rhs[k]):
+            rows.append({"x_id": labels[i], "y_id": labels[j], "t": t, "d": d, "lhs": h,
+                         "rhs": b, "slack": b - h, "ratio": q, "resolved": ok})
+    return VerificationReport(theorem_id=theorem_id, space=space.token, a=a, grid=grid,
+                              tolerance=tol, seed=seed, mode="ratio", worst_case_slack=worst,
+                              extracted_constants=constants, points=rows, notes=notes)
 
 
 @_timed
@@ -347,40 +381,28 @@ def ultracontractivity(table: KernelTable, mu: float, tol: float = ANALYTIC_TOL,
     recorded in the notes and gate the check there.
     """
     space = table.evaluator.space
-    rows = _ratio_rows(table, mu, lambda d, t: 0.0)
-    worst, unresolved = _max_resolved_ratio(rows)
-    arg = max((r for r in rows if r["resolved"]), key=lambda r: r["ratio"], default=None)
-    notes = []
-    if unresolved:
-        notes.append(f"{unresolved} grid points below the method noise floor (excluded)")
-    if arg is None:
-        notes.append(NO_RESOLVED_NOTE)
-    elif space.kind == "gaussian":
-        diag = [r for r in rows if r["d"] == 0.0]
-        off = [r for r in rows if r["d"] > 0.0]
-        diag_dev = max(abs(r["ratio"] - 1.0) for r in diag) if diag else math.inf
-        off_ok = all(r["ratio"] < 1.0 for r in off)
-        notes.append(f"diagonal ratio deviation from 1: {diag_dev:.2e}")
-        notes.append("off-diagonal ratios strictly below 1: " + ("yes" if off_ok else "NO"))
+    r = ratios(table, mu, lambda d, t: 0.0)
+    worst, arg = _max_resolved(r)
+    sharp_notes = []
+    if arg is not None and space.kind == "gaussian":
+        d = np.asarray(table.d)
+        diag, off = r.ratio[d == 0.0], r.ratio[d > 0.0]
+        diag_dev = float(np.max(np.abs(diag - 1.0))) if diag.size else math.inf
+        off_ok = bool(np.all(off < 1.0))
+        sharp_notes = [f"diagonal ratio deviation from 1: {diag_dev:.2e}",
+                       "off-diagonal ratios strictly below 1: " + ("yes" if off_ok else "NO")]
         if diag_dev > 1e-13 or not off_ok:
             worst = math.inf  # sharpness structure broken
-    return VerificationReport(
-        theorem_id="ultracontractivity",
-        space=space.token,
-        a=getattr(table.evaluator, "a", None),
-        grid={"pairs": len(table.grid), "times": len(table.times)},
-        tolerance=tol,
-        seed=seed,
-        mode="ratio",
-        worst_case_slack=worst,
-        extracted_constants={
-            "max_ratio": worst,
-            "argmax": None if arg is None else {"x_id": arg["x_id"], "y_id": arg["y_id"],
-                                                "t": arg["t"]},
-        },
-        points=rows,
-        notes=notes,
-    )
+    argmax = None
+    if arg is not None:
+        (i, j), labels = table.grid.pairs[arg[0]], table.grid.labels
+        argmax = {"x_id": labels[i], "y_id": labels[j], "t": float(table.times[arg[1]])}
+    report = _ratio_report("ultracontractivity", table, r, worst=worst,
+                           constants={"max_ratio": worst, "argmax": argmax}, notes=[],
+                           grid={"pairs": len(table.grid), "times": len(table.times)},
+                           tol=tol, seed=seed)
+    report.notes += sharp_notes
+    return report
 
 
 @_timed
@@ -391,19 +413,23 @@ def gaussian_bound(table: KernelTable, mu: float, c: float, tol: float = ANALYTI
     A_emp is the grid maximum of H (4 pi t)^{n/2} e^mu e^{d^2/(ct)}; the pass
     criteria are finiteness and stability under nested refinement. ``table``
     is on the refined grid; the base grid, whose rows the report carries, is
-    its first half of the pairs at every other time. A splitting cross-check
-    bounds H by the weighted L2 integrals of both endpoints.
+    the slice [:pairs // 2, ::2] of it: the first half of the pairs at every
+    other time. A splitting cross-check bounds H by the weighted L2
+    integrals of both endpoints.
     """
     if c <= 4.0:
         raise ValueError("the off-diagonal weight requires c > 4")
     evaluator, g = table.evaluator, table.grid
     space = evaluator.space
-    rows2 = _ratio_rows(table, mu, lambda d, t: d * d / (c * t))
-    a_ref, unresolved2 = _max_resolved_ratio(rows2)
-    nt, pairs = len(table.times), len(g) // 2
-    rows = [rows2[k * nt + j] for k in range(pairs) for j in range(0, nt, 2)]
-    a_base, unresolved = _max_resolved_ratio(rows)
-    ts = table.times[::2]
+    base = (slice(len(g) // 2), slice(None, None, 2))
+    ts = table.times[base[1]]
+    grid = {"pairs": len(g) // 2, "times": len(ts), "c": c}
+    if not table.values[base].size:
+        return _empty_grid_report("gaussian-bound", space.token, getattr(evaluator, "a", None),
+                                  grid, stability, seed, "ratio")
+    r = ratios(table, mu, lambda d, t: d * d / (c * t))
+    a_ref, _ = _max_resolved(r)
+    a_base, _ = _max_resolved(r.cells(base))
 
     # splitting cross-check: H <= sqrt(E_D(x, t/2) E_D(y, t/2)) e^{-d^2/(2 D t)}
     D = c / 2.0
@@ -418,27 +444,13 @@ def gaussian_bound(table: KernelTable, mu: float, c: float, tol: float = ANALYTI
             split_worst = max(split_worst, evaluator(x, y, t) / bound)
     notes = [f"A_emp base {a_base:.6g}, refined {a_ref:.6g}",
              f"splitting cross-check max ratio {split_worst:.6g}"]
-    if unresolved or unresolved2:
-        notes.append(f"unresolved noise-floor points: {unresolved} base, {unresolved2} refined")
-    if unresolved == len(rows):
-        notes.append(NO_RESOLVED_NOTE)
     worst = a_ref / a_base if a_base > 0 else math.inf
     if not (math.isfinite(a_ref) and math.isfinite(a_base)) or split_worst > 1.0 + 10 * tol:
         worst = math.inf
-    return VerificationReport(
-        theorem_id="gaussian-bound",
-        space=space.token,
-        a=getattr(evaluator, "a", None),
-        grid={"pairs": pairs, "times": len(ts), "c": c},
-        tolerance=stability,
-        seed=seed,
-        mode="ratio",
-        worst_case_slack=worst,
-        extracted_constants={"A_emp": a_ref, "A_emp_base": a_base,
-                             "splitting_max_ratio": split_worst},
-        points=rows,
-        notes=notes,
-    )
+    return _ratio_report("gaussian-bound", table, r, base, worst=worst,
+                         constants={"A_emp": a_ref, "A_emp_base": a_base,
+                                    "splitting_max_ratio": split_worst},
+                         notes=notes, grid=grid, tol=stability, seed=seed)
 
 
 @_timed
@@ -448,34 +460,22 @@ def cr_bound(table: KernelTable, mu: float, C_R: float, tol: float = ANALYTIC_TO
 
     Also probes (without gating) whether the smaller exponent C_R t / 12
     holds empirically, since sharpness of 1/6 is not claimed anywhere; both
-    exponents read the one table of the Laplace kernel.
+    exponents read the one table of the Laplace kernel, one pass each.
     """
     if getattr(table.evaluator, "a", 0.0) != 0.0:
         raise ValueError("the curvature-corrected bound applies to the Laplace kernel (a = 0)")
-    rows = _ratio_rows(table, mu, lambda d, t: -C_R * t / 6.0)
-    worst, unresolved = _max_resolved_ratio(rows)
-    worst12, _ = _max_resolved_ratio(_ratio_rows(table, mu, lambda d, t: -C_R * t / 12.0))
+    r = ratios(table, mu, lambda d, t: -C_R * t / 6.0)
+    worst, _ = _max_resolved(r)
+    worst12, _ = _max_resolved(ratios(table, mu, lambda d, t: -C_R * t / 12.0))
     notes = [
         f"exploratory exponent C_R t/12: max ratio {worst12:.6g} "
         + ("(holds empirically)" if worst12 <= 1.0 + tol else "(fails empirically)")
     ]
-    if unresolved:
-        notes.append(f"{unresolved} grid points below the method noise floor (excluded)")
-    if unresolved == len(rows):
-        notes.append(NO_RESOLVED_NOTE)
-    return VerificationReport(
-        theorem_id="cr-bound",
-        space=table.evaluator.space.token,
-        a=0.0,
-        grid={"pairs": len(table.grid), "times": len(table.times), "C_R": C_R},
-        tolerance=tol,
-        seed=seed,
-        mode="ratio",
-        worst_case_slack=worst,
-        extracted_constants={"max_ratio": worst, "max_ratio_exponent_12": worst12},
-        points=rows,
-        notes=notes,
-    )
+    return _ratio_report("cr-bound", table, r, worst=worst,
+                         constants={"max_ratio": worst, "max_ratio_exponent_12": worst12},
+                         notes=notes,
+                         grid={"pairs": len(table.grid), "times": len(table.times), "C_R": C_R},
+                         tol=tol, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -1020,7 +1020,6 @@ def exploratory_a_sweep(space: SolitonSpace, a_values, make_evaluator,
     g = pair_grid(space, count=8, seed=seed)
     ts = time_grid(count=12)
     for a in a_values:
-        rows = _ratio_rows(kernel_table(make_evaluator(a), g, ts), mu, lambda d, t: 0.0)
-        mx, _ = _max_resolved_ratio(rows)
+        mx, _ = _max_resolved(ratios(kernel_table(make_evaluator(a), g, ts), mu, lambda d, t: 0.0))
         out.append({"a": float(a), "max_ratio": mx})
     return out

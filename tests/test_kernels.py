@@ -123,6 +123,25 @@ def test_zonal_closed_form_on_s3():
     assert Z[7][0] == pytest.approx(1.0)
 
 
+def test_s3_series_within_its_estimate_near_both_poles():
+    # sin((l+1) theta) / ((l+1) sin theta) cancels near the antipode; the
+    # reflection Z_l(theta) = (-1)^l Z_l(pi - theta) keeps the series inside
+    # its error estimate there, against the mpmath image sum
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", ORACLES)
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    ker = SphereHeatKernel(3, 0.25)
+    pole = ker.space.pole()
+    for phi in np.geomspace(1e-9, 1.0, 10):
+        for rho in (phi, math.pi - phi):
+            y = ker.space.point_at_distance(ker.space.sphere_radius * rho)
+            theta = ker.separation(pole, y)
+            for t in (1e-3, 1e-2, 0.1, 1.0):
+                v, err = ker.evaluate(pole, y, t)
+                exact = float(oracles.sphere3_kernel(ker.space.sphere_radius * theta, t, ker.a))
+                assert abs(v - exact) <= err, (rho, t, v, exact, err)
+
+
 # ---------------------------------------------------------------------------
 # sphere series
 # ---------------------------------------------------------------------------

@@ -176,6 +176,11 @@ def test_ratio_check_without_a_resolved_row_fails_with_a_note(check):
     assert verify.NO_RESOLVED_NOTE in rep.notes
 
 
+def _flat_table(pairs, times):
+    ev = EuclideanHeatKernel(make_space("gaussian", 3), 0.0)
+    return verify.kernel_table(ev, verify.pair_grid(ev.space, pairs, 0), verify.time_grid(times))
+
+
 @pytest.mark.parametrize("check", [
     lambda: verify.energy_monotonicity(discretize_radial(make_space("gaussian", 1), 8.0, 64),
                                        s=1.0, trials=0),
@@ -186,8 +191,17 @@ def test_ratio_check_without_a_resolved_row_fails_with_a_note(check):
                            trials=0),
     # the two Talenti trials of the flat space are no refinement grid either
     lambda: verify.sobolev(parse_space("gaussian:3"), 0.0, trials=0),
+    # a ratio table with no pair or no time; gaussian-bound reads its base half
+    lambda: verify.ultracontractivity(_flat_table(0, 40), 0.0),
+    lambda: verify.ultracontractivity(_flat_table(24, 0), 0.0),
+    lambda: verify.gaussian_bound(_flat_table(1, 79), 0.0, 8.0),
+    lambda: verify.gaussian_bound(_flat_table(48, 0), 0.0, 8.0),
+    lambda: verify.cr_bound(_flat_table(0, 40), 0.0, 0.0),
+    lambda: verify.cr_bound(_flat_table(24, 0), 0.0, 0.0),
 ], ids=["energy-monotonicity", "log-sobolev-no-trials", "log-sobolev-no-taus", "sobolev",
-        "sobolev-gaussian"])
+        "sobolev-gaussian", "ultracontractivity-no-pairs", "ultracontractivity-no-times",
+        "gaussian-bound-no-pairs", "gaussian-bound-no-times", "cr-bound-no-pairs",
+        "cr-bound-no-times"])
 def test_check_on_an_empty_grid_fails_with_a_note(check):
     rep = check()
     assert not rep.passed
@@ -205,22 +219,101 @@ def test_cylinder_ratio_rows_are_sphere_rows_times_line_factor():
     times = verify.time_grid()
     ctab = verify.kernel_table(CylinderHeatKernel(3, 0.25), grid, times)
     stab = verify.kernel_table(SphereHeatKernel(2, 0.25), sgrid, times)
-    ds = [grid.points[i].s - grid.points[j].s for i, j in grid.pairs]
+    ds = np.array([grid.points[i].s - grid.points[j].s for i, j in grid.pairs])
+    # compare only values that resolve on both sides
+    both = (ctab.values > 10.0 * ctab.errors) & (stab.values > 10.0 * stab.errors)
+    hc, ec, hs, es = ctab.values[both], ctab.errors[both], stab.values[both], stab.errors[both]
     compared = 0
     for c in (4.5, 5.0, 8.0, 16.0):
-        crows = verify._ratio_rows(ctab, mu_closed_form(cyl), lambda d, t: d * d / (c * t))
-        srows = verify._ratio_rows(stab, mu_closed_form(sph), lambda d, t: d * d / (c * t))
-        for idx, (cr, sr) in enumerate(zip(crows, srows)):
-            k, m = divmod(idx, len(times))
-            hc, ec = ctab.values[k, m], ctab.errors[k, m]
-            hs, es = stab.values[k, m], stab.errors[k, m]
-            if not (hc > 10.0 * ec and hs > 10.0 * es):
-                continue  # compare only values that resolve on both sides
-            expected = sr["ratio"] * math.exp(-ds[k] ** 2 * (0.25 - 1.0 / c) / cr["t"])
-            allowance = cr["ratio"] * ec / hc + expected * es / hs + 1e-12 * expected
-            assert abs(cr["ratio"] - expected) <= allowance, (c, cr)
-            compared += 1
-    assert compared >= 0.5 * 4 * len(crows)
+        cr = verify.ratios(ctab, mu_closed_form(cyl), lambda d, t: d * d / (c * t)).ratio[both]
+        sr = verify.ratios(stab, mu_closed_form(sph), lambda d, t: d * d / (c * t)).ratio[both]
+        line = np.exp(-ds[:, None] ** 2 * (0.25 - 1.0 / c) / times)[both]
+        expected = sr * line
+        allowance = cr * ec / hc + expected * es / hs + 1e-12 * expected
+        bad = np.flatnonzero(~(np.abs(cr - expected) <= allowance))  # NaN fails too
+        assert not bad.size, (c, cr[bad], expected[bad])
+        compared += cr.size
+    assert compared >= 0.5 * 4 * ctab.values.size
+
+
+def _reference_ratio_rows(table, mu, log_weight):
+    """The per-cell loop the array pass replaced, restated as its oracle;
+    ``log_weight`` takes one distance and one time."""
+    def guarded_exp_product(v, shift):
+        if v <= 0.0:
+            return 0.0
+        lr = math.log(v) + shift
+        return math.exp(lr) if lr < 700.0 else math.inf
+
+    n = table.evaluator.space.n
+    labels = table.grid.labels
+    rows = []
+    for k, (i, j) in enumerate(table.grid.pairs):
+        d = table.d[k]
+        for t, h, err in zip(table.times, table.values[k].tolist(), table.errors[k].tolist()):
+            shift = mu + 0.5 * n * math.log(4.0 * math.pi * t) + log_weight(d, float(t))
+            if h > 10.0 * err:
+                ratio, resolved = guarded_exp_product(h, shift), True
+            else:
+                noise_ratio = guarded_exp_product(max(err, abs(h)), shift)
+                if noise_ratio <= 0.5:
+                    ratio, resolved = noise_ratio, True  # bound certified despite the noise
+                else:
+                    ratio, resolved = math.nan, False
+            rhs = math.exp(-min(max(shift, -700.0), 700.0))
+            rows.append({"x_id": labels[i], "y_id": labels[j], "t": float(t), "d": d,
+                         "lhs": h, "rhs": rhs, "slack": rhs - h, "ratio": ratio,
+                         "resolved": resolved})
+    return rows
+
+
+def _same_rows(rows, ref):
+    # == on every field, with NaN equal to NaN
+    return len(rows) == len(ref) and all(
+        row.keys() == want.keys()
+        and all(row[k] == want[k] or (row[k] != row[k] and want[k] != want[k]) for k in want)
+        for row, want in zip(rows, ref))
+
+
+@pytest.mark.parametrize("space", ["gaussian:3", "sphere:2", "sphere:3", "cylinder:3"])
+def test_ratio_arrays_match_the_per_cell_loop(space, default_table):
+    # the refined table at a = 0.25 under the weights of ultracontractivity and
+    # gaussian-bound, and the Laplace table under both cr-bound exponents
+    sp = parse_space(space)
+    mu, C_R = mu_closed_form(sp), sp.sup_R
+    make = {"gaussian": lambda a: EuclideanHeatKernel(sp, a),
+            "sphere": lambda a: SphereHeatKernel(sp.n, a),
+            "cylinder": lambda a: CylinderHeatKernel(sp.n, a)}[sp.kind]
+    table = default_table(make(0.25), 0, refined=True)
+    laplace = default_table(make(0.0), 0, hi=50.0)
+    cases = [(table, lambda d, t: 0.0)]
+    cases += [(table, lambda d, t, c=c: d * d / (c * t)) for c in (4.5, 5.0, 8.0, 16.0)]
+    cases += [(laplace, lambda d, t: -C_R * t / 6.0), (laplace, lambda d, t: -C_R * t / 12.0)]
+    noise = unresolved = 0
+    for tab, weight in cases:
+        r = verify.ratios(tab, mu, weight)
+        ref = _reference_ratio_rows(tab, mu, weight)
+        shape = tab.values.shape
+        ref_ratio = np.array([row["ratio"] for row in ref]).reshape(shape)
+        assert np.array_equal(r.ratio, ref_ratio, equal_nan=True)
+        assert np.array_equal(r.resolved, np.array([row["resolved"] for row in ref]).reshape(shape))
+        assert np.array_equal(r.rhs, np.array([row["rhs"] for row in ref]).reshape(shape))
+        rows = verify._ratio_report("ratio", tab, r, worst=0.0, constants={}, notes=[], grid={},
+                                    tol=0.0, seed=0).points
+        assert _same_rows(rows, ref)
+        noise += int(np.count_nonzero(r.resolved & ~(tab.values > 10.0 * tab.errors)))
+        unresolved += int(np.count_nonzero(~r.resolved))
+    # the reports carry the same rows: all of them, or the base half of the refined table
+    assert _same_rows(verify.ultracontractivity(table, mu).points,
+                      _reference_ratio_rows(table, mu, lambda d, t: 0.0))
+    nt = len(table.times)
+    base = [row for idx, row in enumerate(_reference_ratio_rows(table, mu, cases[3][1]))
+            if idx // nt < len(table.grid) // 2 and idx % nt % 2 == 0]
+    assert _same_rows(verify.gaussian_bound(table, mu, 8.0).points, base)
+    assert _same_rows(verify.cr_bound(laplace, mu, C_R).points,
+                      _reference_ratio_rows(laplace, mu, cases[5][1]))
+    # the closed form leaves no cell unresolved
+    assert noise and (unresolved or sp.kind == "gaussian")
 
 
 def test_cylinder_a_emp_bounded_by_sphere_a_emp():
