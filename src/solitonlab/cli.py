@@ -2,15 +2,20 @@
 
 Configs are line-oriented ``key = value`` files with optional ``[section]``
 headers (bare keys count as the [experiment] section); unknown keys and
-out-of-range values are rejected with their line number. Reports are JSON
-(with per-grid-point rows), bulk data goes to CSV with a fixed column set,
-and re-running any subcommand with the same config and seed reproduces the
+out-of-range values are rejected with their line number. Each key is declared
+once, as an ``ExperimentConfig`` field carrying its section, key name and
+range check; a flag that overrides a setting has the field's name as its
+dest, so file values and flags pass the same check. Reports are JSON (with
+per-grid-point rows), bulk data goes to CSV with a fixed column set, and
+re-running any subcommand with the same config and seed reproduces the
 outputs byte for byte (a timestamp field is excluded from the config hash).
+The checks share one closed-form or series kernel per coupling: the ratio
+checks tabulate it, ``eigenvalue-bound`` reads its trace and ``green-bound``
+integrates it over time.
 """
 
-from __future__ import annotations
-
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -45,39 +50,57 @@ THEOREM_IDS = (
 # ---------------------------------------------------------------------------
 
 
+# range checks of the config values
+def _positive(x):
+    return x > 0
+
+
+def _nonneg(x):
+    return x >= 0
+
+
+def _setting(default, section: str, check=lambda v: True, key: str | None = None):
+    """A config field: its default, its ``[section]``, its key there when that
+    differs from the field name, and its range check."""
+    return field(default=default, metadata={"section": section, "check": check, "key": key})
+
+
 @dataclass
 class ExperimentConfig:
-    """Validated experiment configuration; the unit of reproducibility."""
+    """Validated experiment configuration; the unit of reproducibility. Each
+    field is one config key, and a command-line flag that overrides it has
+    the field's name as its argparse ``dest``."""
 
-    space: str = "gaussian:3"
-    a: float = 0.25
-    seed: int = 0
-    method: str = "auto"
-    series_eps: float = 1e-12
-    t_min: float = 1e-3
-    r_max: float = 40.0
-    m: int = 4096
-    t0: float = 1e-3
-    time_tol: float = 1e-4
-    pairs: int = 24
-    times: int = 40
-    t_low: float = 1e-3
-    t_high: float = 1e2
-    c_values: tuple = (4.5, 5.0, 8.0, 16.0)
-    tau_points: int = 20
-    tau_low: float = 1e-2
-    tau_high: float = 10.0
-    big_d: float = 10.0
-    gamma: float = 2.0
-    k_max: int = 400
-    trials: int = 100
-    probe_r_max: float = 8.0
-    probe_m: int = 512
-    probe_dt: float = 5e-4
-    tol_analytic: float = 1e-6
-    tol_fd: float = 1e-3
-    json_path: str | None = None
-    csv_dir: str | None = None
+    space: str = _setting("gaussian:3", "experiment")
+    a: float = _setting(0.25, "experiment", _nonneg)
+    seed: int = _setting(0, "experiment", _nonneg)
+    method: str = _setting("auto", "method", lambda s: s in kernels.METHODS, key="kind")
+    series_eps: float = _setting(1e-12, "method", _positive)
+    t_min: float = _setting(1e-3, "method", _positive)
+    r_max: float = _setting(40.0, "method", _positive)
+    m: int = _setting(4096, "method", lambda x: x >= 16)
+    t0: float = _setting(1e-3, "method", _positive)
+    time_tol: float = _setting(1e-4, "method", _positive)
+    pairs: int = _setting(24, "grids", lambda x: x >= 4)
+    times: int = _setting(40, "grids", lambda x: x >= 2)
+    t_low: float = _setting(1e-3, "grids", _positive)
+    t_high: float = _setting(1e2, "grids", _positive)
+    c_values: tuple = _setting((4.5, 5.0, 8.0, 16.0), "grids",
+                               lambda xs: len(xs) > 0 and all(x > 4.0 for x in xs), key="c")
+    tau_points: int = _setting(20, "grids", lambda x: x >= 1)
+    tau_low: float = _setting(1e-2, "grids", _positive)
+    tau_high: float = _setting(10.0, "grids", _positive)
+    big_d: float = _setting(10.0, "grids", lambda x: x > 2.0, key="D")
+    gamma: float = _setting(2.0, "grids", lambda x: x > 1.0)
+    k_max: int = _setting(400, "grids", _positive)
+    trials: int = _setting(100, "grids", _positive)
+    probe_r_max: float = _setting(8.0, "grids", _positive)
+    probe_m: int = _setting(512, "grids", lambda x: x >= 16)
+    probe_dt: float = _setting(5e-4, "grids", _positive)
+    tol_analytic: float = _setting(1e-6, "tolerances", _positive, key="analytic")
+    tol_fd: float = _setting(1e-3, "tolerances", _positive, key="fd")
+    json_path: str | None = _setting(None, "output", key="json")
+    csv_dir: str | None = _setting(None, "output")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -96,57 +119,20 @@ class ExperimentConfig:
         return np.geomspace(self.tau_low, self.tau_high, self.tau_points)
 
 
-# (section, key) -> (field, parser, validator description)
-def _positive(x):
-    return x > 0
+def _key(f: dataclasses.Field) -> str:
+    return f.metadata["key"] or f.name
 
 
-def _nonneg(x):
-    return x >= 0
+# (section, key) -> the config field
+_SCHEMA = {(f.metadata["section"], _key(f)): f for f in dataclasses.fields(ExperimentConfig)}
 
 
-_SCHEMA = {
-    ("experiment", "space"): ("space", "str", lambda s: True),
-    ("experiment", "a"): ("a", "float", _nonneg),
-    ("experiment", "seed"): ("seed", "int", _nonneg),
-    ("method", "kind"): ("method", "str",
-                         lambda s: s in ("auto", "closed_form", "spectral_series", "fd_dirichlet")),
-    ("method", "series_eps"): ("series_eps", "float", _positive),
-    ("method", "t_min"): ("t_min", "float", _positive),
-    ("method", "r_max"): ("r_max", "float", _positive),
-    ("method", "m"): ("m", "int", lambda x: x >= 16),
-    ("method", "t0"): ("t0", "float", _positive),
-    ("method", "time_tol"): ("time_tol", "float", _positive),
-    ("grids", "pairs"): ("pairs", "int", lambda x: x >= 4),
-    ("grids", "times"): ("times", "int", lambda x: x >= 2),
-    ("grids", "t_low"): ("t_low", "float", _positive),
-    ("grids", "t_high"): ("t_high", "float", _positive),
-    ("grids", "c"): ("c_values", "floats", lambda xs: len(xs) > 0 and all(x > 4.0 for x in xs)),
-    ("grids", "tau_points"): ("tau_points", "int", lambda x: x >= 1),
-    ("grids", "tau_low"): ("tau_low", "float", _positive),
-    ("grids", "tau_high"): ("tau_high", "float", _positive),
-    ("grids", "D"): ("big_d", "float", lambda x: x > 2.0),
-    ("grids", "gamma"): ("gamma", "float", lambda x: x > 1.0),
-    ("grids", "k_max"): ("k_max", "int", _positive),
-    ("grids", "trials"): ("trials", "int", _positive),
-    ("grids", "probe_r_max"): ("probe_r_max", "float", _positive),
-    ("grids", "probe_m"): ("probe_m", "int", lambda x: x >= 16),
-    ("grids", "probe_dt"): ("probe_dt", "float", _positive),
-    ("tolerances", "analytic"): ("tol_analytic", "float", _positive),
-    ("tolerances", "fd"): ("tol_fd", "float", _positive),
-    ("output", "json"): ("json_path", "str", lambda s: True),
-    ("output", "csv_dir"): ("csv_dir", "str", lambda s: True),
-}
-
-
-_FIELDS = {fld: (key, kind, valid) for (_, key), (fld, kind, valid) in _SCHEMA.items()}
-
-
-def _checked(key: str, kind: str, valid, value, line: int | None = None):
-    """``value`` if it is finite (float kinds) and in range, else ConfigError."""
-    floats = value if kind == "floats" else [value] if kind == "float" else []
-    if not all(math.isfinite(x) for x in floats) or not valid(value):
-        raise ConfigError(f"value out of range for {key!r}: {value!r}", line=line)
+def _checked(f: dataclasses.Field, value, line: int | None = None):
+    """``value`` if it is finite (float fields) and passes the field's range
+    check, else ConfigError."""
+    floats = value if f.type is tuple else [value] if f.type is float else []
+    if not all(math.isfinite(x) for x in floats) or not f.metadata["check"](value):
+        raise ConfigError(f"value out of range for {_key(f)!r}: {value!r}", line=line)
     return value
 
 
@@ -178,38 +164,36 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
                 lookup = matches[0]
             else:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]", line=lineno)
-        fld, kind, valid = _SCHEMA[lookup]
+        f = _SCHEMA[lookup]
         try:
-            parsed = _parse_value(value, kind)
+            parsed = _parse_value(value, f.type)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}", line=lineno) from None
-        setattr(cfg, fld, _checked(key, kind, valid, parsed, lineno))
-    for fld, value in (overrides or {}).items():
+        setattr(cfg, f.name, _checked(f, parsed, lineno))
+    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    for name, value in (overrides or {}).items():
         if value is not None:
-            setattr(cfg, fld, _checked(*_FIELDS[fld], value))
+            setattr(cfg, name, _checked(fields[name], value))
     try:
         parse_space(cfg.space)
-    except (ValueError, SolitonLabError) as exc:
+    except (ValueError, ArithmeticError, SolitonLabError) as exc:
         raise ConfigError(f"bad space token: {exc}") from None
     if cfg.t_high <= cfg.t_low or cfg.tau_high <= cfg.tau_low:
         raise ConfigError("grid upper endpoints must exceed the lower ones")
     return cfg
 
 
-def _parse_value(value: str, kind: str):
+def _parse_value(value: str, typ):
+    """A config value as the field's type: int, float, a tuple of
+    comma-separated floats, or a string with optional quotes. Annotations in
+    this module are not postponed, so ``typ`` is the type itself."""
     if value.startswith('"') and value.endswith('"') and len(value) >= 2:
         value = value[1:-1]
     elif value.startswith("'") and value.endswith("'") and len(value) >= 2:
         value = value[1:-1]
-    if kind == "str":
-        return value
-    if kind == "int":
-        return int(value)
-    if kind == "float":
-        return float(value)
-    if kind == "floats":
+    if typ is tuple:
         return tuple(float(v.strip()) for v in value.split(",") if v.strip())
-    raise ValueError(f"unhandled kind {kind}")
+    return typ(value) if typ in (int, float) else value
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> ExperimentConfig:
@@ -254,33 +238,16 @@ def _write_json(doc: dict, path: str | None) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (float, np.floating)):
-        if math.isnan(v):
-            return "nan"
-        return repr(float(v))
-    if isinstance(v, np.integer):
-        return str(int(v))
-    return str(v)
-
-
 def write_points_csv(report: dict, path: str) -> None:
-    """One row per grid point with the documented stable column set."""
-    lines = [",".join(CSV_COLUMNS)]
+    """One row per grid point with the documented stable column set; a
+    missing cell is empty, and a cell holding a comma is quoted."""
     meta = {"theorem_id": report.get("theorem_id"), "space": report.get("space"),
             "a": report.get("a")}
-    for row in report.get("points", []):
-        cells = []
-        for col in CSV_COLUMNS:
-            if col in meta:
-                cells.append(_csv_cell(meta[col]))
-            else:
-                cells.append(_csv_cell(row.get(col)))
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, CSV_COLUMNS, restval="", extrasaction="ignore",
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerows({**row, **meta} for row in report.get("points", []))
 
 
 def emit_plot_data(report_doc: dict, out_dir: str) -> list:
@@ -306,11 +273,14 @@ def _seed_for(cfg: ExperimentConfig, name: str) -> int:
     return (cfg.seed + zlib.crc32(name.encode())) % (2 ** 63)
 
 
-def _evaluator(cfg: ExperimentConfig, a: float):
+def _evaluator(cfg: ExperimentConfig, a: float, method: str | None = None):
+    """The kernel of ``method`` (the configured one by default) at coupling a;
+    ``auto`` is the closed-form or series kernel."""
+    method = cfg.method if method is None else method
     params = {"eps": cfg.series_eps, "t_min": cfg.t_min}
-    if cfg.method == "fd_dirichlet":
+    if method == "fd_dirichlet":
         params = {"R_max": cfg.r_max, "m": cfg.m, "t0": cfg.t0, "time_tol": cfg.time_tol}
-    return kernels.heat_kernel(parse_space(cfg.space), a, method=cfg.method, **params)
+    return kernels.heat_kernel(parse_space(cfg.space), a, method=method, **params)
 
 
 def _skip_reason(theorem_id: str, cfg: ExperimentConfig) -> str | None:
@@ -347,7 +317,7 @@ def _shared(store: dict, key, build):
 def run_theorem(theorem_id: str, cfg: ExperimentConfig, *, store: dict | None = None,
                 **kw) -> verify.VerificationReport:
     """Build what the check needs from the config and run it. ``store``, kept
-    by the caller for one config, shares the two-point evaluators (one per
+    by the caller for one config, shares the evaluators (one per method and
     coupling) and kernel tables (one per grid) between checks."""
     reason = _skip_reason(theorem_id, cfg)
     if reason is not None:
@@ -358,8 +328,8 @@ def run_theorem(theorem_id: str, cfg: ExperimentConfig, *, store: dict | None = 
     seed = _seed_for(cfg, theorem_id)
     times = verify.time_grid(cfg.times, cfg.t_low, cfg.t_high)
 
-    def evaluator(a):
-        return _shared(store, ("evaluator", a), lambda: _evaluator(cfg, a))
+    def evaluator(a, method=cfg.method):
+        return _shared(store, (method, a), lambda: _evaluator(cfg, a, method))
 
     def table(a, pairs, ts):
         return _shared(store, ("table", a, pairs, seed, ts.tobytes()),
@@ -382,17 +352,15 @@ def run_theorem(theorem_id: str, cfg: ExperimentConfig, *, store: dict | None = 
         ts = verify.time_grid(cfg.times, cfg.t_low, min(cfg.t_high, 50.0))
         return verify.cr_bound(table(0.0, cfg.pairs, ts), mu, space.sup_R,
                                tol=cfg.tol_analytic, seed=seed)
+    # the Green's function integrates, and the partition rows trace, the
+    # closed-form or series kernel whatever the configured method
     if theorem_id == "green-bound":
-        gv = kernels.green(space, cfg.a)
-        return verify.green_bound(gv, mu, tol=cfg.tol_analytic, seed=seed)
+        return verify.green_bound(kernels.GreenEvaluator(evaluator(cfg.a, "auto")), mu,
+                                  tol=cfg.tol_analytic, seed=seed)
     if theorem_id == "eigenvalue-bound":
-        # the partition rows read the series kernel's trace, whatever the
-        # configured method; the store's evaluator is that kernel under the series
-        kernel = (evaluator(cfg.a) if cfg.method in ("auto", "spectral_series") else
-                  kernels.heat_kernel(space, cfg.a, eps=cfg.series_eps, t_min=cfg.t_min))
         spec = spectral.sphere_spectrum(space.n, cfg.a, _level_for_count(space.n, cfg.k_max))
-        return verify.eigenvalue_bound(spec, mu, kernel, cfg.k_max, times=times,
-                                       tol=cfg.tol_analytic, seed=seed)
+        return verify.eigenvalue_bound(spec, mu, evaluator(cfg.a, "auto"), cfg.k_max,
+                                       times=times, tol=cfg.tol_analytic, seed=seed)
     if theorem_id == "log-sobolev":
         return verify.log_sobolev(space, mu, trials=cfg.trials,
                                   tau_grid=cfg.tau_grid(), seed=seed,
@@ -550,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--c", type=float, default=None)
-    p.add_argument("--D", type=float, default=None)
+    p.add_argument("--D", dest="big_d", metavar="D", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--tau-grid", default=None, help="lo,hi,count")
     p.add_argument("--k-max", type=int, default=None)
@@ -569,12 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# command-line flag -> the config field it overrides
-_FLAG_FIELDS = {"space": "space", "a": "a", "method": "method", "trials": "trials",
-                "seed": "seed", "D": "big_d", "gamma": "gamma", "k_max": "k_max",
-                "r_max": "r_max", "m": "m", "json_path": "json_path", "csv_dir": "csv_dir"}
-
-
 def _tau_grid(text: str) -> dict:
     """Config overrides from a ``lo,hi,count`` tau grid flag."""
     fields = text.split(",")
@@ -590,7 +552,9 @@ def _tau_grid(text: str) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        overrides = {fld: getattr(args, flag, None) for flag, fld in _FLAG_FIELDS.items()}
+        # a flag that overrides a setting has the field's name as its dest
+        overrides = {f.name: getattr(args, f.name, None)
+                     for f in dataclasses.fields(ExperimentConfig)}
         if getattr(args, "tau_grid", None) is not None:
             overrides.update(_tau_grid(args.tau_grid))
         cfg = load_config(args.config, overrides)
@@ -678,7 +642,7 @@ def _dispatch(args, cfg: ExperimentConfig) -> int:
 
     if args.command == "green":
         sp = parse_space(cfg.space)
-        gv = kernels.green(sp, cfg.a)
+        gv = kernels.GreenEvaluator(_evaluator(cfg, cfg.a, "auto"))
         x = _parse_point(sp, args.x)
         y = _parse_point(sp, args.y)
         if sp.distance(x, y) == 0.0:

@@ -20,6 +20,8 @@ evaluation routes are implemented, matched to the catalogue:
   hold one solution per row, and the weighted-energy probe is a view on it.
 
 Every evaluator reports a per-evaluation error estimate next to the value.
+``GreenEvaluator`` integrates a given two-point kernel over time, so the
+Green's function rests on the same kernel the heat-kernel checks tabulate.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ from .spectral import DiscretizedOperator, discretize_radial, sphere_multiplicit
 
 EPS = float(np.finfo(float).eps)
 FD_DT_MIN, FD_DT_MAX = 1e-7, 4e-3  # bounds on a finite-difference march step
+METHODS = ("auto", "closed_form", "spectral_series", "fd_dirichlet")
+# level cap of the zonal series: times t >= t_min need fewer than 2000 levels,
+# and the Green time integral, which reaches down to t = d^2 / 282, fewer than 8000
+L_MAX = 8000
+GREEN_REL_TAIL = 1e-12  # the Green time integral stops below this share
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +157,7 @@ class EuclideanHeatKernel(TwoPointKernel):
 
     space: SolitonSpace
     a: float = 0.0
-    method: str = "closed_form"
+    method = "closed_form"
 
     def separation(self, x: Point, y: Point) -> float:
         return self.space.distance(x, y)
@@ -224,16 +231,15 @@ class SphereHeatKernel(TwoPointKernel):
 
     The separation is the angle d / radius. The series is cut once the
     rigorous term bound mult(l) e^{-lambda_l t}/V drops below ``eps`` while
-    decreasing; ``l_max`` caps the level. Times below ``t_min`` are rejected
+    decreasing; ``L_MAX`` caps the level. Times below ``t_min`` are rejected
     by ``evaluate`` because the series loses accuracy to cancellation there.
     """
 
     n: int
     a: float
     eps: float = 1e-12
-    l_max: int = 2000
     t_min: float = 1e-3
-    method: str = "spectral_series"
+    method = "spectral_series"
     space: SolitonSpace = field(init=False)
 
     def __post_init__(self):
@@ -242,8 +248,8 @@ class SphereHeatKernel(TwoPointKernel):
         self._V = self.space.volume
         self._aR = self.a * self.space.sup_R
         # level table: eigenvalues of the Laplacian and multiplicities for
-        # l = 0 .. l_max + 10000, the reach of the tail estimate
-        levels = np.arange(self.l_max + 10001)
+        # l = 0 .. L_MAX + 10000, the reach of the tail estimate
+        levels = np.arange(L_MAX + 10001)
         self._lam = (levels * (levels + self.n - 1)).astype(float) / self._radius2
         self._mult = np.fromiter((float(sphere_multiplicity(self.n, l)) for l in levels),
                                  float, len(levels))
@@ -263,11 +269,11 @@ class SphereHeatKernel(TwoPointKernel):
         top = min(live + 1, len(w))
         b = self._mult[:top] * np.fromiter(map(math.exp, memoryview(-np.minimum(w[:top], 745.0))),
                                            float, top) / self._V
-        stop = min(self.l_max, top - 1)
+        stop = min(L_MAX, top - 1)
         hits = np.flatnonzero((b[1:stop + 1] < self.eps) & (b[1:stop + 1] < b[:stop]))
         if not hits.size:
             raise SeriesTruncationError(
-                f"zonal series needs more than l_max={self.l_max} levels at t={t}"
+                f"zonal series needs more than L_MAX={L_MAX} levels at t={t}"
             )
         cutoff = int(hits[0]) + 1
         coef = b[:min(cutoff + 1, live), None]
@@ -363,16 +369,15 @@ class CylinderHeatKernel(TwoPointKernel):
     n: int
     a: float
     eps: float = 1e-12
-    l_max: int = 2000
     t_min: float = 1e-3
-    method: str = "spectral_series"
+    method = "spectral_series"
     space: SolitonSpace = field(init=False)
 
     def __post_init__(self):
         if self.n < 3:
             raise DimensionError("cylinder kernels need n >= 3")
         self.space = make_space("cylinder", self.n)
-        self.sphere = SphereHeatKernel(self.n - 1, self.a, eps=self.eps, l_max=self.l_max)
+        self.sphere = SphereHeatKernel(self.n - 1, self.a, eps=self.eps)
         self.line = EuclideanHeatKernel(make_space("gaussian", 1))
 
     def separation(self, x: Point, y: Point) -> tuple[float, float]:
@@ -637,6 +642,8 @@ class DirichletRadialHeatKernel:
         interp = kappa ** 4 * self.h ** 4 / 24.0
         # roundoff stays relative to the local scale in the graded solve
         rounding = 3e-12
+        if spatial + time_exp > 709.0:  # expm1 overflows: the value is uncertified
+            return math.inf
         return abs(value) * (math.expm1(spatial + time_exp) + interp + rounding)
 
 
@@ -646,13 +653,14 @@ class DirichletRadialHeatKernel:
 
 
 def heat_kernel(space: SolitonSpace, a: float, method: str = "auto", **params):
-    """Build the natural evaluator for a catalogue space.
+    """Build the evaluator of ``method``, one of ``METHODS``, on a catalogue space.
 
     ``auto`` picks the closed form on gaussian spaces and the spectral series
-    elsewhere; the closed form needs no parameters and ignores the series
-    ones (eps, l_max, t_min). ``fd_dirichlet`` needs grid parameters (R_max,
-    m, t0).
+    elsewhere; the series takes ``eps`` and ``t_min``, which the closed form
+    ignores. ``fd_dirichlet`` takes grid parameters (R_max, m, t0, time_tol).
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown kernel method {method!r}; choose from {METHODS}")
     if method == "auto":
         method = "closed_form" if space.kind == "gaussian" else "spectral_series"
     if method == "closed_form":
@@ -665,10 +673,9 @@ def heat_kernel(space: SolitonSpace, a: float, method: str = "auto", **params):
         if space.kind == "cylinder":
             return CylinderHeatKernel(space.n, a, **params)
         raise KindMismatchError("no spectral series on the gaussian space; use closed_form")
-    if method == "fd_dirichlet":
-        op = discretize_radial(space, params.pop("R_max", 40.0), params.pop("m", 4096), a)
-        return DirichletRadialHeatKernel(op, params.pop("t0", 1e-3), **params)
-    raise ValueError(f"unknown kernel method {method!r}")
+    # fd_dirichlet
+    op = discretize_radial(space, params.pop("R_max", 40.0), params.pop("m", 4096), a)
+    return DirichletRadialHeatKernel(op, params.pop("t0", 1e-3), **params)
 
 
 # ---------------------------------------------------------------------------
@@ -677,34 +684,35 @@ def heat_kernel(space: SolitonSpace, a: float, method: str = "auto", **params):
 
 
 class GreenEvaluator:
-    """Time integral of the heat kernel, split at t = r^2.
+    """Time integral of a two-point heat kernel, split at t = r^2.
 
-    The near part is integrated adaptively on [t_floor, r^2]: t_floor = 0
-    without a Schrodinger gap (a R = 0, the gaussian space); with a gap it is
-    chosen so the omitted mass is below rounding, and recorded in the error
-    estimate. The far part runs over doubling log windows until a rigorous
-    remainder bound falls under ``rel_tail`` of the running total.
+    ``kernel.pair`` is integrated without the kernel's t_min gate, and the
+    space and coupling are the kernel's. The near part is integrated
+    adaptively on [t_floor, r^2]: t_floor = 0 without a Schrodinger gap
+    (a R = 0, the gaussian space); with a gap it is chosen so the omitted mass
+    is below rounding, and recorded in the error estimate. The far part runs
+    over doubling log windows until a rigorous remainder bound falls under
+    ``GREEN_REL_TAIL`` of the running total.
     """
 
-    def __init__(self, space: SolitonSpace, a: float, eps: float = 1e-12,
-                 l_max: int = 8000, rel_tail: float = 1e-12):
+    def __init__(self, kernel: TwoPointKernel):
+        space = kernel.space
         if space.n < 3:
             raise DimensionError("Green's functions need n >= 3")
         self.space = space
-        self.a = float(a)
-        self.rel_tail = rel_tail
+        self.a = float(kernel.a)
         self._gap = self.a * space.sup_R
         if space.kind != "gaussian" and self._gap <= 0.0:
             raise DivergenceError(
                 f"{space.token} has no positive Green's function without the gap a R > 0"
             )
-        self._kernel = heat_kernel(space, a, eps=eps, l_max=l_max, t_min=0.0)
+        self.kernel = kernel
 
     def evaluate(self, x: Point, y: Point) -> tuple[float, float]:
         d = self.space.distance(x, y)
         if d == 0.0:
             raise ValueError("Green's function is singular on the diagonal")
-        h = self._kernel.pair(x, y)
+        h = self.kernel.pair(x, y)
         n, gap = self.space.n, self._gap
 
         if gap > 0.0:
@@ -734,7 +742,7 @@ class GreenEvaluator:
             err += e
             lo = hi
             b = bound(lo)
-            if b < self.rel_tail * max(total, 1e-300):
+            if b < GREEN_REL_TAIL * max(total, 1e-300):
                 break
             if gap > 0.0 and lo > 1e6 / gap:
                 raise DivergenceError("Green tail failed to come down; integral diverges")
@@ -755,9 +763,10 @@ def _gaussian_time_tail(n: int, d: float, T: float) -> float:
     return val
 
 
-def green(space: SolitonSpace, a: float, **kw) -> GreenEvaluator:
-    """Green's function evaluator of the Schrodinger operator (n >= 3)."""
-    return GreenEvaluator(space, a, **kw)
+def green(space: SolitonSpace, a: float) -> GreenEvaluator:
+    """Green's function evaluator of the Schrodinger operator (n >= 3), over
+    the closed-form or series kernel at its default accuracy."""
+    return GreenEvaluator(heat_kernel(space, a))
 
 
 # ---------------------------------------------------------------------------

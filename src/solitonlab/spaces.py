@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DimensionError, KindMismatchError
+from .quadrature import leggauss_ab
 
 KINDS = ("gaussian", "sphere", "cylinder")
 
@@ -208,26 +209,29 @@ class SolitonSpace:
         """Volume of the geodesic ball of radius t (around any point).
 
         Closed form on gaussian, cap integral on the sphere (saturating to the
-        total volume), and a one-dimensional slice integral on the cylinder.
+        total volume), and a one-dimensional slice integral on the cylinder;
+        the integrals are Gauss-Legendre rules.
         """
         if t <= 0.0:
             return 0.0
         if self.kind == "gaussian":
             return ball_volume(self.n, t)
-        if self.kind == "sphere":
-            r = self.sphere_radius
-            theta_max = min(t / r, math.pi)
-            return sphere_area(self.n - 1) * r ** self.n * _sin_power_integral(theta_max, self.n - 1)
-        # cylinder: slice along the line coordinate, sphere-factor caps across
         r = self.sphere_radius
-        grid = np.linspace(-t, t, 513)
-        caps = np.empty_like(grid)
-        area = sphere_area(self.n - 2)
-        for i, s in enumerate(grid):
-            rho = math.sqrt(max(t * t - s * s, 0.0))
-            alpha = min(rho / r, math.pi)
-            caps[i] = area * r ** (self.n - 1) * _sin_power_integral(alpha, self.n - 2)
-        return float(np.trapezoid(caps, grid))
+        if self.kind == "sphere":
+            theta_max = min(t / r, math.pi)
+            return sphere_area(self.n - 1) * r ** self.n * float(
+                _sin_power_integral(theta_max, self.n - 1))
+
+        def cap(rho):  # the sphere factor's ball volume
+            return sphere_area(self.n - 2) * r ** (self.n - 1) * _sin_power_integral(
+                np.minimum(rho / r, math.pi), self.n - 2)
+
+        # V = integral over |s| <= t of cap(sqrt(t^2 - s^2)); with s = t cos phi
+        # the caps saturate past phi*, where t sin phi = pi r
+        phi_star = math.asin(min(1.0, math.pi * r / t))
+        phi, w = leggauss_ab(64, 0.0, phi_star)
+        inner = np.sum(w * cap(t * np.sin(phi)) * np.sin(phi))
+        return float(2.0 * t * (inner + math.cos(phi_star) * cap(math.pi * r)))
 
     def _check(self, p: Point) -> None:
         if p.kind != self.kind:
@@ -246,12 +250,12 @@ def _angle(u: np.ndarray, v: np.ndarray) -> float:
     return math.acos(min(1.0, max(-1.0, float(np.dot(u, v)))))
 
 
-def _sin_power_integral(theta: float, k: int) -> float:
-    """Integral of sin^k over [0, theta] with a fixed-node rule (k >= 0)."""
-    if theta <= 0.0:
-        return 0.0
-    x = np.linspace(0.0, theta, 2049)
-    return float(np.trapezoid(np.sin(x) ** k, x))
+def _sin_power_integral(theta, k: int) -> np.ndarray:
+    """Integral of sin^k over [0, theta] (k >= 0, 0 <= theta <= pi) by a
+    32-node Gauss-Legendre rule, at each entry of ``theta``."""
+    x, w = leggauss_ab(32, 0.0, 1.0)
+    theta = np.asarray(theta, dtype=float)[..., None]
+    return np.sum(w * theta * np.sin(theta * x) ** k, axis=-1)
 
 
 def make_space(kind: str, n: int) -> SolitonSpace:

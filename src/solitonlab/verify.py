@@ -431,17 +431,18 @@ def gaussian_bound(table: KernelTable, mu: float, c: float, tol: float = ANALYTI
     a_ref, _ = _max_resolved(r)
     a_base, _ = _max_resolved(r.cells(base))
 
-    # splitting cross-check: H <= sqrt(E_D(x, t/2) E_D(y, t/2)) e^{-d^2/(2 D t)}
+    # splitting cross-check: H <= sqrt(E_D(x, t/2) E_D(y, t/2)) e^{-d^2/(2 D t)},
+    # at the middle and last base times, read from the table's first 4 rows
     D = c / 2.0
     split_worst = 0.0
-    for (i, j) in g.pairs[:4]:
-        x, y = g.points[i], g.points[j]
-        d = space.distance(x, y)
-        for t in (float(ts[len(ts) // 2]), float(ts[-1])):
+    for k, (i, j) in enumerate(g.pairs[:4]):
+        x, y, d = g.points[i], g.points[j], table.d[k]
+        for col in (2 * (len(ts) // 2), 2 * (len(ts) - 1)):
+            t = float(table.times[col])
             ex = evaluator.weighted_l2(x, t / 2.0, D)
             ey = evaluator.weighted_l2(y, t / 2.0, D)
             bound = math.sqrt(ex * ey) * math.exp(-d * d / (2.0 * D * t))
-            split_worst = max(split_worst, evaluator(x, y, t) / bound)
+            split_worst = max(split_worst, table.values[k, col] / bound)
     notes = [f"A_emp base {a_base:.6g}, refined {a_ref:.6g}",
              f"splitting cross-check max ratio {split_worst:.6g}"]
     worst = a_ref / a_base if a_base > 0 else math.inf

@@ -1,10 +1,14 @@
+import csv
+import dataclasses
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from solitonlab import kernels, verify
 from solitonlab.cli import (
     EXIT_CONFIG,
     EXIT_PASS,
@@ -19,6 +23,7 @@ from solitonlab.cli import (
     write_points_csv,
 )
 from solitonlab.exceptions import ConfigError
+from solitonlab.spaces import KINDS
 
 SMALL_GRID = """
 space = "gaussian:3"
@@ -88,6 +93,42 @@ analytic = 1e-7
 def test_bad_space_token_rejected():
     with pytest.raises(ConfigError):
         parse_config('space = "torus:7"')
+    with pytest.raises(ConfigError):
+        parse_config('space = "sphere:400"')  # its volume overflows a float
+
+
+# config values as text: numbers of every size and sign, non-finite ones,
+# comma lists, space tokens and free text without line breaks
+CONFIG_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.lists(st.floats(), max_size=3).map(lambda xs: ", ".join(map(repr, xs))),
+    st.sampled_from(["nan", "inf", "-inf", "-0", "-0.0", "1e400", "-1e-400", "", ",",
+                     "lots", "4.5, 5", "auto", "fd_dirichlet", '"sphere:3"']),
+    st.builds(lambda kind, n: f"{kind}:{n}", st.sampled_from(KINDS), st.integers(-2, 10 ** 6)),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), max_size=12),
+)
+
+
+@pytest.mark.parametrize("f", dataclasses.fields(ExperimentConfig), ids=lambda f: f.name)
+@settings(max_examples=100, deadline=None)
+@given(value=CONFIG_VALUES)
+def test_config_keys_accept_only_values_their_check_passes(f, value):
+    # every key, drawn from the field declarations, either takes a value
+    # that passes the field's check or raises ConfigError; a value the field
+    # rejects is named with its line, and only the cross-field checks (the
+    # space token, the grid endpoints) name none
+    key = f.metadata["key"] or f.name
+    text = f"# drawn value\n[{f.metadata['section']}]\n{key} = {value}\n"
+    try:
+        cfg = parse_config(text)
+    except ConfigError as exc:
+        assert exc.line == 3 or (exc.line is None and f.name in (
+            "space", "t_low", "t_high", "tau_low", "tau_high"))
+        return
+    got = getattr(cfg, f.name)
+    floats = got if f.type is tuple else [got] if f.type is float else []
+    assert all(math.isfinite(x) for x in floats) and f.metadata["check"](got)
 
 
 def test_small_coupling_rejected_for_gaussian_bound():
@@ -386,6 +427,15 @@ def test_numpy_scalar_cells_are_plain_numbers(tmp_path):
     assert path.read_text().splitlines()[1] == "x,sphere:3,0.25,3,4,0.1,31.6,0.5,nan,"
 
 
+def test_csv_cell_with_a_comma_is_quoted(tmp_path):
+    path = tmp_path / "comma.csv"
+    write_points_csv({"theorem_id": "x", "space": "sphere:3", "a": 0.25,
+                      "points": [{"x_id": "p0,p1", "y_id": "d=1", "t": 0.5}]}, str(path))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1] == ["x", "sphere:3", "0.25", "p0,p1", "d=1", "0.5", "", "", "", ""]
+
+
 def test_plot_data_round_trip(tmp_path):
     cfg = tmp_path / "small.cfg"
     cfg.write_text(SMALL_GRID)
@@ -425,3 +475,39 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     a = (dirs[0] / "log-sobolev.csv").read_bytes()
     b = (dirs[1] / "log-sobolev.csv").read_bytes()
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# one kernel per coupling
+# ---------------------------------------------------------------------------
+
+
+def test_series_eps_reaches_the_green_kernel(monkeypatch):
+    seen = []
+    monkeypatch.setattr(verify, "green_bound", lambda gv, mu, **kw: seen.append(gv))
+    run_theorem("green-bound", parse_config('space = "sphere:3"\n[method]\nseries_eps = 1e-8\n'))
+    assert seen[0].kernel.eps == 1e-8
+
+
+def test_sphere_suite_builds_one_series_kernel_per_coupling(monkeypatch):
+    # the store's kernel at a serves every check at a, green-bound included;
+    # cr-bound reads the Laplace kernel (a = 0)
+    built = []
+    init = kernels.SphereHeatKernel.__post_init__
+
+    def counted(self):
+        built.append(self.a)
+        init(self)
+
+    monkeypatch.setattr(kernels.SphereHeatKernel, "__post_init__", counted)
+    _, code = run_suite(ExperimentConfig(space="sphere:3"))
+    assert code == EXIT_PASS
+    assert sorted(built) == [0.0, 0.25]
+
+
+def test_flags_override_the_fields_they_name(tmp_path):
+    out = tmp_path / "g.json"
+    argv = ["--json", str(out), "verify", "grigoryan-constants", "--D", "12", "--gamma", "3"]
+    assert main(argv) == EXIT_PASS
+    cfg = json.loads(out.read_text())["config"]
+    assert (cfg["big_d"], cfg["gamma"]) == (12.0, 3.0)

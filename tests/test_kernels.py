@@ -15,6 +15,7 @@ from solitonlab.exceptions import (
     TimeDomainError,
 )
 from solitonlab.kernels import (
+    L_MAX,
     CylinderHeatKernel,
     DirichletRadialHeatKernel,
     EuclideanHeatKernel,
@@ -185,9 +186,9 @@ def test_sphere_series_time_gate_and_cap():
     p = sk.space.point([0, 0, 1.0])
     with pytest.raises(TimeDomainError):
         sk(p, p, 1e-4)
-    tiny = SphereHeatKernel(2, 0.25, l_max=5)
+    # at t = 1e-9 the S^2 series needs about 2.7e5 levels, past the cap
     with pytest.raises(SeriesTruncationError):
-        tiny.at(0.3, 1e-3)
+        sk.at(0.3, 1e-9)
 
 
 def test_sphere_series_symmetry():
@@ -204,7 +205,7 @@ def laplace_series_loop(sk, u, t):
     n, V, r2 = sk.n, sk.space.volume, sk.space.sphere_radius ** 2
     cutoff = None
     bounds = []
-    for l in range(sk.l_max + 1):
+    for l in range(L_MAX + 1):
         lam = l * (l + n - 1) / r2
         b = sphere_multiplicity(n, l) * math.exp(-min(lam * t, 745.0)) / V
         bounds.append(b)
@@ -212,7 +213,7 @@ def laplace_series_loop(sk, u, t):
             cutoff = l
             break
     if cutoff is None:
-        raise SeriesTruncationError(f"no cutoff below l_max={sk.l_max} at t={t}")
+        raise SeriesTruncationError(f"no cutoff below L_MAX={L_MAX} at t={t}")
     Z = zonal_values(n, cutoff, u)
     acc = np.zeros_like(u, dtype=float)
     for l in range(cutoff + 1):
@@ -222,7 +223,7 @@ def laplace_series_loop(sk, u, t):
         acc += (sphere_multiplicity(n, l) * math.exp(-w) / V) * Z[l]
     tail = 0.0
     l = cutoff + 1
-    while l <= sk.l_max + 10000:
+    while l <= L_MAX + 10000:
         w = l * (l + n - 1) / r2 * t
         if w > 745.0:
             break
@@ -236,9 +237,9 @@ def laplace_series_loop(sk, u, t):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_laplace_series_equals_level_loop(n):
-    # l_max and t_min as the Green evaluator sets them; cos-angles include
+    # times down to those the Green's function integrates; cos-angles include
     # both poles, where the S^3 closed form switches to its limits
-    sk = SphereHeatKernel(n, 0.25, l_max=8000, t_min=0.0)
+    sk = SphereHeatKernel(n, 0.25, t_min=0.0)
     rng = np.random.default_rng(n)
     u = np.concatenate([[1.0, -1.0, 0.0], np.cos(rng.uniform(0.0, math.pi, 12)),
                         np.cos(rng.uniform(0.0, 1e-4, 3))])
@@ -265,7 +266,7 @@ def test_laplace_series_equals_level_loop(n):
 @pytest.mark.parametrize("n,t", [(2, 1e-3), (3, 2e-4)])
 def test_laplace_series_point_blocks(n, t):
     # more points than one block of the series sum equal one zonal_values call
-    sk = SphereHeatKernel(n, 0.25, l_max=8000, t_min=0.0)
+    sk = SphereHeatKernel(n, 0.25, t_min=0.0)
     u = np.cos(np.random.default_rng(5).uniform(0.0, math.pi, (40, 60)))
     vals, tail, cutoff = sk._laplace_series(u, t)
     assert (cutoff + 1) * u.size > 2 ** 16
@@ -379,6 +380,14 @@ def test_fd_time_domain_errors(fd3):
         fd3.evaluate(1.0, 1e-4)
     with pytest.raises(ValueError):
         fd3.evaluate(25.0, 0.5)  # outside the truncated ball
+
+
+def test_fd_far_value_is_uncertified_not_an_overflow():
+    # far from the source the error model's exponent passes the float range;
+    # t is kept near t0, since the step rule marches at dt = 1e-7 here
+    op = discretize_radial(make_space("gaussian", 3), 20.0, 1024)
+    v, err = DirichletRadialHeatKernel(op, 1e-3, r_accuracy=4.5).evaluate(15.0, 1.2e-3)
+    assert math.isfinite(v) and err == math.inf
 
 
 def test_fd_requires_gaussian_space():

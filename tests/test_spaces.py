@@ -145,6 +145,32 @@ def test_geodesic_ball_volume():
     assert v1 == pytest.approx(ball_volume(3, 1.0), rel=0.05)
 
 
+@pytest.mark.parametrize("token", ["cylinder:3", "cylinder:4"])
+def test_cylinder_ball_volume_against_mpmath_slices(token):
+    # V(t) = integral over |s| <= t of the sphere factor's cap volume at
+    # radius sqrt(t^2 - s^2), saturating at the whole factor past pi r
+    mpmath = pytest.importorskip("mpmath")
+    sp = parse_space(token)
+    k = sp.n - 2
+    with mpmath.workdps(30):
+        r = mpmath.sqrt(2 * (sp.n - 2))
+        area = 2 * mpmath.pi ** (mpmath.mpf(k + 1) / 2) / mpmath.gamma(mpmath.mpf(k + 1) / 2)
+
+        def cap(rho):  # the integral of sin^k over [0, top] in closed form
+            top = min(rho / r, mpmath.pi)
+            sin_k = 1 - mpmath.cos(top) if k == 1 else top / 2 - mpmath.sin(2 * top) / 4
+            return area * r ** (k + 1) * sin_k
+
+        for t in (0.5, 3.0, 10.0, 1e3):
+            T = mpmath.mpf(t)
+            ends = [-T, T]
+            if T > mpmath.pi * r:
+                s0 = mpmath.sqrt(T * T - (mpmath.pi * r) ** 2)
+                ends = [-T, -s0, s0, T]
+            exact = mpmath.quad(lambda s: cap(mpmath.sqrt(max(T * T - s * s, 0))), ends)
+            assert sp.geodesic_ball_volume(t) == pytest.approx(float(exact), rel=1e-12)
+
+
 def test_sphere_area_values():
     assert sphere_area(1, 1.0) == pytest.approx(2 * math.pi)
     assert sphere_area(2, 2.0) == pytest.approx(16 * math.pi)
