@@ -53,7 +53,7 @@ print("volume-growth screen: integral of t / V(ball(t)) over [1, T]")
 print("=" * 72)
 for tok, tmax in [("gaussian:3", 1e6), ("gaussian:2", 1e5), ("sphere:3", 1e4),
                   ("cylinder:3", 1e4)]:
-    res = volume_growth_integral(parse_space(tok), None, tmax)
+    res = volume_growth_integral(parse_space(tok), tmax)
     verdict = "divergent -> no positive Laplace Green's function" if res.divergent \
         else f"convergent (value {res.value:.6f})"
     print(f"  {tok:12s} {verdict}")

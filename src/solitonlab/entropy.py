@@ -30,7 +30,7 @@ import numpy as np
 
 from .exceptions import KindMismatchError, NormalizationError
 from .quadrature import gaussian_cutoff, quad_ab
-from .spaces import Point, SolitonSpace, sphere_area
+from .spaces import SolitonSpace, sphere_area
 
 def mu_closed_form(space: SolitonSpace) -> float:
     """Entropy constant mu of a catalogue space from the closed form.
@@ -194,20 +194,19 @@ class TrialFunction:
     """A normalized trial phi for the entropy-energy inequalities.
 
     phi = amplitude * prod_i g_i, one profile per factor of the space, each
-    in the geodesic distance of its factor: on gaussian and sphere spaces
-    phi(x) = amplitude * g(d(x, center)); on the cylinder phi is a sphere
-    factor profile (in arc length from the center direction) times a line
-    profile (in s - s_center). The factor integrals of the profiles (g^2,
-    g'^2, g^2 ln g^2, |g|^p) are computed once per trial and combined with
-    the product rule.
+    in the geodesic distance of its factor from the pole: on gaussian and
+    sphere spaces phi(x) = amplitude * g(d(x, pole)); on the cylinder phi is
+    a sphere factor profile (in arc length from the pole direction) times a
+    line profile (in s). The factor integrals of the profiles (g^2, g'^2,
+    g^2 ln g^2, |g|^p) are computed once per trial and combined with the
+    product rule; ``normalize`` sets the amplitude and the norm defect.
     """
 
     space: SolitonSpace
-    center: Point
     profile: RadialProfile
     line_profile: RadialProfile | None = None
-    amplitude: float = field(default=1.0)
-    norm_defect: float = field(default=0.0)
+    amplitude: float = field(init=False)
+    norm_defect: float = field(init=False)
     _integrals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -269,24 +268,24 @@ class TrialFunction:
             raise KindMismatchError("dilation is only defined on the gaussian space")
         p = RadialProfile(self.profile.kind, self.profile.sigma / lam,
                           self.profile.cutoff / lam, power=self.profile.power)
-        return TrialFunction(self.space, self.center, p)
+        return TrialFunction(self.space, p)
 
 
-def random_trials(space: SolitonSpace, count: int, seed: int,
-                  sigma_range=(0.35, 1.6)) -> list[TrialFunction]:
-    """Deterministic list of normalized random trial functions."""
+def random_trials(space: SolitonSpace, count: int, seed: int) -> list[TrialFunction]:
+    """Deterministic list of normalized random trial functions, of widths
+    sigma in [0.35, 1.6]."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
         kind = "bump" if rng.random() < 0.5 else "gaussian"
-        sigma = float(rng.uniform(*sigma_range))
+        sigma = float(rng.uniform(0.35, 1.6))
         cutoff = sigma * float(rng.uniform(3.0, 6.0))
         if space.kind != "gaussian":
             cutoff = min(cutoff, 0.95 * math.pi * space.sphere_radius)
         line = None
         if space.kind == "cylinder":
-            line = RadialProfile(kind, float(rng.uniform(*sigma_range)), float(rng.uniform(1.5, 5.0)))
-        out.append(TrialFunction(space, space.pole(), RadialProfile(kind, sigma, cutoff), line))
+            line = RadialProfile(kind, float(rng.uniform(0.35, 1.6)), float(rng.uniform(1.5, 5.0)))
+        out.append(TrialFunction(space, RadialProfile(kind, sigma, cutoff), line))
     return out
 
 
@@ -316,14 +315,13 @@ class DensityPerturbation:
             raise NormalizationError("perturbation amplitudes must be finite")
 
 
-def w_entropy(space: SolitonSpace, trial: DensityPerturbation | None, tau: float,
-              norm_tol: float = 1e-7) -> float:
+def w_entropy(space: SolitonSpace, trial: DensityPerturbation | None, tau: float) -> float:
     """Value of the W functional at the (perturbed) soliton log density.
 
     The log density is phi = f + c + perturbation with c fixed by the
     constraint that (4 pi tau)^{-n/2} exp(-phi) integrates to one; a
     NormalizationError is raised if an independent re-check of that
-    constraint is off by more than ``norm_tol``. The density is a product
+    constraint is off by more than 1e-7. The density is a product
     over the factors, so every term of W is a sum of factor moments E_i.
     """
     if tau <= 0.0:
@@ -333,7 +331,7 @@ def w_entropy(space: SolitonSpace, trial: DensityPerturbation | None, tau: float
     log_z, mass, energy = zip(*(_density_moments(fac, eps, b, tau)
                                 for fac, (eps, b) in zip(factors(space), bumps)))
     defect = abs(math.prod(mass) - 1.0)
-    if not defect <= norm_tol:  # also catches a non-finite mass
+    if not defect <= 1e-7:  # also catches a non-finite mass
         raise NormalizationError(f"density normalization defect {defect:.3e}")
     # c = ln((4 pi tau)^{-n/2} prod_i Z_i), the log of the density's total mass
     c = sum(log_z) - 0.5 * space.n * math.log(4.0 * math.pi * tau)
@@ -367,9 +365,9 @@ def minimizer_check(space: SolitonSpace) -> float:
     return abs(w_entropy(space, None, 1.0) - mu_closed_form(space))
 
 
-def random_perturbations(space: SolitonSpace, count: int, seed: int,
-                         eps_scale: float = 0.35) -> list[DensityPerturbation]:
-    """Seeded perturbations for probing the infimum property of W."""
+def random_perturbations(space: SolitonSpace, count: int, seed: int) -> list[DensityPerturbation]:
+    """Seeded perturbations for probing the infimum property of W, of
+    amplitudes in [-0.35, 0.35]."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
@@ -378,10 +376,10 @@ def random_perturbations(space: SolitonSpace, count: int, seed: int,
         cutoff = sigma * float(rng.uniform(3.0, 6.0))
         if space.kind != "gaussian":
             cutoff = min(cutoff, 0.95 * math.pi * space.sphere_radius)
-        eps = float(rng.uniform(-eps_scale, eps_scale))
+        eps = float(rng.uniform(-0.35, 0.35))
         line_eps, line = 0.0, None
         if space.kind == "cylinder" and rng.random() < 0.5:
             line = RadialProfile(kind, float(rng.uniform(0.4, 1.5)), float(rng.uniform(1.5, 4.0)))
-            line_eps = float(rng.uniform(-eps_scale, eps_scale))
+            line_eps = float(rng.uniform(-0.35, 0.35))
         out.append(DensityPerturbation(eps, RadialProfile(kind, sigma, cutoff), line_eps, line))
     return out

@@ -107,9 +107,11 @@ def zonal_values(sphere_dim: int, l_max: int, u) -> np.ndarray:
 
 class TwoPointKernel:
     """A kernel supplies ``separation(x, y)``, the ungated ``at(separation,
-    t)`` -> (value, error estimate), and its quadratures ``mass``,
-    ``weighted_l2`` and ``compose``; a batched route overrides ``column``.
-    ``evaluate`` and ``table`` reject times below ``t_min``."""
+    t)`` -> (value, error estimate), and its quadratures ``mass(t)``,
+    ``weighted_l2(t, D)`` and ``compose``; a batched route overrides
+    ``column``. ``evaluate`` and ``table`` reject times below ``t_min``. Every
+    catalogue space is homogeneous, so the mass and the weighted L2 integral
+    of H(x, ., t) are the same at every x and take no point."""
 
     t_min = 0.0
 
@@ -174,7 +176,7 @@ class EuclideanHeatKernel(TwoPointKernel):
         # error of that size times eps
         return v, 4.0 * EPS * abs(v) * (1.0 + r * r / (4.0 * t))
 
-    def mass(self, x: Point, t: float) -> float:
+    def mass(self, t: float) -> float:
         """Volume integral of H(x, ., t) by radial quadrature."""
         n = self.space.n
         rmax = gaussian_cutoff(math.sqrt(2.0 * t))
@@ -190,7 +192,7 @@ class EuclideanHeatKernel(TwoPointKernel):
         coordinate."""
         return math.prod(line_compose(xi, yi, t, s) for xi, yi in zip(x.vector, y.vector))
 
-    def weighted_l2(self, x: Point, t: float, D: float) -> float:
+    def weighted_l2(self, t: float, D: float) -> float:
         """E_D(x, t): integral of H(x, z, t)^2 exp(d(x,z)^2 / (D t)) dv(z)."""
         n = self.space.n
         rmax = gaussian_cutoff(math.sqrt(t * D / max(D - 2.0, 1e-9)))
@@ -251,8 +253,12 @@ class SphereHeatKernel(TwoPointKernel):
         # l = 0 .. L_MAX + 10000, the reach of the tail estimate
         levels = np.arange(L_MAX + 10001)
         self._lam = (levels * (levels + self.n - 1)).astype(float) / self._radius2
-        self._mult = np.fromiter((float(sphere_multiplicity(self.n, l)) for l in levels),
-                                 float, len(levels))
+        try:
+            self._mult = np.fromiter((float(sphere_multiplicity(self.n, l)) for l in levels),
+                                     float, len(levels))
+        except OverflowError:  # from S^120 on at this level count
+            raise DimensionError(f"the level multiplicities of S^{self.n} overflow a float "
+                                 f"within {len(levels)} levels") from None
 
     # -- series machinery ----------------------------------------------------
 
@@ -316,8 +322,7 @@ class SphereHeatKernel(TwoPointKernel):
         """One series profile at the cos-angles of ``thetas``."""
         return self.profile(np.array([np.cos(th) for th in thetas]), t)
 
-    # -- zonal quadratures; the sphere is homogeneous, so x only fixes the
-    # interface and may be None ----------------------------------------------
+    # -- zonal quadratures about any point x ----------------------------------
 
     def _zonal_measure(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gauss-Legendre angles from x, their volume weights, and the kernel there."""
@@ -326,12 +331,12 @@ class SphereHeatKernel(TwoPointKernel):
         dv = w * sphere_area(n - 1) * r0 ** n * np.sin(u) ** (n - 1)
         return u, dv, self.profile(np.cos(u), t)[0]
 
-    def mass(self, x: Point | None, t: float) -> float:
+    def mass(self, t: float) -> float:
         """Volume integral of H(x, ., t)."""
         _, dv, vals = self._zonal_measure(t)
         return float(np.sum(dv * vals))
 
-    def weighted_l2(self, x: Point | None, t: float, D: float) -> float:
+    def weighted_l2(self, t: float, D: float) -> float:
         """E_D(x, t): integral of H(x, z, t)^2 exp(d(x,z)^2 / (D t)) dv(z)."""
         u, dv, vals = self._zonal_measure(t)
         weight = np.exp(np.minimum((self.space.sphere_radius * u) ** 2 / (D * t), 700.0))
@@ -399,15 +404,13 @@ class CylinderHeatKernel(TwoPointKernel):
     def _factors(self, p: Point) -> tuple[Point, Point]:
         return Point("sphere", p.vector), Point("gaussian", [p.s])
 
-    def mass(self, x: Point, t: float) -> float:
+    def mass(self, t: float) -> float:
         """Volume integral of H(x, ., t)."""
-        xs, xl = self._factors(x)
-        return self.sphere.mass(xs, t) * self.line.mass(xl, t)
+        return self.sphere.mass(t) * self.line.mass(t)
 
-    def weighted_l2(self, x: Point, t: float, D: float) -> float:
+    def weighted_l2(self, t: float, D: float) -> float:
         """E_D(x, t): integral of H(x, z, t)^2 exp(d(x,z)^2 / (D t)) dv(z)."""
-        xs, xl = self._factors(x)
-        return self.sphere.weighted_l2(xs, t, D) * self.line.weighted_l2(xl, t, D)
+        return self.sphere.weighted_l2(t, D) * self.line.weighted_l2(t, D)
 
     def compose(self, x: Point, y: Point, t: float, s: float) -> float:
         """Integral of H(x, z, t) H(z, y, s) dv(z)."""
@@ -782,14 +785,14 @@ class VolumeGrowthResult:
     window_ratios: tuple
 
 
-def volume_growth_integral(space: SolitonSpace, p: Point | None, T_max: float) -> VolumeGrowthResult:
+def volume_growth_integral(space: SolitonSpace, T_max: float) -> VolumeGrowthResult:
     """Quadrature of t / V_p(t) on [1, T_max] with a divergence flag.
 
-    The ball volume is center-independent on the catalogue, so ``p`` only
-    fixes the interface. Doubling windows whose contributions stop shrinking
-    geometrically signal a divergent integral (no positive Laplace Green's
-    function), which happens on the sphere (volume saturates) and on
-    low-dimensional gaussian spaces.
+    The ball volume V_p is the same about every point p of the catalogue
+    spaces, so the integral takes no point. Doubling windows whose
+    contributions stop shrinking geometrically signal a divergent integral
+    (no positive Laplace Green's function), which happens on the sphere
+    (volume saturates) and on low-dimensional gaussian spaces.
     """
     if T_max <= 1.0:
         raise ValueError("T_max must exceed 1")

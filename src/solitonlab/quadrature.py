@@ -19,10 +19,11 @@ from scipy.integrate import quad
 EPSABS = 1e-12
 EPSREL = 1e-11
 
+LIMIT = 200  # subintervals per adaptive integral
 TAIL_WIDTHS = 12.0  # Gaussian tails are analytically dominated past this
 
 
-def quad_ab(f, a: float, b: float, limit: int = 200, points=None) -> tuple[float, float]:
+def quad_ab(f, a: float, b: float, points=None) -> tuple[float, float]:
     """Adaptive integral of f over [a, b]; returns (value, error estimate).
 
     ``points`` marks interior breakpoints (profile cutoffs and similar kinks)
@@ -32,11 +33,11 @@ def quad_ab(f, a: float, b: float, limit: int = 200, points=None) -> tuple[float
         points = [p for p in points if a < p < b]
         if not points:
             points = None
-    val, err = quad(f, a, b, epsabs=EPSABS, epsrel=EPSREL, limit=limit, points=points)
+    val, err = quad(f, a, b, epsabs=EPSABS, epsrel=EPSREL, limit=LIMIT, points=points)
     return val, err
 
 
-def quad_log(f, a: float, b: float, limit: int = 200) -> tuple[float, float]:
+def quad_log(f, a: float, b: float) -> tuple[float, float]:
     """Adaptive integral over [a, b] in the log variable (a, b > 0)."""
     val, err = quad(
         lambda s: f(math.exp(s)) * math.exp(s),
@@ -44,7 +45,7 @@ def quad_log(f, a: float, b: float, limit: int = 200) -> tuple[float, float]:
         math.log(b),
         epsabs=EPSABS,
         epsrel=EPSREL,
-        limit=limit,
+        limit=LIMIT,
     )
     return val, err
 
@@ -63,6 +64,7 @@ def leggauss_ab(k: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return a + half * (x + 1.0), w * half
 
 
-def gaussian_cutoff(width: float, floor: float = 1.0) -> float:
-    """Truncation radius for integrands dominated by exp(-(x/width)^2 / 2)."""
-    return TAIL_WIDTHS * max(width, floor / TAIL_WIDTHS)
+def gaussian_cutoff(width: float) -> float:
+    """Truncation radius for integrands dominated by exp(-(x/width)^2 / 2),
+    at least 1."""
+    return TAIL_WIDTHS * max(width, 1.0 / TAIL_WIDTHS)

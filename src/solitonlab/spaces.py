@@ -34,7 +34,11 @@ def sphere_area(dim: int, radius: float = 1.0) -> float:
         raise DimensionError(f"sphere dimension must be >= 0, got {dim}")
     if dim == 0:
         return 2.0  # two points
-    return 2.0 * math.pi ** ((dim + 1) / 2.0) / math.gamma((dim + 1) / 2.0) * radius ** dim
+    try:
+        return 2.0 * math.pi ** ((dim + 1) / 2.0) / math.gamma((dim + 1) / 2.0) * radius ** dim
+    except OverflowError:  # radius ** dim does on the model spheres from n = 232 on
+        raise DimensionError(f"the volume of the {dim}-sphere of radius {radius} "
+                             "overflows a float") from None
 
 
 def ball_volume(n: int, radius: float) -> float:
@@ -196,14 +200,16 @@ class SolitonSpace:
         v[0], v[1] = math.cos(alpha), math.sin(alpha)
         return Point("cylinder", v, s=rest)
 
-    def random_point(self, rng: np.random.Generator, scale: float = 2.0) -> Point:
+    def random_point(self, rng: np.random.Generator) -> Point:
+        """A seeded random point: coordinates and line offsets are N(0, 2^2),
+        directions uniform."""
         if self.kind == "gaussian":
-            return Point("gaussian", rng.normal(0.0, scale, self.n))
+            return Point("gaussian", rng.normal(0.0, 2.0, self.n))
         if self.kind == "sphere":
             v = rng.normal(size=self.n + 1)
             return Point("sphere", v / np.linalg.norm(v))
         v = rng.normal(size=self.n)
-        return Point("cylinder", v / np.linalg.norm(v), s=float(rng.normal(0.0, scale)))
+        return Point("cylinder", v / np.linalg.norm(v), s=float(rng.normal(0.0, 2.0)))
 
     def geodesic_ball_volume(self, t: float) -> float:
         """Volume of the geodesic ball of radius t (around any point).

@@ -27,9 +27,10 @@ def sphere_multiplicity(n: int, l: int) -> int:
     return math.comb(n + l, n) - math.comb(n + l - 2, n)
 
 
-def sphere_eigenvalue(n: int, a: float, l: int, radius: float | None = None) -> float:
-    """Eigenvalue of -Laplacian + a R at harmonic level l on the model sphere."""
-    r = math.sqrt(2.0 * (n - 1)) if radius is None else radius
+def sphere_eigenvalue(n: int, a: float, l: int) -> float:
+    """Eigenvalue of -Laplacian + a R at harmonic level l on the model
+    sphere, of radius sqrt(2(n-1))."""
+    r = math.sqrt(2.0 * (n - 1))
     return l * (l + n - 1) / (r * r) + a * n / 2.0
 
 
@@ -44,10 +45,8 @@ class Spectrum:
 
     values: np.ndarray
     a: float
-    source: str  # "analytic" | "discretized"
     levels: list[tuple[int, float, int]] | None = None
     eigenvectors: np.ndarray | None = field(default=None, repr=False)
-    grid: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -68,7 +67,7 @@ def sphere_spectrum(n: int, a: float, l_max: int) -> Spectrum:
               for l in range(l_max + 1)]
     # the eigenvalues ascend with the level, so the expansion is sorted
     _, lam, mult = zip(*levels)
-    return Spectrum(np.repeat(lam, mult), a, "analytic", levels=levels)
+    return Spectrum(np.repeat(lam, mult), a, levels=levels)
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,7 @@ def eigen_solve(op: DiscretizedOperator, k: int, eigenvectors: bool = False) -> 
         residual = _worst_residual(op, vals, vecs)
         if residual > 1e-8 * max(1.0, float(vals[-1])):
             raise EigenSolveError("eigenpair residual too large", residual=residual)
-    return Spectrum(vals, op.a, "discretized", eigenvectors=vecs, grid=op.r)
+    return Spectrum(vals, op.a, eigenvectors=vecs)
 
 
 def _worst_residual(op: DiscretizedOperator, vals: np.ndarray, vecs: np.ndarray) -> float:

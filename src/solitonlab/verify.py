@@ -31,16 +31,11 @@ from .exceptions import KindMismatchError
 from .kernels import DirichletRadialHeatKernel, GreenEvaluator, RadialMarch, graded_steps
 from .quadrature import gaussian_cutoff
 from .spaces import SolitonSpace
-from .spectral import (
-    DiscretizedOperator,
-    Spectrum,
-    counting_function,
-    partition_function,
-    weyl_constant,
-)
+from .spectral import DiscretizedOperator, Spectrum, counting_function, weyl_constant
 
 ANALYTIC_TOL = 1e-6  # default for closed-form and series-backed checks
 FD_TOL = 1e-3        # default for finite-difference-backed checks
+STABILITY = 0.05     # relative drift of an extracted constant allowed under refinement
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +66,9 @@ class VerificationReport:
             return self.worst_case_slack <= 1.0 + self.tolerance
         return self.worst_case_slack >= -self.tolerance
 
-    def to_dict(self, include_points: bool = False) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        """The report as a JSON-ready dict, per-grid-point rows included."""
+        return {
             "theorem_id": self.theorem_id,
             "space": self.space,
             "a": self.a,
@@ -85,10 +81,8 @@ class VerificationReport:
             "notes": list(self.notes),
             "passed": self.passed,
             "runtime_seconds": self.runtime_seconds,
+            "points": list(self.points),
         }
-        if include_points:
-            d["points"] = list(self.points)
-        return d
 
 
 @dataclass(frozen=True)
@@ -169,9 +163,9 @@ def _timed(check):
 
 
 @_timed
-def kernel_axioms(evaluator, samples: int = 6, seed: int = 0,
-                  tol: float | None = None) -> VerificationReport:
-    """Symmetry, positivity, mass <= 1, and the semigroup identity.
+def kernel_axioms(evaluator, seed: int = 0, tol: float | None = None) -> VerificationReport:
+    """Symmetry and positivity at 6 random pairs, mass <= 1, and the
+    semigroup identity.
 
     Failures are reported, not raised. The tolerance defaults to the method
     class of the evaluator (analytic vs finite differences).
@@ -180,6 +174,7 @@ def kernel_axioms(evaluator, samples: int = 6, seed: int = 0,
     is_fd = isinstance(evaluator, DirichletRadialHeatKernel)
     tol_eff = tol if tol is not None else (FD_TOL if is_fd else ANALYTIC_TOL)
     rng = np.random.default_rng(seed)
+    samples = 6
     rows = []
     worst = math.inf
 
@@ -189,7 +184,6 @@ def kernel_axioms(evaluator, samples: int = 6, seed: int = 0,
     if is_fd:
         ts = [t for t in ts if t > evaluator.t0 * 4] or [8.0 * evaluator.t0]
         pos_viol = max(max(0.0, -float(evaluator.profile(t).min())) for t in ts)
-        mass_viol = max(max(0.0, evaluator.mass(t) - 1.0) for t in ts)
         semi_viol = max(evaluator.semigroup_defect(t, t / 2) for t in ts)
     else:
         pairs = [(space.random_point(rng), space.random_point(rng)) for _ in range(samples)]
@@ -200,11 +194,6 @@ def kernel_axioms(evaluator, samples: int = 6, seed: int = 0,
                 hyx, _ = evaluator.evaluate(py, px, t)
                 sym_viol = max(sym_viol, abs(hxy - hyx))
                 pos_viol = max(pos_viol, -min(hxy + err, 0.0))
-        mass_viol = max(
-            max(0.0, evaluator.mass(px, t) - 1.0)
-            for (px, _) in pairs[:2]
-            for t in ts
-        )
         # a moderate deterministic pair keeps the identity resolvable even
         # when the random pairs land in the far-tail noise of the series
         semi_pairs = [(space.pole(), space.point_at_distance(1.0))] + pairs[:2]
@@ -222,6 +211,7 @@ def kernel_axioms(evaluator, samples: int = 6, seed: int = 0,
                 semi_viol = max(semi_viol, evaluator.semigroup_defect(px, py, t, t / 2))
         if skipped:
             notes.append(f"{skipped} semigroup samples below the noise floor (skipped)")
+    mass_viol = max(max(0.0, evaluator.mass(t) - 1.0) for t in ts)
 
     checks = [
         ("symmetry", sym_viol, 1e-10),
@@ -407,15 +397,15 @@ def ultracontractivity(table: KernelTable, mu: float, tol: float = ANALYTIC_TOL,
 
 @_timed
 def gaussian_bound(table: KernelTable, mu: float, c: float, tol: float = ANALYTIC_TOL,
-                   seed: int = 0, stability: float = 0.05) -> VerificationReport:
+                   seed: int = 0) -> VerificationReport:
     """Off-diagonal bound with weight exp(-d^2/(c t)) and extracted A_emp(c).
 
     A_emp is the grid maximum of H (4 pi t)^{n/2} e^mu e^{d^2/(ct)}; the pass
-    criteria are finiteness and stability under nested refinement. ``table``
-    is on the refined grid; the base grid, whose rows the report carries, is
-    the slice [:pairs // 2, ::2] of it: the first half of the pairs at every
-    other time. A splitting cross-check bounds H by the weighted L2
-    integrals of both endpoints.
+    criteria are finiteness and stability under nested refinement (within
+    ``STABILITY``). ``table`` is on the refined grid; the base grid, whose
+    rows the report carries, is the slice [:pairs // 2, ::2] of it: the first
+    half of the pairs at every other time. A splitting cross-check bounds H
+    by the weighted L2 integrals of both endpoints.
     """
     if c <= 4.0:
         raise ValueError("the off-diagonal weight requires c > 4")
@@ -426,22 +416,21 @@ def gaussian_bound(table: KernelTable, mu: float, c: float, tol: float = ANALYTI
     grid = {"pairs": len(g) // 2, "times": len(ts), "c": c}
     if not table.values[base].size:
         return _empty_grid_report("gaussian-bound", space.token, getattr(evaluator, "a", None),
-                                  grid, stability, seed, "ratio")
+                                  grid, STABILITY, seed, "ratio")
     r = ratios(table, mu, lambda d, t: d * d / (c * t))
     a_ref, _ = _max_resolved(r)
     a_base, _ = _max_resolved(r.cells(base))
 
     # splitting cross-check: H <= sqrt(E_D(x, t/2) E_D(y, t/2)) e^{-d^2/(2 D t)},
-    # at the middle and last base times, read from the table's first 4 rows
+    # at the middle and last base times, read from the table's first 4 rows;
+    # on a homogeneous space E_D(x, t/2) = E_D(y, t/2) = e, and sqrt(e e) = e
     D = c / 2.0
     split_worst = 0.0
-    for k, (i, j) in enumerate(g.pairs[:4]):
-        x, y, d = g.points[i], g.points[j], table.d[k]
-        for col in (2 * (len(ts) // 2), 2 * (len(ts) - 1)):
-            t = float(table.times[col])
-            ex = evaluator.weighted_l2(x, t / 2.0, D)
-            ey = evaluator.weighted_l2(y, t / 2.0, D)
-            bound = math.sqrt(ex * ey) * math.exp(-d * d / (2.0 * D * t))
+    for col in (2 * (len(ts) // 2), 2 * (len(ts) - 1)):
+        t = float(table.times[col])
+        e = evaluator.weighted_l2(t / 2.0, D)
+        for k, d in enumerate(table.d[:4]):
+            bound = e * math.exp(-d * d / (2.0 * D * t))
             split_worst = max(split_worst, table.values[k, col] / bound)
     notes = [f"A_emp base {a_base:.6g}, refined {a_ref:.6g}",
              f"splitting cross-check max ratio {split_worst:.6g}"]
@@ -451,7 +440,7 @@ def gaussian_bound(table: KernelTable, mu: float, c: float, tol: float = ANALYTI
     return _ratio_report("gaussian-bound", table, r, base, worst=worst,
                          constants={"A_emp": a_ref, "A_emp_base": a_base,
                                     "splitting_max_ratio": split_worst},
-                         notes=notes, grid=grid, tol=stability, seed=seed)
+                         notes=notes, grid=grid, tol=STABILITY, seed=seed)
 
 
 @_timed
@@ -486,12 +475,12 @@ def cr_bound(table: KernelTable, mu: float, C_R: float, tol: float = ANALYTIC_TO
 
 @_timed
 def green_bound(green_evaluator: GreenEvaluator, mu: float,
-                distances=None, tol: float = ANALYTIC_TOL,
-                stability: float = 0.05, seed: int = 0) -> VerificationReport:
+                distances=None, seed: int = 0) -> VerificationReport:
     """B_emp = max G(x, y) d^{n-2} e^mu over a separation grid.
 
-    Pass requires finiteness and refinement stability; the small-separation
-    power law (log-log slope 2 - n) is fitted and recorded.
+    Pass requires finiteness and refinement stability (within ``STABILITY``);
+    the small-separation power law (log-log slope 2 - n) is fitted and
+    recorded.
     """
     space = green_evaluator.space
     n = space.n
@@ -538,7 +527,7 @@ def green_bound(green_evaluator: GreenEvaluator, mu: float,
         space=space.token,
         a=green_evaluator.a,
         grid={"distances": [float(d) for d in ds]},
-        tolerance=stability,
+        tolerance=STABILITY,
         seed=seed,
         mode="ratio",
         worst_case_slack=worst,
@@ -554,25 +543,28 @@ def green_bound(green_evaluator: GreenEvaluator, mu: float,
 
 
 @_timed
-def eigenvalue_bound(spectrum: Spectrum, mu: float, kernel, k_max: int, *,
-                     times=None, tol: float = ANALYTIC_TOL,
-                     seed: int = 0) -> VerificationReport:
+def eigenvalue_bound(spectrum: Spectrum, mu: float, table: KernelTable, k_max: int, *,
+                     tol: float = ANALYTIC_TOL, seed: int = 0) -> VerificationReport:
     """lambda_k >= (2 n pi / e) (k e^mu / V)^{2/n} plus the partition route.
 
     Also verified: the partition-function inequality
-    Z(t) <= e^{-mu} V (4 pi t)^{-n/2} on a time grid, with Z the trace
-    V H(o, o, t) of ``kernel`` (certified at its upper value, trace plus
-    error estimate), the minimizing time t0 = n / (2 lambda) of
-    e^{lambda t} (4 pi t)^{-n/2} by sampling, and the Weyl ratio window for
-    k in [200, 400] when available. n and V are those of ``kernel.space``.
+    Z(t) <= e^{-mu} V (4 pi t)^{-n/2} at the times of ``table``, with Z the
+    trace V H(o, o, t) read from the table's first pair, which must be a
+    diagonal one (certified at its upper value, trace plus error estimate),
+    the minimizing time t0 = n / (2 lambda) of e^{lambda t} (4 pi t)^{-n/2}
+    by sampling, and the Weyl ratio window for k in [200, 400] when
+    available. n and V are those of the table's space.
     """
+    kernel = table.evaluator
     if kernel.a != spectrum.a:
         raise ValueError("the kernel and the spectrum must share the coupling a")
+    if not table.d or table.d[0] != 0.0:
+        raise ValueError("the trace is read from the table's first pair, which must be diagonal")
     n, V = kernel.space.n, kernel.space.volume
     lam = spectrum.values
     if len(lam) < k_max:
         raise ValueError("spectrum truncation shorter than k_max")
-    ts = np.asarray(times) if times is not None else time_grid()
+    ts = table.times
     rows = []
     worst = math.inf
     coef = 2.0 * n * math.pi / math.e
@@ -585,8 +577,8 @@ def eigenvalue_bound(spectrum: Spectrum, mu: float, kernel, k_max: int, *,
         worst = min(worst, lk - bound)
 
     part_worst = math.inf
-    for t in ts:
-        z, err = partition_function(kernel, float(t))
+    for t, h, h_err in zip(ts, table.values[0], table.errors[0]):
+        z, err = V * h, V * h_err
         upper = z + err
         rhs = math.exp(-mu) * V * (4.0 * math.pi * t) ** (-n / 2.0)
         slack = rhs - upper
@@ -664,8 +656,7 @@ def sharp_gaussian_trial(space: SolitonSpace, tau: float) -> TrialFunction:
     if space.kind != "gaussian":
         raise KindMismatchError("the extremal trial lives on the gaussian space")
     sigma = 2.0 * math.sqrt(tau)
-    return TrialFunction(space, space.pole(),
-                         RadialProfile("gaussian", sigma, gaussian_cutoff(sigma)))
+    return TrialFunction(space, RadialProfile("gaussian", sigma, gaussian_cutoff(sigma)))
 
 
 @_timed
@@ -706,21 +697,20 @@ def log_sobolev(space: SolitonSpace, mu: float, trials=100, tau_grid=None,
 
 @_timed
 def sobolev(space: SolitonSpace, mu: float, a: float = 0.25, trials: int = 50,
-            seed: int = 0, tol: float = ANALYTIC_TOL,
-            stability: float = 0.05) -> VerificationReport:
+            seed: int = 0) -> VerificationReport:
     """Critical Sobolev quotient with extracted constant C_emp (n >= 3).
 
     C_emp is the maximum over trials of
     ||u||_{2n/(n-2)}^2 / (e^{-2 mu/n} integral(|grad u|^2 + a R u^2));
-    pass requires finiteness, refinement stability, and dilation invariance
-    of the quotient on the gaussian space.
+    pass requires finiteness, refinement stability (within ``STABILITY``),
+    and dilation invariance of the quotient on the gaussian space.
     """
     if space.n < 3:
         raise ValueError("the critical Sobolev exponent needs n >= 3")
     if a < 0.25:
         raise ValueError("the curvature term requires a >= 1/4")
     if trials < 1:  # the Talenti shapes alone would refine nothing
-        return _empty_grid_report("sobolev", space.token, a, {"trials": trials}, stability,
+        return _empty_grid_report("sobolev", space.token, a, {"trials": trials}, STABILITY,
                                   seed, "ratio")
     n = space.n
     p_crit = 2.0 * n / (n - 2.0)
@@ -733,7 +723,7 @@ def sobolev(space: SolitonSpace, mu: float, a: float = 0.25, trials: int = 50,
 
     # near-extremal Talenti shapes on the flat space, then seeded random
     # trials; the base trials are the prefix of the refined list
-    ref_list = [TrialFunction(space, space.pole(), RadialProfile(
+    ref_list = [TrialFunction(space, RadialProfile(
         "talenti", scale, 40.0 * scale, power=(n - 2) / 2.0))
         for scale in (1.0, 2.0) if space.kind == "gaussian"]
     ref_list += random_trials(space, 2 * trials, seed)
@@ -758,7 +748,7 @@ def sobolev(space: SolitonSpace, mu: float, a: float = 0.25, trials: int = 50,
         space=space.token,
         a=a,
         grid={"trials": len(base)},
-        tolerance=stability,
+        tolerance=STABILITY,
         seed=seed,
         mode="ratio",
         worst_case_slack=worst,
@@ -843,7 +833,7 @@ class GrigoryanProbe:
             self._engine = RadialMarch(op, self.t0, np.asarray(data0, dtype=float),
                                        lambda t_from, t: graded_steps(t_from, t, self.dt))
 
-    def sharp_allowance(self, t: float) -> float:
+    def sharp_allowance(self) -> float:
         """Relative method-error scale for equality-sharp comparisons.
 
         The compact fourth-order march keeps kernel functionals near 1e-4;
@@ -894,23 +884,22 @@ def random_dirichlet_data(op: DiscretizedOperator, trials: int, seed: int) -> np
 
 
 @_timed
-def energy_monotonicity(op: DiscretizedOperator, s: float, trials: int = 20,
-                        seed: int = 0, cap_radius: float = 2.0,
-                        t0: float = 0.02, times=None, dt: float = 5e-4,
-                        tol: float = ANALYTIC_TOL) -> VerificationReport:
+def energy_monotonicity(op: DiscretizedOperator, trials: int = 20, seed: int = 0,
+                        dt: float = 5e-4, tol: float = ANALYTIC_TOL) -> VerificationReport:
     """The weighted energy with the space-time weight is non-increasing.
 
-    Checked as discrete time differences for seeded random Dirichlet initial
-    data (smooth bump combinations vanishing at the boundary), normalized by
-    the initial energy. The trials march together as the rows of one probe.
+    The weight is exp(dcap^2 / (2 (t - s))) with s = 1 and dcap the distance
+    to the ball of radius 2, sampled at 14 times in [0.02, 0.8]. Checked as
+    discrete time differences for seeded random Dirichlet initial data
+    (smooth bump combinations vanishing at the boundary), normalized by the
+    initial energy. The trials march together as the rows of one probe.
     """
-    ts = np.asarray(times) if times is not None else np.linspace(t0, 0.8 * s, 14)
-    if trials < 1 or len(ts) < 2:  # a time difference needs two times
+    s, cap_radius = 1.0, 2.0
+    ts = np.linspace(0.02, 0.8, 14)
+    if trials < 1:
         return _empty_grid_report("energy-monotonicity", op.space.token, op.a,
                                   {"trials": trials, "times": [float(t) for t in ts]},
                                   tol, seed, "slack")
-    if ts[-1] >= s:
-        raise ValueError("sampled times must stay below s")
     rows = []
     worst = math.inf
     probe = GrigoryanProbe(op, ts[0], data0=random_dirichlet_data(op, trials, seed), dt=dt)
@@ -938,9 +927,9 @@ def energy_monotonicity(op: DiscretizedOperator, s: float, trials: int = 20,
 
 @_timed
 def weighted_energy_bound(probe: GrigoryanProbe, mu: float, times=None,
-                          radii=(1.0, 2.0, 4.0), tol: float = FD_TOL,
-                          seed: int = 0) -> VerificationReport:
-    """E_D(t) and the tail mass I_R(t) against their iteration bounds.
+                          tol: float = FD_TOL, seed: int = 0) -> VerificationReport:
+    """E_D(t) and the tail mass I_R(t), at R = 1, 2 and 4, against their
+    iteration bounds.
 
     The hypothesis I(t) <= e^{-mu} (8 pi t)^{-n/2} is verified in-run (it is
     the on-diagonal bound at doubled time); failing it aborts the check with
@@ -952,6 +941,7 @@ def weighted_energy_bound(probe: GrigoryanProbe, mu: float, times=None,
     D, gamma = probe.D, probe.gamma
     consts = grigoryan_constants(gamma, D)
     ts = np.asarray(times) if times is not None else np.geomspace(1e-2, 1.0, 10)
+    radii = (1.0, 2.0, 4.0)
     rows = []
     worst = math.inf
     hypothesis_ok = True
@@ -960,7 +950,7 @@ def weighted_energy_bound(probe: GrigoryanProbe, mu: float, times=None,
         hyp_rhs = math.exp(-mu) * (8.0 * math.pi * t) ** (-n / 2.0)
         # the hypothesis is equality-sharp on the flat space, so its
         # gate carries the probe's own method error scale
-        if i_t > hyp_rhs * (1.0 + max(tol, probe.sharp_allowance(float(t)))):
+        if i_t > hyp_rhs * (1.0 + max(tol, probe.sharp_allowance())):
             hypothesis_ok = False
         rows.append({"x_id": "I", "y_id": "", "t": float(t), "lhs": i_t,
                      "rhs": hyp_rhs, "slack": hyp_rhs - i_t,
@@ -986,7 +976,7 @@ def weighted_energy_bound(probe: GrigoryanProbe, mu: float, times=None,
         e_exact = (math.exp(-mu) * (8.0 * math.pi * t) ** (-n / 2.0)
                    * (D / (D - 2.0)) ** (n / 2.0))
         exact_margin = min(exact_margin,
-                           e_exact * (1.0 + max(tol, probe.sharp_allowance(float(t)))) - e_t)
+                           e_exact * (1.0 + max(tol, probe.sharp_allowance())) - e_t)
         for R in radii:
             ir = probe.I_R(float(t), float(R))
             tail_rhs = (2.0 * math.exp(-mu) * (8.0 * math.pi * t / gamma) ** (-n / 2.0)

@@ -75,8 +75,7 @@ def test_criterion_3_gaussian_bound(default_table):
         sp = parse_space(tok)
         table = default_table(ev, 2, refined=True)
         for c in (4.5, 5.0, 8.0):
-            rep = verify.gaussian_bound(table, mu_closed_form(sp), c, seed=2,
-                                        stability=0.05)
+            rep = verify.gaussian_bound(table, mu_closed_form(sp), c, seed=2)
             a_base = rep.extracted_constants["A_emp_base"]
             a_ref = rep.extracted_constants["A_emp"]
             assert math.isfinite(a_ref)
@@ -184,19 +183,18 @@ def test_criterion_8_weighted_energy_machinery():
     assert consts.m == pytest.approx(0.002221, abs=1e-6)
 
     op = discretize_radial(make_space("gaussian", 1), 8.0, 384)
-    rep = verify.energy_monotonicity(op, s=1.0, trials=20, seed=13, dt=1e-3)
+    rep = verify.energy_monotonicity(op, trials=20, seed=13, dt=1e-3)
     assert rep.passed
     assert rep.extracted_constants["max_violation"] <= 1e-6
     fine = verify.energy_monotonicity(
-        discretize_radial(make_space("gaussian", 1), 8.0, 768), s=1.0,
+        discretize_radial(make_space("gaussian", 1), 8.0, 768),
         trials=20, seed=13, dt=5e-4)
     assert fine.extracted_constants["max_violation"] <= \
         rep.extracted_constants["max_violation"] + 1e-12  # shrinks under refinement
 
     probe = verify.GrigoryanProbe(discretize_radial(make_space("gaussian", 1), 8.0, 512),
                                   1e-3, D=10.0, gamma=2.0)
-    wrep = verify.weighted_energy_bound(probe, 0.0, times=np.geomspace(1e-2, 1.0, 10),
-                                        radii=(1.0, 2.0, 4.0), seed=13)
+    wrep = verify.weighted_energy_bound(probe, 0.0, times=np.geomspace(1e-2, 1.0, 10), seed=13)
     assert wrep.passed
     _report(8, "weighted-energy machinery", start, 180.0)
 

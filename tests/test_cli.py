@@ -232,6 +232,17 @@ def test_bad_point_and_spectrum_input_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_kernel_on_a_sphere_too_large_for_its_series_exits_2(tmp_path, capsys):
+    out = tmp_path / "k.json"
+    x = ",".join(["1"] + ["0"] * 120)
+    code = main(["--json", str(out), "kernel", "--space", "sphere:120", "--t", "1",
+                 "--x", x, "--y", x])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "DimensionError" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_green_subcommand(tmp_path):
     out = tmp_path / "g.json"
     code = main(["--json", str(out), "green", "--space", "gaussian:3",
@@ -257,6 +268,19 @@ def test_verify_subcommand_exit_codes(tmp_path, argv, theorem, constant, value, 
     doc = json.loads(out.read_text())
     assert doc["checks"][theorem]["extracted_constants"][constant] == \
         pytest.approx(value, abs=abs_tol)
+
+
+@pytest.mark.parametrize("config,argv,limit", [
+    ("[tolerances]\nanalytic = 1e-4\n", ["--space", "sphere:2"], 1e-4),
+    (SMALL_GRID + "kind = fd_dirichlet\ntime_tol = 1e-2\n[tolerances]\nfd = 1e-2\n", [], 1e-2),
+], ids=["analytic", "fd"])
+def test_tolerances_reach_kernel_axioms(tmp_path, config, argv, limit):
+    cfg, out = tmp_path / "tol.cfg", tmp_path / "v.json"
+    cfg.write_text(config)
+    main(["--config", str(cfg), "--json", str(out), "verify", "kernel-axioms"] + argv)
+    rows = json.loads(out.read_text())["checks"]["kernel-axioms"]["points"]
+    assert {r["check"]: r["limit"] for r in rows if r["check"] in ("positivity", "mass")} == \
+        {"positivity": limit, "mass": limit}
 
 
 @pytest.mark.parametrize("before,after", [(["--seed", "5"], []), ([], ["--seed", "5"])])
@@ -404,7 +428,7 @@ def test_ultracontractivity_default_grid_row_count(tmp_path):
     # 24 pairs x 40 times on the default grid
     cfg = ExperimentConfig(space="gaussian:3")
     rep = run_theorem("ultracontractivity", cfg)
-    doc = rep.to_dict(include_points=True)
+    doc = rep.to_dict()
     path = tmp_path / "uc.csv"
     write_points_csv(doc, str(path))
     lines = path.read_text().strip().splitlines()

@@ -14,7 +14,7 @@ from solitonlab.entropy import (
     random_trials,
     w_entropy,
 )
-from solitonlab.exceptions import NormalizationError
+from solitonlab.exceptions import KindMismatchError, NormalizationError
 from solitonlab.spaces import parse_space, sphere_area
 
 
@@ -112,7 +112,7 @@ def test_trial_normalization():
 def test_trial_integrals_against_direct_quadrature():
     # independent oracle: flat-space radial quadrature at fixed nodes
     sp = parse_space("gaussian:3")
-    tr = TrialFunction(sp, sp.pole(), RadialProfile("bump", 1.0, 2.0))
+    tr = TrialFunction(sp, RadialProfile("bump", 1.0, 2.0))
     r = np.linspace(0.0, 2.0, 20001)
     phi = tr.amplitude * (1.0 - (r / 2.0) ** 2) ** 2
     dphi = tr.amplitude * (-4.0 * r / 4.0) * (1.0 - (r / 2.0) ** 2)
@@ -190,5 +190,5 @@ def test_trial_dilation_restricted_to_flat_space():
 
 def test_cylinder_trial_needs_line_profile():
     sp = parse_space("cylinder:3")
-    with pytest.raises(Exception):
-        TrialFunction(sp, sp.pole(), RadialProfile("bump", 1.0, 2.0))
+    with pytest.raises(KindMismatchError):
+        TrialFunction(sp, RadialProfile("bump", 1.0, 2.0))

@@ -91,17 +91,17 @@ def test_green_divergence_without_gap():
 
 
 def test_volume_growth_gaussian3():
-    res = volume_growth_integral(parse_space("gaussian:3"), None, 1e6)
+    res = volume_growth_integral(parse_space("gaussian:3"), 1e6)
     assert not res.divergent
     assert res.value == pytest.approx(3.0 / (4.0 * math.pi), rel=1e-5)
 
 
 def test_volume_growth_divergent_cases():
-    assert volume_growth_integral(parse_space("gaussian:2"), None, 1e5).divergent
-    assert volume_growth_integral(parse_space("sphere:3"), None, 1e4).divergent
-    assert volume_growth_integral(parse_space("cylinder:3"), None, 1e4).divergent
+    assert volume_growth_integral(parse_space("gaussian:2"), 1e5).divergent
+    assert volume_growth_integral(parse_space("sphere:3"), 1e4).divergent
+    assert volume_growth_integral(parse_space("cylinder:3"), 1e4).divergent
 
 
 def test_volume_growth_validation():
     with pytest.raises(ValueError):
-        volume_growth_integral(parse_space("gaussian:3"), None, 0.5)
+        volume_growth_integral(parse_space("gaussian:3"), 0.5)

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.special import eval_gegenbauer, eval_legendre
 
 from solitonlab.exceptions import (
+    DimensionError,
     KindMismatchError,
     SeriesTruncationError,
     TimeDomainError,
@@ -189,6 +190,12 @@ def test_sphere_series_time_gate_and_cap():
     # at t = 1e-9 the S^2 series needs about 2.7e5 levels, past the cap
     with pytest.raises(SeriesTruncationError):
         sk.at(0.3, 1e-9)
+
+
+def test_sphere_series_whose_multiplicities_overflow_is_a_dimension_error():
+    # the level table's multiplicities pass the largest float from S^120 on
+    with pytest.raises(DimensionError):
+        SphereHeatKernel(120, 0.25)
 
 
 def test_sphere_series_symmetry():
@@ -441,13 +448,13 @@ def test_evaluator_quadrature_methods(token):
     x, y = sp.pole(), sp.point_at_distance(1.0)
     for t in (0.05, 1.0):
         # constant curvature: the mass decays exactly at the rate a R
-        assert ev.mass(x, t) == pytest.approx(math.exp(-a * sp.sup_R * t), abs=1e-12)
+        assert ev.mass(t) == pytest.approx(math.exp(-a * sp.sup_R * t), abs=1e-12)
     for t in (0.05, 0.3):
         assert ev.semigroup_defect(x, y, t, t / 2) < 1e-9
     if sp.kind == "gaussian":
         for t, D in ((0.05, 2.5), (1.0, 10.0)):
             exact = (8.0 * math.pi * t) ** -1.5 * (D / (D - 2.0)) ** 1.5
-            assert ev.weighted_l2(x, t, D) == pytest.approx(exact, rel=1e-10)
+            assert ev.weighted_l2(t, D) == pytest.approx(exact, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,12 @@ def test_degenerate_cylinder_rejected():
         make_space("gaussian", 0)
 
 
+def test_sphere_whose_volume_overflows_is_a_dimension_error():
+    make_space("sphere", 231)
+    with pytest.raises(DimensionError):
+        make_space("sphere", 232)
+
+
 def test_parse_space_round_trip():
     for tok in ALL_TOKENS:
         assert parse_space(tok).token == tok

@@ -63,7 +63,7 @@ def test_sphere_spectrum_is_the_sorted_level_expansion():
 
 def test_spectrum_must_ascend():
     with pytest.raises(ValueError):
-        Spectrum(np.array([1.0, 0.5]), 0.0, "analytic")
+        Spectrum(np.array([1.0, 0.5]), 0.0)
 
 
 def test_constant_shift_covariance():

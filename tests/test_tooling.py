@@ -1,11 +1,13 @@
-"""The benchmark's span tracer wraps package names that exist and restores them."""
+"""The benchmark's span tracer wraps package names that exist and restores them,
+and every function under src/solitonlab reads each of its parameters."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
 import scipy.linalg
 
-from solitonlab import entropy, kernels, verify
+from solitonlab import entropy, kernels, spectral, verify
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -21,7 +23,7 @@ def _wrapped_names():
     trial = entropy.TrialFunction
     return (kernels.EuclideanHeatKernel.evaluate, kernels.SphereHeatKernel.evaluate,
             kernels.CylinderHeatKernel.evaluate, kernels.SphereHeatKernel.profile,
-            kernels.GreenEvaluator.evaluate, verify.partition_function,
+            kernels.GreenEvaluator.evaluate, spectral.partition_function,
             kernels.DirichletRadialHeatKernel.profile, verify.GrigoryanProbe.state,
             scipy.linalg.solve_banded, kernels.solve_banded,
             trial.normalize, trial.int_phi2, trial.int_grad2, trial.int_R_phi2,
@@ -55,3 +57,28 @@ def test_traced_cylinder_value_is_one_evaluate_and_one_profile():
         tracer.uninstall()
     assert tracer.calls["kernels.evaluate"] == 1
     assert tracer.calls["kernels.profile"] == 1
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "solitonlab"
+
+
+def _unread_parameters(tree: ast.AST) -> list:
+    """``function.parameter`` for each parameter, other than self and cls,
+    that no expression in its function's body reads."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                  if p is not None and p.arg not in ("self", "cls")]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{node.name}.{p}" for p in params if p not in read]
+    return unread
+
+
+def test_every_parameter_under_src_is_read():
+    unread = {path.name: _unread_parameters(ast.parse(path.read_text(encoding="utf-8")))
+              for path in sorted(SRC.glob("*.py"))}
+    assert {name: params for name, params in unread.items() if params} == {}

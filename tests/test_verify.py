@@ -183,7 +183,7 @@ def _flat_table(pairs, times):
 
 @pytest.mark.parametrize("check", [
     lambda: verify.energy_monotonicity(discretize_radial(make_space("gaussian", 1), 8.0, 64),
-                                       s=1.0, trials=0),
+                                       trials=0),
     lambda: verify.log_sobolev(parse_space("sphere:2"), mu_closed_form(parse_space("sphere:2")),
                                trials=0),
     lambda: verify.log_sobolev(parse_space("gaussian:3"), 0.0, trials=3, tau_grid=[]),
@@ -364,11 +364,16 @@ def test_green_bound_sphere3_small_angle_slope():
 # ---------------------------------------------------------------------------
 
 
+def _trace_table(kernel):
+    """The kernel on 4 pairs, the pole diagonal first, x the default times."""
+    return verify.kernel_table(kernel, verify.pair_grid(kernel.space, 4, 0), verify.time_grid())
+
+
 def test_eigenvalue_bound_first_two_levels():
     sp = parse_space("sphere:2")
     mu = mu_closed_form(sp)
     spec = sphere_spectrum(2, 0.25, 30)
-    rep = verify.eigenvalue_bound(spec, mu, SphereHeatKernel(2, 0.25), 50, seed=0)
+    rep = verify.eigenvalue_bound(spec, mu, _trace_table(SphereHeatKernel(2, 0.25)), 50, seed=0)
     assert rep.passed
     # oracle: bound(k) = (4 pi / e)(k e^mu / V) = k / e^2 here
     rows = {r["x_id"]: r for r in rep.points if r["x_id"].startswith("k=")}
@@ -381,13 +386,22 @@ def test_eigenvalue_bound_first_two_levels():
 def test_eigenvalue_bound_requires_enough_spectrum():
     spec = sphere_spectrum(2, 0.25, 3)
     with pytest.raises(ValueError):
-        verify.eigenvalue_bound(spec, 0.0, SphereHeatKernel(2, 0.25), 500)
+        verify.eigenvalue_bound(spec, 0.0, _trace_table(SphereHeatKernel(2, 0.25)), 500)
 
 
 def test_eigenvalue_bound_rejects_a_kernel_of_another_coupling():
     spec = sphere_spectrum(2, 0.25, 30)
     with pytest.raises(ValueError):
-        verify.eigenvalue_bound(spec, 0.0, SphereHeatKernel(2, 1.0), 50)
+        verify.eigenvalue_bound(spec, 0.0, _trace_table(SphereHeatKernel(2, 1.0)), 50)
+
+
+def test_eigenvalue_bound_rejects_a_table_without_a_diagonal_first_pair():
+    spec = sphere_spectrum(2, 0.25, 30)
+    table = _trace_table(SphereHeatKernel(2, 0.25))
+    off = verify.KernelTable(table.evaluator, table.grid, table.times, table.d[1:],
+                             table.values[1:], table.errors[1:])
+    with pytest.raises(ValueError, match="diagonal"):
+        verify.eigenvalue_bound(spec, 0.0, off, 50)
 
 
 @pytest.mark.parametrize("token", ["sphere:2", "sphere:3"])
@@ -438,8 +452,7 @@ def test_log_sobolev_constant_trial_on_sphere():
     # which vanishes identically at tau = 1 on the model 2-sphere
     sp = parse_space("sphere:2")
     mu = mu_closed_form(sp)
-    tr = TrialFunction(sp, sp.pole(),
-                       RadialProfile("const", 1.0, math.pi * sp.sphere_radius + 1.0))
+    tr = TrialFunction(sp, RadialProfile("const", 1.0, math.pi * sp.sphere_radius + 1.0))
     (slack,) = verify.log_sobolev_slack(sp, mu, tr, [1.0])[2]
     closed = 1.0 - mu - 2.0 - math.log(4.0 * math.pi) + math.log(sp.volume)
     assert closed == pytest.approx(0.0, abs=1e-14)
@@ -538,7 +551,7 @@ def test_grigoryan_constants_validation():
 
 def test_energy_monotonicity_random_data():
     op = discretize_radial(make_space("gaussian", 1), 8.0, 384)
-    rep = verify.energy_monotonicity(op, s=1.0, trials=8, seed=21, dt=1e-3)
+    rep = verify.energy_monotonicity(op, trials=8, seed=21, dt=1e-3)
     assert rep.passed
     assert rep.extracted_constants["max_violation"] <= 1e-6
 
@@ -556,10 +569,10 @@ def test_energy_monotonicity_eigenmode_decay():
 
 def test_energy_monotonicity_violations_shrink_under_refinement():
     coarse = verify.energy_monotonicity(
-        discretize_radial(make_space("gaussian", 1), 8.0, 192), s=1.0,
+        discretize_radial(make_space("gaussian", 1), 8.0, 192),
         trials=6, seed=5, dt=2e-3)
     fine = verify.energy_monotonicity(
-        discretize_radial(make_space("gaussian", 1), 8.0, 384), s=1.0,
+        discretize_radial(make_space("gaussian", 1), 8.0, 384),
         trials=6, seed=5, dt=1e-3)
     assert fine.extracted_constants["max_violation"] <= \
         coarse.extracted_constants["max_violation"] + 1e-12
@@ -569,7 +582,7 @@ def test_energy_monotonicity_violations_shrink_under_refinement():
 def test_energy_monotonicity_rows_equal_single_column_probes(n):
     # reference: one probe per trial, as each trial was marched alone
     op = discretize_radial(make_space("gaussian", n), 8.0, 192)
-    rep = verify.energy_monotonicity(op, s=1.0, trials=6, seed=4, dt=2e-3)
+    rep = verify.energy_monotonicity(op, trials=6, seed=4, dt=2e-3)
     ts = rep.grid["times"]
     data = verify.random_dirichlet_data(op, 6, 4)
     columns = verify.GrigoryanProbe(op, ts[0], data0=data, dt=2e-3)
