@@ -67,6 +67,6 @@ for label, ev in [("gaussian closed form", EuclideanHeatKernel(make_space("gauss
                   ("cylinder product", ck),
                   ("fd dirichlet", fdk)]:
     rep = verify.kernel_axioms(ev, seed=3)
-    worst = {r["check"]: r["violation"] for r in rep.points}
+    worst = {r["x_id"]: r["lhs"] for r in rep.points}
     print(f"  {label:22s} passed={rep.passed}  " +
           "  ".join(f"{k}={v:.1e}" for k, v in worst.items()))

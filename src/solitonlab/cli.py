@@ -33,8 +33,8 @@ from .exceptions import ConfigError, SolitonLabError
 from .spaces import check_soliton_identities, parse_space
 
 EXIT_PASS = 0
-EXIT_VIOLATION = 1
-EXIT_CONFIG = 2
+EXIT_VIOLATION = 1  # a check ran and failed
+EXIT_CONFIG = 2     # a usage or config error, or a check that could not run
 
 CSV_COLUMNS = ["theorem_id", "space", "a", "x_id", "y_id", "t", "lhs", "rhs", "slack", "ratio"]
 
@@ -273,10 +273,9 @@ def _seed_for(cfg: ExperimentConfig, name: str) -> int:
     return (cfg.seed + zlib.crc32(name.encode())) % (2 ** 63)
 
 
-def _evaluator(cfg: ExperimentConfig, a: float, method: str | None = None):
-    """The kernel of ``method`` (the configured one by default) at coupling a;
-    ``auto`` is the closed-form or series kernel."""
-    method = cfg.method if method is None else method
+def _evaluator(cfg: ExperimentConfig, a: float, method: str):
+    """The kernel of ``method`` at coupling a; ``auto`` is the closed-form or
+    series kernel."""
     params = {"eps": cfg.series_eps, "t_min": cfg.t_min}
     if method == "fd_dirichlet":
         params = {"R_max": cfg.r_max, "m": cfg.m, "t0": cfg.t0, "time_tol": cfg.time_tol}
@@ -308,87 +307,94 @@ def _skip_reason(theorem_id: str, cfg: ExperimentConfig) -> str | None:
 
 
 def _shared(store: dict, key, build):
-    """``store[key]``, built on first use."""
+    """``store[key]``, built on first use; a build that raised raises the same
+    error again instead of building again."""
     if key not in store:
-        store[key] = build()
+        try:
+            store[key] = build()
+        except SolitonLabError as exc:
+            store[key] = exc
+    if isinstance(store[key], SolitonLabError):
+        raise store[key]
     return store[key]
 
 
 def run_theorem(theorem_id: str, cfg: ExperimentConfig, *, store: dict | None = None,
                 **kw) -> verify.VerificationReport:
     """Build what the check needs from the config and run it. ``store``, kept
-    by the caller for one config, shares the evaluators (one per method and
-    coupling) and kernel tables (one per grid) between checks."""
+    by the caller for one config, shares the evaluators (one per route and
+    coupling) and kernel tables (one per grid) between checks. The report's
+    ``runtime_seconds`` is the wall time of the whole check, the kernels and
+    tables it builds first included."""
     reason = _skip_reason(theorem_id, cfg)
     if reason is not None:
         raise ConfigError(reason)
+    start = time.perf_counter()
     store = {} if store is None else store
     space = parse_space(cfg.space)
     mu = entropy.mu_closed_form(space)
     seed = _seed_for(cfg, theorem_id)
     times = verify.time_grid(cfg.times, cfg.t_low, cfg.t_high)
+    # kernels and tables are keyed by route, so "auto" shares the configured one
+    auto = kernels.AUTO[space.kind]
+    configured = auto if cfg.method == "auto" else cfg.method
 
-    def evaluator(a, method=cfg.method):
-        return _shared(store, (method, a), lambda: _evaluator(cfg, a, method))
+    def evaluator(a, route=configured):
+        return _shared(store, (route, a), lambda: _evaluator(cfg, a, route))
 
-    def table(a, pairs, ts, method=cfg.method, grid_seed=seed):
-        return _shared(store, ("table", method, a, pairs, grid_seed, ts.tobytes()),
-                       lambda: verify.kernel_table(evaluator(a, method),
+    def table(a, pairs, ts, route=configured, grid_seed=seed):
+        return _shared(store, ("table", route, a, pairs, grid_seed, ts.tobytes()),
+                       lambda: verify.kernel_table(evaluator(a, route),
                                                    verify.pair_grid(space, pairs, grid_seed), ts))
 
     if theorem_id == "kernel-axioms":
         tol = cfg.tol_fd if cfg.method == "fd_dirichlet" else cfg.tol_analytic
-        return verify.kernel_axioms(evaluator(cfg.a), seed=seed, tol=tol)
-    if theorem_id == "ultracontractivity":
-        return verify.ultracontractivity(table(cfg.a, cfg.pairs, times), mu,
-                                         tol=cfg.tol_analytic, seed=seed)
-    if theorem_id == "gaussian-bound":
+        report = verify.kernel_axioms(evaluator(cfg.a), seed=seed, tol=tol)
+    elif theorem_id == "ultracontractivity":
+        report = verify.ultracontractivity(table(cfg.a, cfg.pairs, times), mu,
+                                           tol=cfg.tol_analytic, seed=seed)
+    elif theorem_id == "gaussian-bound":
         c = kw.get("c", cfg.c_values[0])
         if not 4.0 < c < math.inf:
             raise ConfigError("the off-diagonal bound requires a finite c > 4")
         # one refined table serves every c: the seed is the theorem's
-        return verify.gaussian_bound(table(cfg.a, 2 * cfg.pairs, verify.refine_times(times)),
-                                     mu, c, tol=cfg.tol_analytic, seed=seed)
-    if theorem_id == "cr-bound":
+        report = verify.gaussian_bound(table(cfg.a, 2 * cfg.pairs, verify.refine_times(times)),
+                                       mu, c, tol=cfg.tol_analytic, seed=seed)
+    elif theorem_id == "cr-bound":
         ts = verify.time_grid(cfg.times, cfg.t_low, min(cfg.t_high, 50.0))
-        return verify.cr_bound(table(0.0, cfg.pairs, ts), mu, space.sup_R,
-                               tol=cfg.tol_analytic, seed=seed)
+        report = verify.cr_bound(table(0.0, cfg.pairs, ts), mu, space.sup_R,
+                                 tol=cfg.tol_analytic, seed=seed)
     # the Green's function integrates, and the partition rows trace, the
     # closed-form or series kernel whatever the configured method
-    if theorem_id == "green-bound":
-        return verify.green_bound(kernels.GreenEvaluator(evaluator(cfg.a, "auto")), mu,
-                                  seed=seed)
-    if theorem_id == "eigenvalue-bound":
-        spec = spectral.sphere_spectrum(space.n, cfg.a, _level_for_count(space.n, cfg.k_max))
+    elif theorem_id == "green-bound":
+        report = verify.green_bound(kernels.GreenEvaluator(evaluator(cfg.a, auto)), mu,
+                                    seed=seed)
+    elif theorem_id == "eigenvalue-bound":
         # the trace is the diagonal first pair of the ultracontractivity table
-        trace = table(cfg.a, cfg.pairs, times, "auto", _seed_for(cfg, "ultracontractivity"))
-        return verify.eigenvalue_bound(spec, mu, trace, cfg.k_max,
-                                       tol=cfg.tol_analytic, seed=seed)
-    if theorem_id == "log-sobolev":
-        return verify.log_sobolev(space, mu, trials=cfg.trials,
-                                  tau_grid=cfg.tau_grid(), seed=seed,
-                                  tol=cfg.tol_analytic)
-    if theorem_id == "sobolev":
-        return verify.sobolev(space, mu, a=cfg.a, trials=max(10, cfg.trials // 2), seed=seed)
-    if theorem_id == "energy-monotonicity":
+        trace = table(cfg.a, cfg.pairs, times, auto, _seed_for(cfg, "ultracontractivity"))
+        spec = spectral.sphere_spectrum(space.n, cfg.a, _level_for_count(space.n, cfg.k_max))
+        report = verify.eigenvalue_bound(spec, mu, trace, cfg.k_max,
+                                         tol=cfg.tol_analytic, seed=seed)
+    elif theorem_id == "log-sobolev":
+        report = verify.log_sobolev(space, mu, trials=cfg.trials, tau_grid=cfg.tau_grid(),
+                                    seed=seed, tol=cfg.tol_analytic)
+    elif theorem_id == "sobolev":
+        report = verify.sobolev(space, mu, a=cfg.a, trials=max(10, cfg.trials // 2), seed=seed)
+    elif theorem_id == "energy-monotonicity":
         op = spectral.discretize_radial(space, cfg.probe_r_max, cfg.probe_m, 0.0)
-        return verify.energy_monotonicity(op, trials=min(cfg.trials, 20), seed=seed,
-                                          dt=cfg.probe_dt, tol=cfg.tol_analytic)
-    if theorem_id == "weighted-energy":
+        report = verify.energy_monotonicity(op, trials=min(cfg.trials, 20), seed=seed,
+                                            dt=cfg.probe_dt, tol=cfg.tol_analytic)
+    elif theorem_id == "weighted-energy":
         op = spectral.discretize_radial(space, cfg.probe_r_max, cfg.probe_m, 0.0)
         probe = verify.GrigoryanProbe(op, cfg.t0, dt=cfg.probe_dt,
                                       D=cfg.big_d, gamma=cfg.gamma)
-        return verify.weighted_energy_bound(probe, mu, tol=cfg.tol_fd, seed=seed)
-    if theorem_id == "grigoryan-constants":
-        consts = verify.grigoryan_constants(cfg.gamma, cfg.big_d)
-        return verify.VerificationReport(
-            theorem_id="grigoryan-constants", space=None, a=None,
-            grid={"gamma": cfg.gamma, "D": cfg.big_d}, tolerance=0.0, seed=seed,
-            mode="slack", worst_case_slack=consts.m,
-            extracted_constants={"m": consts.m, "k_argmin": consts.k_argmin,
-                                 "D0": consts.D0, "delta": consts.delta},
-        )
-    raise ConfigError(f"unknown theorem id {theorem_id!r}")
+        report = verify.weighted_energy_bound(probe, mu, tol=cfg.tol_fd, seed=seed)
+    elif theorem_id == "grigoryan-constants":
+        report = verify.grigoryan_constants(cfg.gamma, cfg.big_d).report(seed)
+    else:
+        raise ConfigError(f"unknown theorem id {theorem_id!r}")
+    report.runtime_seconds = time.perf_counter() - start
+    return report
 
 
 def _level_for_count(n: int, k_max: int) -> int:
@@ -420,27 +426,37 @@ def suite_jobs(cfg: ExperimentConfig) -> list:
     return jobs
 
 
-def run_suite(cfg: ExperimentConfig) -> tuple[dict, int]:
-    """Run every applicable check in turn on one shared store of evaluators
-    and kernel tables; returns (report document, exit code). The report's
-    ``skipped`` maps each inapplicable theorem to the reason."""
-    store = {}
-    results = {}
-    for job_id, kw in suite_jobs(cfg):
+def run_checks(cfg: ExperimentConfig, jobs: list) -> tuple[dict, int]:
+    """Run the ``(check id, keyword arguments)`` jobs in turn through
+    ``run_theorem`` on one shared store; returns (report document, exit code).
+    A check that raises a non-config SolitonLabError is an ``error`` entry and
+    an ``error: <check id>: <Type>: <message>`` line on stderr. Exit 1 means a
+    check ran and failed, else 2 that one raised; a ConfigError propagates."""
+    store, results = {}, {}
+    for job_id, kw in jobs:
         theorem = job_id.split(":")[0]
         try:
             results[job_id] = run_theorem(theorem, cfg, store=store, **kw).to_dict()
         except ConfigError:
             raise
         except SolitonLabError as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            print(f"error: {job_id}: {error}", file=sys.stderr)
             results[job_id] = {"theorem_id": theorem, "space": cfg.space, "a": cfg.a,
-                               "passed": False, "error": f"{type(exc).__name__}: {exc}",
-                               "points": []}
+                               "passed": False, "error": error, "points": []}
     ordered = {k: results[k] for k in sorted(results)}
-    all_pass = all(v.get("passed") for v in ordered.values())
-    skipped = {t: r for t in THEOREM_IDS if (r := _skip_reason(t, cfg)) is not None}
-    doc = _envelope(cfg, {"checks": ordered, "all_passed": all_pass, "skipped": skipped})
-    return doc, (EXIT_PASS if all_pass else EXIT_VIOLATION)
+    ran = [v["passed"] for v in ordered.values() if "error" not in v]
+    code = (EXIT_VIOLATION if not all(ran)
+            else EXIT_PASS if len(ran) == len(ordered) else EXIT_CONFIG)
+    return _envelope(cfg, {"checks": ordered, "all_passed": code == EXIT_PASS}), code
+
+
+def run_suite(cfg: ExperimentConfig) -> tuple[dict, int]:
+    """``run_checks`` over every applicable check; the report's ``skipped``
+    maps each inapplicable theorem to the reason."""
+    doc, code = run_checks(cfg, suite_jobs(cfg))
+    doc["skipped"] = {t: r for t in THEOREM_IDS if (r := _skip_reason(t, cfg)) is not None}
+    return doc, code
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +648,7 @@ def _dispatch(args, cfg: ExperimentConfig) -> int:
             raise ConfigError("the fd_dirichlet kernel has its source at the origin and takes "
                               "radii, not point pairs; check it with 'verify kernel-axioms'")
         sp = parse_space(cfg.space)
-        ev = _evaluator(cfg, cfg.a)
+        ev = _evaluator(cfg, cfg.a, cfg.method)
         x = _parse_point(sp, args.x)
         y = _parse_point(sp, args.y)
         val, err = ev.evaluate(x, y, args.t)
@@ -654,13 +670,8 @@ def _dispatch(args, cfg: ExperimentConfig) -> int:
         return EXIT_PASS
 
     if args.command in ("verify", "suite"):
-        if args.command == "verify":
-            rep = run_theorem(args.theorem, cfg, **({} if args.c is None else {"c": args.c}))
-            doc = _envelope(cfg, {"checks": {args.theorem: rep.to_dict()},
-                                  "all_passed": rep.passed})
-            code = EXIT_PASS if rep.passed else EXIT_VIOLATION
-        else:
-            doc, code = run_suite(cfg)
+        doc, code = (run_suite(cfg) if args.command == "suite" else
+                     run_checks(cfg, [(args.theorem, {} if args.c is None else {"c": args.c})]))
         _write_json(doc, cfg.json_path)
         if cfg.csv_dir:
             emit_plot_data(doc, cfg.csv_dir)

@@ -48,6 +48,8 @@ from .spectral import DiscretizedOperator, discretize_radial, sphere_multiplicit
 EPS = float(np.finfo(float).eps)
 FD_DT_MIN, FD_DT_MAX = 1e-7, 4e-3  # bounds on a finite-difference march step
 METHODS = ("auto", "closed_form", "spectral_series", "fd_dirichlet")
+# the method ``auto`` resolves to on each kind of space
+AUTO = {"gaussian": "closed_form", "sphere": "spectral_series", "cylinder": "spectral_series"}
 # level cap of the zonal series: times t >= t_min need fewer than 2000 levels,
 # and the Green time integral, which reaches down to t = d^2 / 282, fewer than 8000
 L_MAX = 8000
@@ -665,7 +667,7 @@ def heat_kernel(space: SolitonSpace, a: float, method: str = "auto", **params):
     if method not in METHODS:
         raise ValueError(f"unknown kernel method {method!r}; choose from {METHODS}")
     if method == "auto":
-        method = "closed_form" if space.kind == "gaussian" else "spectral_series"
+        method = AUTO[space.kind]
     if method == "closed_form":
         if space.kind != "gaussian":
             raise KindMismatchError("closed form is only available on gaussian spaces")

@@ -18,9 +18,7 @@ per weight, and build rows only for the cells their report carries.
 
 from __future__ import annotations
 
-import functools
 import math
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -58,7 +56,8 @@ class VerificationReport:
     extracted_constants: dict = field(default_factory=dict)
     points: list = field(default_factory=list)
     notes: list = field(default_factory=list)
-    runtime_seconds: float = 0.0
+    # wall time of the whole check, set by whoever runs it (cli.run_theorem)
+    runtime_seconds: float = field(default=0.0, init=False)
 
     @property
     def passed(self) -> bool:
@@ -144,25 +143,11 @@ def refine_times(ts: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([ts, mids]))
 
 
-def _timed(check):
-    """The check, with the wall time of each run in its report's runtime_seconds."""
-
-    @functools.wraps(check)
-    def timed(*args, **kwargs):
-        start = time.perf_counter()
-        report = check(*args, **kwargs)
-        report.runtime_seconds = time.perf_counter() - start
-        return report
-
-    return timed
-
-
 # ---------------------------------------------------------------------------
 # kernel axioms
 # ---------------------------------------------------------------------------
 
 
-@_timed
 def kernel_axioms(evaluator, seed: int = 0, tol: float | None = None) -> VerificationReport:
     """Symmetry and positivity at 6 random pairs, mass <= 1, and the
     semigroup identity.
@@ -175,9 +160,6 @@ def kernel_axioms(evaluator, seed: int = 0, tol: float | None = None) -> Verific
     tol_eff = tol if tol is not None else (FD_TOL if is_fd else ANALYTIC_TOL)
     rng = np.random.default_rng(seed)
     samples = 6
-    rows = []
-    worst = math.inf
-
     ts = [0.05, 0.3, 1.0]
     notes = []
     sym_viol = 0.0
@@ -213,25 +195,24 @@ def kernel_axioms(evaluator, seed: int = 0, tol: float | None = None) -> Verific
             notes.append(f"{skipped} semigroup samples below the noise floor (skipped)")
     mass_viol = max(max(0.0, evaluator.mass(t) - 1.0) for t in ts)
 
-    checks = [
+    axioms = [
         ("symmetry", sym_viol, 1e-10),
         ("positivity", pos_viol, tol_eff),
         ("mass", mass_viol, tol_eff),
         ("semigroup", semi_viol, 1e-3),
     ]
-    for name, viol, limit in checks:
-        rows.append({"check": name, "violation": viol, "limit": limit,
-                     "slack": limit - viol})
-        worst = min(worst, limit - viol)
+    # one row per axiom: its violation against its limit
+    rows = [{"x_id": name, "y_id": "", "t": math.nan, "lhs": viol, "rhs": limit,
+             "slack": limit - viol, "ratio": math.nan} for name, viol, limit in axioms]
     return VerificationReport(
         theorem_id="kernel-axioms",
         space=space.token,
-        a=getattr(evaluator, "a", None),
+        a=evaluator.a,
         grid={"samples": samples, "times": ts},
         tolerance=0.0,
         seed=seed,
         mode="slack",
-        worst_case_slack=worst,
+        worst_case_slack=min(r["slack"] for r in rows),
         points=rows,
         notes=notes,
     )
@@ -336,7 +317,7 @@ def _ratio_report(theorem_id: str, table: KernelTable, r: Ratios,
     check's ``notes`` come the count of unresolved cells (of the rows and,
     when they are a sub-grid, of the whole table) and NO_RESOLVED_NOTE when
     no row resolves."""
-    space, a = table.evaluator.space, getattr(table.evaluator, "a", None)
+    space, a = table.evaluator.space, table.evaluator.a
     shown = r.cells(cells)
     if not shown.ratio.size:
         return _empty_grid_report(theorem_id, space.token, a, grid, tol, seed, "ratio")
@@ -361,7 +342,6 @@ def _ratio_report(theorem_id: str, table: KernelTable, r: Ratios,
                               extracted_constants=constants, points=rows, notes=notes)
 
 
-@_timed
 def ultracontractivity(table: KernelTable, mu: float, tol: float = ANALYTIC_TOL,
                        seed: int = 0) -> VerificationReport:
     """On-diagonal-type bound H <= e^{-mu} (4 pi t)^{-n/2} over the table.
@@ -395,7 +375,6 @@ def ultracontractivity(table: KernelTable, mu: float, tol: float = ANALYTIC_TOL,
     return report
 
 
-@_timed
 def gaussian_bound(table: KernelTable, mu: float, c: float, tol: float = ANALYTIC_TOL,
                    seed: int = 0) -> VerificationReport:
     """Off-diagonal bound with weight exp(-d^2/(c t)) and extracted A_emp(c).
@@ -415,7 +394,7 @@ def gaussian_bound(table: KernelTable, mu: float, c: float, tol: float = ANALYTI
     ts = table.times[base[1]]
     grid = {"pairs": len(g) // 2, "times": len(ts), "c": c}
     if not table.values[base].size:
-        return _empty_grid_report("gaussian-bound", space.token, getattr(evaluator, "a", None),
+        return _empty_grid_report("gaussian-bound", space.token, evaluator.a,
                                   grid, STABILITY, seed, "ratio")
     r = ratios(table, mu, lambda d, t: d * d / (c * t))
     a_ref, _ = _max_resolved(r)
@@ -443,7 +422,6 @@ def gaussian_bound(table: KernelTable, mu: float, c: float, tol: float = ANALYTI
                          notes=notes, grid=grid, tol=STABILITY, seed=seed)
 
 
-@_timed
 def cr_bound(table: KernelTable, mu: float, C_R: float, tol: float = ANALYTIC_TOL,
              seed: int = 0) -> VerificationReport:
     """Laplace-kernel bound with the curvature growth factor exp(C_R t / 6).
@@ -452,7 +430,7 @@ def cr_bound(table: KernelTable, mu: float, C_R: float, tol: float = ANALYTIC_TO
     holds empirically, since sharpness of 1/6 is not claimed anywhere; both
     exponents read the one table of the Laplace kernel, one pass each.
     """
-    if getattr(table.evaluator, "a", 0.0) != 0.0:
+    if table.evaluator.a != 0.0:
         raise ValueError("the curvature-corrected bound applies to the Laplace kernel (a = 0)")
     r = ratios(table, mu, lambda d, t: -C_R * t / 6.0)
     worst, _ = _max_resolved(r)
@@ -473,7 +451,6 @@ def cr_bound(table: KernelTable, mu: float, C_R: float, tol: float = ANALYTIC_TO
 # ---------------------------------------------------------------------------
 
 
-@_timed
 def green_bound(green_evaluator: GreenEvaluator, mu: float,
                 distances=None, seed: int = 0) -> VerificationReport:
     """B_emp = max G(x, y) d^{n-2} e^mu over a separation grid.
@@ -542,7 +519,6 @@ def green_bound(green_evaluator: GreenEvaluator, mu: float,
 # ---------------------------------------------------------------------------
 
 
-@_timed
 def eigenvalue_bound(spectrum: Spectrum, mu: float, table: KernelTable, k_max: int, *,
                      tol: float = ANALYTIC_TOL, seed: int = 0) -> VerificationReport:
     """lambda_k >= (2 n pi / e) (k e^mu / V)^{2/n} plus the partition route.
@@ -659,12 +635,12 @@ def sharp_gaussian_trial(space: SolitonSpace, tau: float) -> TrialFunction:
     return TrialFunction(space, RadialProfile("gaussian", sigma, gaussian_cutoff(sigma)))
 
 
-@_timed
-def log_sobolev(space: SolitonSpace, mu: float, trials=100, tau_grid=None,
+def log_sobolev(space: SolitonSpace, mu: float, trials: int = 100, tau_grid=None,
                 seed: int = 0, tol: float = ANALYTIC_TOL) -> VerificationReport:
-    """Entropy-energy inequality over random trials and a tau grid."""
+    """Entropy-energy inequality over ``trials`` seeded random trials (and, on
+    the gaussian space, the extremal Gaussian) and a tau grid."""
     taus = np.asarray(tau_grid) if tau_grid is not None else np.geomspace(1e-2, 10.0, 20)
-    trial_list = trials if isinstance(trials, list) else random_trials(space, trials, seed)
+    trial_list = random_trials(space, trials, seed)
     if space.kind == "gaussian":
         trial_list = trial_list + [sharp_gaussian_trial(space, 1.0)]
     if not (trial_list and len(taus)):
@@ -695,7 +671,6 @@ def log_sobolev(space: SolitonSpace, mu: float, trials=100, tau_grid=None,
     )
 
 
-@_timed
 def sobolev(space: SolitonSpace, mu: float, a: float = 0.25, trials: int = 50,
             seed: int = 0) -> VerificationReport:
     """Critical Sobolev quotient with extracted constant C_emp (n >= 3).
@@ -772,6 +747,16 @@ class GrigoryanConstants:
     k_argmin: int
     D0: float       # 2 / m
     delta: float    # (D-2)/(5 D0 - 2) / gamma, capped at the D >= 5 D0 value
+
+    def report(self, seed: int = 0) -> VerificationReport:
+        """The ``grigoryan-constants`` check: the constants, with m as its slack."""
+        return VerificationReport(
+            theorem_id="grigoryan-constants", space=None, a=None,
+            grid={"gamma": self.gamma, "D": self.D}, tolerance=0.0, seed=seed,
+            mode="slack", worst_case_slack=self.m,
+            extracted_constants={"m": self.m, "k_argmin": self.k_argmin,
+                                 "D0": self.D0, "delta": self.delta},
+        )
 
 
 def grigoryan_constants(gamma: float, D: float) -> GrigoryanConstants:
@@ -883,7 +868,6 @@ def random_dirichlet_data(op: DiscretizedOperator, trials: int, seed: int) -> np
     return data * np.clip(1.0 - (r / op.R_max) ** 2, 0.0, None) ** 2
 
 
-@_timed
 def energy_monotonicity(op: DiscretizedOperator, trials: int = 20, seed: int = 0,
                         dt: float = 5e-4, tol: float = ANALYTIC_TOL) -> VerificationReport:
     """The weighted energy with the space-time weight is non-increasing.
@@ -925,7 +909,6 @@ def energy_monotonicity(op: DiscretizedOperator, trials: int = 20, seed: int = 0
     )
 
 
-@_timed
 def weighted_energy_bound(probe: GrigoryanProbe, mu: float, times=None,
                           tol: float = FD_TOL, seed: int = 0) -> VerificationReport:
     """E_D(t) and the tail mass I_R(t), at R = 1, 2 and 4, against their

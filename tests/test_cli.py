@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import os
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -279,7 +281,7 @@ def test_tolerances_reach_kernel_axioms(tmp_path, config, argv, limit):
     cfg.write_text(config)
     main(["--config", str(cfg), "--json", str(out), "verify", "kernel-axioms"] + argv)
     rows = json.loads(out.read_text())["checks"]["kernel-axioms"]["points"]
-    assert {r["check"]: r["limit"] for r in rows if r["check"] in ("positivity", "mass")} == \
+    assert {r["x_id"]: r["rhs"] for r in rows if r["x_id"] in ("positivity", "mass")} == \
         {"positivity": limit, "mass": limit}
 
 
@@ -419,6 +421,28 @@ def test_exit_1_when_a_check_reports_violation(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["all_passed"] is False
 
 
+@pytest.mark.parametrize("outcomes,code", [
+    (["fail", "raise"], EXIT_VIOLATION), (["pass", "raise"], EXIT_CONFIG),
+    (["pass", "pass"], EXIT_PASS),
+], ids=["violation-and-error", "error-only", "clean"])
+def test_exit_code_of_checks_that_fail_raise_or_pass(monkeypatch, outcomes, code):
+    import solitonlab.cli as cli_mod
+    from solitonlab.exceptions import SeriesTruncationError
+    from solitonlab.verify import VerificationReport
+
+    def check(theorem_id, cfg, **kw):
+        if outcomes[int(theorem_id)] == "raise":
+            raise SeriesTruncationError("no convergence")
+        slack = -1.0 if outcomes[int(theorem_id)] == "fail" else 1.0
+        return VerificationReport(theorem_id=theorem_id, space=cfg.space, a=cfg.a, grid={},
+                                  tolerance=0.0, seed=0, mode="slack", worst_case_slack=slack)
+
+    monkeypatch.setattr(cli_mod, "run_theorem", check)
+    doc, got = cli_mod.run_checks(ExperimentConfig(), [("0", {}), ("1", {})])
+    assert got == code
+    assert doc["all_passed"] is (code == EXIT_PASS)
+
+
 # ---------------------------------------------------------------------------
 # CSV and determinism
 # ---------------------------------------------------------------------------
@@ -508,7 +532,8 @@ def test_repeat_runs_are_byte_identical(tmp_path):
 
 def test_series_eps_reaches_the_green_kernel(monkeypatch):
     seen = []
-    monkeypatch.setattr(verify, "green_bound", lambda gv, mu, **kw: seen.append(gv))
+    monkeypatch.setattr(verify, "green_bound",
+                        lambda gv, mu, **kw: seen.append(gv) or SimpleNamespace())
     run_theorem("green-bound", parse_config('space = "sphere:3"\n[method]\nseries_eps = 1e-8\n'))
     assert seen[0].kernel.eps == 1e-8
 
@@ -527,6 +552,69 @@ def test_sphere_suite_builds_one_series_kernel_per_coupling(monkeypatch):
     _, code = run_suite(ExperimentConfig(space="sphere:3"))
     assert code == EXIT_PASS
     assert sorted(built) == [0.0, 0.25]
+
+
+def _count_sphere_kernels(monkeypatch) -> list:
+    """The couplings of the series sphere kernels built from now on, raising or not."""
+    built = []
+    init = kernels.SphereHeatKernel.__post_init__
+
+    def counted(self):
+        built.append(self.a)
+        init(self)
+
+    monkeypatch.setattr(kernels.SphereHeatKernel, "__post_init__", counted)
+    return built
+
+
+def test_spectral_series_suite_shares_the_auto_kernel(monkeypatch):
+    # green-bound and the eigenvalue trace ask for "auto", which resolves to
+    # the configured series route and reuses its kernel and table
+    built = _count_sphere_kernels(monkeypatch)
+    _, code = run_suite(ExperimentConfig(space="sphere:3", method="spectral_series"))
+    assert code == EXIT_PASS
+    assert sorted(built) == [0.0, 0.25]
+
+
+def test_suite_whose_kernel_cannot_be_built_exits_2_and_builds_it_once(
+        tmp_path, capsys, monkeypatch):
+    # the S^120 multiplicities overflow a float: every kernel check is an
+    # error entry, and each coupling's failed build is kept and raised again
+    built = _count_sphere_kernels(monkeypatch)
+    out = tmp_path / "s.json"
+    assert main(["--json", str(out), "suite", "--space", "sphere:120"]) == EXIT_CONFIG
+    checks = json.loads(out.read_text())["checks"]
+    errors = {k for k, v in checks.items() if "error" in v}
+    assert len(errors) == 9 and not any(checks[k]["passed"] for k in errors)
+    assert all(checks[k]["passed"] for k in set(checks) - errors)
+    assert sorted(built) == [0.0, 0.25]
+    lines = capsys.readouterr().err.splitlines()
+    assert sorted(lines) == sorted(f"error: {k}: {checks[k]['error']}" for k in errors)
+    assert all(": DimensionError: " in line for line in lines)
+
+
+def test_verify_whose_kernel_cannot_be_built_writes_the_error_and_exits_2(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    assert main(["--json", str(out), "verify", "kernel-axioms", "--space", "sphere:120"]) \
+        == EXIT_CONFIG
+    doc = json.loads(out.read_text())
+    assert set(doc) >= {"checks", "all_passed"} and "skipped" not in doc
+    assert doc["all_passed"] is False
+    entry = doc["checks"]["kernel-axioms"]
+    assert entry["error"].startswith("DimensionError: ") and entry["points"] == []
+    assert capsys.readouterr().err == f"error: kernel-axioms: {entry['error']}\n"
+
+
+def test_runtime_covers_the_kernel_table_a_check_builds(monkeypatch):
+    kernel_table = verify.kernel_table
+
+    def slow(*args):
+        time.sleep(0.05)
+        return kernel_table(*args)
+
+    monkeypatch.setattr(verify, "kernel_table", slow)
+    rep = run_theorem("ultracontractivity", ExperimentConfig(space="gaussian:3", pairs=8, times=10))
+    assert rep.runtime_seconds >= 0.05
 
 
 def test_flags_override_the_fields_they_name(tmp_path):

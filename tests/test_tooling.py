@@ -1,5 +1,6 @@
-"""The benchmark's span tracer wraps package names that exist and restores them,
-and every function under src/solitonlab reads each of its parameters."""
+"""The benchmark's span tracer wraps package names that exist, restores them
+and has a span name for each check, and every function under src/solitonlab
+reads each of its parameters."""
 
 import ast
 import importlib.util
@@ -57,6 +58,16 @@ def test_traced_cylinder_value_is_one_evaluate_and_one_profile():
         tracer.uninstall()
     assert tracer.calls["kernels.evaluate"] == 1
     assert tracer.calls["kernels.profile"] == 1
+
+
+def test_every_theorem_has_its_span_name():
+    # the tracer names the span of each check ``verify.<theorem id>``, and the
+    # per-layer metrics read the names in VERIFY_CHECKS
+    from solitonlab.cli import THEOREM_IDS
+
+    spans = _load_spans()
+    names = {t.replace("-", "_") for t in THEOREM_IDS if t != "grigoryan-constants"}
+    assert names <= set(spans.VERIFY_CHECKS)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "solitonlab"

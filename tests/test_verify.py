@@ -25,8 +25,8 @@ from solitonlab import verify
 def test_kernel_axioms_gaussian_closed_form():
     rep = verify.kernel_axioms(EuclideanHeatKernel(make_space("gaussian", 2), 0.25), seed=0)
     assert rep.passed
-    sym = [r for r in rep.points if r["check"] == "symmetry"][0]
-    assert sym["violation"] <= 1e-14
+    sym = [r for r in rep.points if r["x_id"] == "symmetry"][0]
+    assert sym["lhs"] <= 1e-14
 
 
 def test_kernel_axioms_sphere_series():
