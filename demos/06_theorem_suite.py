@@ -37,7 +37,7 @@ print("=" * 72)
 sp = parse_space("sphere:2")
 mu0 = mu_closed_form(sp)
 rows = verify.exploratory_a_sweep(sp, [0.0, 0.05, 0.1, 0.2, 0.25],
-                                  lambda a: SphereHeatKernel(2, a), mu0, seed=7)
+                                  lambda a: SphereHeatKernel(2, a), mu0)
 for row in rows:
     verdict = "<= 1 (bound shape holds)" if row["max_ratio"] <= 1 + 1e-6 else \
         "> 1 (on-diagonal bound shape fails at this coupling)"

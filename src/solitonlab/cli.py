@@ -323,7 +323,8 @@ def run_theorem(theorem_id: str, cfg: ExperimentConfig, *, store: dict | None = 
                 **kw) -> verify.VerificationReport:
     """Build what the check needs from the config and run it. ``store``, kept
     by the caller for one config, shares the evaluators (one per route and
-    coupling) and kernel tables (one per grid) between checks. The report's
+    coupling) and kernel tables (one per grid) between checks. Only the
+    checks that draw trials or point pairs take the seed. The report's
     ``runtime_seconds`` is the wall time of the whole check, the kernels and
     tables it builds first included."""
     reason = _skip_reason(theorem_id, cfg)
@@ -342,39 +343,36 @@ def run_theorem(theorem_id: str, cfg: ExperimentConfig, *, store: dict | None = 
     def evaluator(a, route=configured):
         return _shared(store, (route, a), lambda: _evaluator(cfg, a, route))
 
-    def table(a, pairs, ts, route=configured, grid_seed=seed):
-        return _shared(store, ("table", route, a, pairs, grid_seed, ts.tobytes()),
-                       lambda: verify.kernel_table(evaluator(a, route),
-                                                   verify.pair_grid(space, pairs, grid_seed), ts))
+    def table(a, ts, route=configured, refined=False):
+        return _shared(store, ("table", route, a, refined, ts.tobytes()),
+                       lambda: verify.kernel_table(
+                           evaluator(a, route),
+                           verify.separation_grid(space, cfg.pairs, refined), ts))
 
     if theorem_id == "kernel-axioms":
         tol = cfg.tol_fd if cfg.method == "fd_dirichlet" else cfg.tol_analytic
         report = verify.kernel_axioms(evaluator(cfg.a), seed=seed, tol=tol)
     elif theorem_id == "ultracontractivity":
-        report = verify.ultracontractivity(table(cfg.a, cfg.pairs, times), mu,
-                                           tol=cfg.tol_analytic, seed=seed)
+        report = verify.ultracontractivity(table(cfg.a, times), mu, tol=cfg.tol_analytic)
     elif theorem_id == "gaussian-bound":
         c = kw.get("c", cfg.c_values[0])
         if not 4.0 < c < math.inf:
             raise ConfigError("the off-diagonal bound requires a finite c > 4")
-        # one refined table serves every c: the seed is the theorem's
-        report = verify.gaussian_bound(table(cfg.a, 2 * cfg.pairs, verify.refine_times(times)),
-                                       mu, c, tol=cfg.tol_analytic, seed=seed)
+        # one refined table serves every c
+        report = verify.gaussian_bound(table(cfg.a, verify.refine_times(times), refined=True),
+                                       mu, c, tol=cfg.tol_analytic)
     elif theorem_id == "cr-bound":
         ts = verify.time_grid(cfg.times, cfg.t_low, min(cfg.t_high, 50.0))
-        report = verify.cr_bound(table(0.0, cfg.pairs, ts), mu, space.sup_R,
-                                 tol=cfg.tol_analytic, seed=seed)
+        report = verify.cr_bound(table(0.0, ts), mu, space.sup_R, tol=cfg.tol_analytic)
     # the Green's function integrates, and the partition rows trace, the
     # closed-form or series kernel whatever the configured method
     elif theorem_id == "green-bound":
-        report = verify.green_bound(kernels.GreenEvaluator(evaluator(cfg.a, auto)), mu,
-                                    seed=seed)
+        report = verify.green_bound(kernels.GreenEvaluator(evaluator(cfg.a, auto)), mu)
     elif theorem_id == "eigenvalue-bound":
-        # the trace is the diagonal first pair of the ultracontractivity table
-        trace = table(cfg.a, cfg.pairs, times, auto, _seed_for(cfg, "ultracontractivity"))
+        # the trace is the diagonal first row of the ultracontractivity table
         spec = spectral.sphere_spectrum(space.n, cfg.a, _level_for_count(space.n, cfg.k_max))
-        report = verify.eigenvalue_bound(spec, mu, trace, cfg.k_max,
-                                         tol=cfg.tol_analytic, seed=seed)
+        report = verify.eigenvalue_bound(spec, mu, table(cfg.a, times, auto), cfg.k_max,
+                                         tol=cfg.tol_analytic)
     elif theorem_id == "log-sobolev":
         report = verify.log_sobolev(space, mu, trials=cfg.trials, tau_grid=cfg.tau_grid(),
                                     seed=seed, tol=cfg.tol_analytic)
@@ -388,9 +386,9 @@ def run_theorem(theorem_id: str, cfg: ExperimentConfig, *, store: dict | None = 
         op = spectral.discretize_radial(space, cfg.probe_r_max, cfg.probe_m, 0.0)
         probe = verify.GrigoryanProbe(op, cfg.t0, dt=cfg.probe_dt,
                                       D=cfg.big_d, gamma=cfg.gamma)
-        report = verify.weighted_energy_bound(probe, mu, tol=cfg.tol_fd, seed=seed)
+        report = verify.weighted_energy_bound(probe, mu, tol=cfg.tol_fd)
     elif theorem_id == "grigoryan-constants":
-        report = verify.grigoryan_constants(cfg.gamma, cfg.big_d).report(seed)
+        report = verify.grigoryan_constants(cfg.gamma, cfg.big_d).report()
     else:
         raise ConfigError(f"unknown theorem id {theorem_id!r}")
     report.runtime_seconds = time.perf_counter() - start
@@ -398,13 +396,14 @@ def run_theorem(theorem_id: str, cfg: ExperimentConfig, *, store: dict | None = 
 
 
 def _level_for_count(n: int, k_max: int) -> int:
-    """The harmonic level whose spectrum holds the first k_max eigenvalues,
-    with whole levels to spare; the partition rows need no spectrum."""
+    """The harmonic level that holds the (k_max + 1)-th eigenvalue: the
+    spectrum through it holds the first k_max eigenvalues in whole levels;
+    the partition rows need no spectrum."""
     count = l = 0
     while count < k_max + 1:
         count += spectral.sphere_multiplicity(n, l)
         l += 1
-    return l + 2
+    return l - 1
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from .spaces import Point, SolitonSpace, make_space, sphere_area
 from .spectral import DiscretizedOperator, discretize_radial, sphere_multiplicity
 
 EPS = float(np.finfo(float).eps)
+DBL_MIN = float(np.finfo(float).tiny)  # the smallest normal double
 FD_DT_MIN, FD_DT_MAX = 1e-7, 4e-3  # bounds on a finite-difference march step
 METHODS = ("auto", "closed_form", "spectral_series", "fd_dirichlet")
 # the method ``auto`` resolves to on each kind of space
@@ -133,10 +134,10 @@ class TwoPointKernel:
         cells = np.array([self.at(sep, t) for sep in seps]).reshape(len(seps), 2)
         return cells[:, 0], cells[:, 1]
 
-    def table(self, xs, ys, times) -> tuple[np.ndarray, np.ndarray]:
-        """``evaluate`` at the pairs (xs[k], ys[k]) x ``times``: (values, errors),
-        each of shape (pairs, times), one ``column`` per time."""
-        seps = [self.separation(x, y) for x, y in zip(xs, ys)]
+    def table(self, seps, times) -> tuple[np.ndarray, np.ndarray]:
+        """The kernel at the separations ``seps`` x ``times``: (values, errors),
+        each of shape (separations, times), one ``column`` per time; each
+        entry equals ``evaluate`` at a pair of that separation."""
         h, err = np.empty((2, len(seps), len(times)))
         for k, t in enumerate(times):
             h[:, k], err[:, k] = self.column(seps, self._gated(t))
@@ -174,9 +175,16 @@ class EuclideanHeatKernel(TwoPointKernel):
 
     def at(self, r: float, t: float) -> tuple[float, float]:
         v = self.value_at_distance(r, t)
-        # exp turns the rounding of the exponent r^2/4t into a relative
+        # exp turns the rounding of the exponent x = r^2/4t into a relative
         # error of that size times eps
-        return v, 4.0 * EPS * abs(v) * (1.0 + r * r / (4.0 * t))
+        x = r * r / (4.0 * t)
+        err = 4.0 * EPS * abs(v) * (1.0 + x)
+        scale = (4.0 * math.pi * t) ** (-self.space.n / 2.0)
+        if 0.0 < v < max(scale, 1.0) * DBL_MIN:
+            # exp(-x) or the value is subnormal: the relative term is formed
+            # before it meets v, and each keeps only its last place
+            err = 4.0 * EPS * (1.0 + x) * v + (scale + 1.0) * math.ulp(0.0)
+        return v, err
 
     def mass(self, t: float) -> float:
         """Volume integral of H(x, ., t) by radial quadrature."""

@@ -84,53 +84,39 @@ class VerificationReport:
         }
 
 
-@dataclass(frozen=True)
-class PairGrid:
-    """Point pairs with stable ids; nested under count refinement."""
+class SeparationGrid(NamedTuple):
+    """Separations in a kernel's terms (d, theta, or (theta, s) on the
+    cylinder), the distance of each, and the label that names it in rows."""
 
-    points: list
-    pairs: list  # (i, j) indices into points
+    seps: list
+    d: np.ndarray
     labels: list
 
-    def __len__(self):
-        return len(self.pairs)
 
+def separation_grid(space: SolitonSpace, count: int = 24,
+                    refined: bool = False) -> SeparationGrid:
+    """The ratio checks' grid of ``count`` separations, the diagonal first:
+    d over [0, 8] on the gaussian space, theta over [0, pi] on the sphere,
+    and on the cylinder count // 2 sphere-factor separations (theta, 0) over
+    [0, pi], then line separations (0, s) over (0, 8]. Every catalogue space
+    is homogeneous, so these are all the kernel depends on. ``refined``
+    inserts the midpoints of each leg: 2 count - 1 rows, whose even rows are
+    the base grid."""
 
-def pair_grid(space: SolitonSpace, count: int = 24, seed: int = 0) -> PairGrid:
-    """Deterministic pair grid: diagonal, near and far pairs, then seeded
-    random pairs. Growing ``count`` with the same seed extends the grid
-    without disturbing the prefix, which makes refinement monotone.
+    def leg(hi, points):  # evenly spaced over [0, hi]
+        return np.linspace(0.0, hi, 2 * points - 1 if refined and points else points)
 
-    The deterministic prefix pins the structurally extreme configurations
-    (near-diagonal, far separations, and the sphere-factor antipode, where
-    conjugate-point focusing maximizes the weighted ratios), so extracted
-    constants stabilize under refinement instead of drifting with the
-    random sample.
-    """
-    pole = space.pole()
-    max_d = math.pi * space.sphere_radius if space.kind == "sphere" else 8.0
-    base_dist = [0.25, 1.0, 2.0, 4.0, 6.0]
-    points = [pole] + [space.point_at_distance(min(d, 0.999 * max_d)) for d in base_dist]
+    if space.kind == "gaussian":
+        d = leg(8.0, count)
+        return SeparationGrid(d.tolist(), d, [f"d={x:.6g}" for x in d])
+    theta = leg(math.pi, count // 2 if space.kind == "cylinder" else count)
     if space.kind == "sphere":
-        points.append(space.point_at_distance(math.pi * space.sphere_radius))  # antipode
-    if space.kind == "cylinder":
-        r0 = space.sphere_radius
-        for alpha in (math.pi / 2.0, 0.95 * math.pi, math.pi):
-            v = np.zeros(space.n)
-            v[0], v[1] = math.cos(alpha), math.sin(alpha)
-            points.append(space.point(v, s=0.0))  # pure sphere-factor displacement
-        points.append(space.point(np.eye(space.n)[0], s=4.0))  # pure line displacement
-    pairs = [(0, 0)] + [(0, i) for i in range(1, len(points))]
-    rng = np.random.default_rng(seed)
-    while len(pairs) < count:
-        p = space.random_point(rng)
-        points.append(p)
-        j = len(points) - 1
-        i = int(rng.integers(0, j))
-        pairs.append((i, j))
-    pairs = pairs[:count]
-    labels = [f"p{i}" for i in range(len(points))]
-    return PairGrid(points, pairs, labels)
+        return SeparationGrid(theta.tolist(), space.sphere_radius * theta,
+                              [f"theta={x:.6g}" for x in theta])
+    s = leg(8.0, count - count // 2 + 1)[1:]
+    seps = [(x, 0.0) for x in theta.tolist()] + [(0.0, x) for x in s.tolist()]
+    d = np.concatenate([space.sphere_radius * theta, s])
+    return SeparationGrid(seps, d, [f"theta={x:.6g};s={y:.6g}" for x, y in seps])
 
 
 def time_grid(count: int = 40, lo: float = 1e-3, hi: float = 1e2) -> np.ndarray:
@@ -225,23 +211,18 @@ def kernel_axioms(evaluator, seed: int = 0, tol: float | None = None) -> Verific
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Kernel values and error estimates on a pair grid x a time grid."""
+    """Kernel values and error estimates on a separation grid x a time grid."""
 
     evaluator: object
-    grid: PairGrid
+    grid: SeparationGrid
     times: np.ndarray
-    d: list               # distance of each pair
-    values: np.ndarray    # shape (pairs, times)
+    values: np.ndarray    # shape (separations, times)
     errors: np.ndarray
 
 
-def kernel_table(evaluator, grid: PairGrid, times) -> KernelTable:
-    """The evaluator's table over the pairs of ``grid`` x ``times``."""
-    xs = [grid.points[i] for i, _ in grid.pairs]
-    ys = [grid.points[j] for _, j in grid.pairs]
-    values, errors = evaluator.table(xs, ys, times)
-    d = [evaluator.space.distance(x, y) for x, y in zip(xs, ys)]
-    return KernelTable(evaluator, grid, np.asarray(times), d, values, errors)
+def kernel_table(evaluator, grid: SeparationGrid, times) -> KernelTable:
+    """The evaluator's table over the separations of ``grid`` x ``times``."""
+    return KernelTable(evaluator, grid, np.asarray(times), *evaluator.table(grid.seps, times))
 
 
 class Ratios(NamedTuple):
@@ -262,15 +243,15 @@ def _each(f, x: np.ndarray) -> np.ndarray:
 
 def ratios(table: KernelTable, mu: float, log_weight) -> Ratios:
     """The ratio H * exp(mu + (n/2) ln(4 pi t) + log_weight(d, t)) over the table
-    in one array pass; ``log_weight`` takes the column of pair distances and the
-    row of times. Computed in log space, since far pairs at small times
-    underflow the kernel while the weight overflows. A cell resolves when its
-    value exceeds ten times its error estimate, or when the noise max(err, |h|)
-    times the factor still certifies the bound (at most 0.5); otherwise the
-    value is cancellation noise that would poison the extracted constants, and
-    its ratio is NaN."""
+    in one array pass; ``log_weight`` takes the column of the rows' distances
+    and the row of times. Computed in log space, since far separations at
+    small times underflow the kernel while the weight overflows. A cell
+    resolves when its value exceeds ten times its error estimate, or when the
+    noise max(err, |h|) times the factor still certifies the bound (at most
+    0.5); otherwise the value is cancellation noise that would poison the
+    extracted constants, and its ratio is NaN."""
     h, err = table.values, table.errors
-    d = np.asarray(table.d, dtype=float).reshape(-1, 1)
+    d = table.grid.d.reshape(-1, 1)
     shift = mu + 0.5 * table.evaluator.space.n * _each(math.log, 4.0 * math.pi * table.times)
     shift = np.broadcast_to(shift + log_weight(d, table.times), h.shape)
     clean = h > 10.0 * err
@@ -284,7 +265,7 @@ def ratios(table: KernelTable, mu: float, log_weight) -> Ratios:
 
 
 def _max_resolved(r: Ratios) -> tuple[float, tuple | None]:
-    """The largest resolved ratio and its (pair, time) cell, or inf and None."""
+    """The largest resolved ratio and its (separation, time) cell, or inf and None."""
     if not r.resolved.any():
         return math.inf, None
     masked = np.where(r.resolved, r.ratio, -math.inf)
@@ -311,8 +292,8 @@ def _empty_grid_report(theorem_id: str, space: str, a, grid: dict, tol: float, s
 
 def _ratio_report(theorem_id: str, table: KernelTable, r: Ratios,
                   cells=(slice(None), slice(None)), *, worst: float, constants: dict,
-                  notes: list, grid: dict, tol: float, seed: int) -> VerificationReport:
-    """The report of a ratio check whose rows are the (pair, time) ``cells``
+                  notes: list, grid: dict, tol: float) -> VerificationReport:
+    """The report of a ratio check whose rows are the (separation, time) ``cells``
     of the table; with no cell it fails with EMPTY_GRID_NOTE alone. After the
     check's ``notes`` come the count of unresolved cells (of the rows and,
     when they are a sub-grid, of the whole table) and NO_RESOLVED_NOTE when
@@ -320,7 +301,7 @@ def _ratio_report(theorem_id: str, table: KernelTable, r: Ratios,
     space, a = table.evaluator.space, table.evaluator.a
     shown = r.cells(cells)
     if not shown.ratio.size:
-        return _empty_grid_report(theorem_id, space.token, a, grid, tol, seed, "ratio")
+        return _empty_grid_report(theorem_id, space.token, a, grid, tol, None, "ratio")
     unresolved = int(np.count_nonzero(~shown.resolved))
     if shown.ratio.size < r.ratio.size:
         everywhere = int(np.count_nonzero(~r.resolved))
@@ -330,20 +311,21 @@ def _ratio_report(theorem_id: str, table: KernelTable, r: Ratios,
         notes.append(f"{unresolved} grid points below the method noise floor (excluded)")
     if unresolved == shown.ratio.size:
         notes.append(NO_RESOLVED_NOTE)
-    labels, ts = table.grid.labels, table.times[cells[1]].tolist()
+    ts = table.times[cells[1]].tolist()
     hs, ratio, resolved, rhs = (v.tolist() for v in (table.values[cells], *shown))
     rows = []
-    for k, ((i, j), d) in enumerate(zip(table.grid.pairs[cells[0]], table.d[cells[0]])):
+    for k, (label, d) in enumerate(zip(table.grid.labels[cells[0]],
+                                       table.grid.d[cells[0]].tolist())):
         for t, h, q, ok, b in zip(ts, hs[k], ratio[k], resolved[k], rhs[k]):
-            rows.append({"x_id": labels[i], "y_id": labels[j], "t": t, "d": d, "lhs": h,
+            rows.append({"x_id": label, "y_id": "", "t": t, "d": d, "lhs": h,
                          "rhs": b, "slack": b - h, "ratio": q, "resolved": ok})
     return VerificationReport(theorem_id=theorem_id, space=space.token, a=a, grid=grid,
-                              tolerance=tol, seed=seed, mode="ratio", worst_case_slack=worst,
+                              tolerance=tol, seed=None, mode="ratio", worst_case_slack=worst,
                               extracted_constants=constants, points=rows, notes=notes)
 
 
-def ultracontractivity(table: KernelTable, mu: float, tol: float = ANALYTIC_TOL,
-                       seed: int = 0) -> VerificationReport:
+def ultracontractivity(table: KernelTable, mu: float,
+                       tol: float = ANALYTIC_TOL) -> VerificationReport:
     """On-diagonal-type bound H <= e^{-mu} (4 pi t)^{-n/2} over the table.
 
     On the gaussian space the ratio must equal one exactly on the diagonal
@@ -355,7 +337,7 @@ def ultracontractivity(table: KernelTable, mu: float, tol: float = ANALYTIC_TOL,
     worst, arg = _max_resolved(r)
     sharp_notes = []
     if arg is not None and space.kind == "gaussian":
-        d = np.asarray(table.d)
+        d = table.grid.d
         diag, off = r.ratio[d == 0.0], r.ratio[d > 0.0]
         diag_dev = float(np.max(np.abs(diag - 1.0))) if diag.size else math.inf
         off_ok = bool(np.all(off < 1.0))
@@ -365,37 +347,36 @@ def ultracontractivity(table: KernelTable, mu: float, tol: float = ANALYTIC_TOL,
             worst = math.inf  # sharpness structure broken
     argmax = None
     if arg is not None:
-        (i, j), labels = table.grid.pairs[arg[0]], table.grid.labels
-        argmax = {"x_id": labels[i], "y_id": labels[j], "t": float(table.times[arg[1]])}
+        argmax = {"x_id": table.grid.labels[arg[0]], "t": float(table.times[arg[1]])}
     report = _ratio_report("ultracontractivity", table, r, worst=worst,
                            constants={"max_ratio": worst, "argmax": argmax}, notes=[],
-                           grid={"pairs": len(table.grid), "times": len(table.times)},
-                           tol=tol, seed=seed)
+                           grid={"pairs": len(table.grid.seps), "times": len(table.times)},
+                           tol=tol)
     report.notes += sharp_notes
     return report
 
 
-def gaussian_bound(table: KernelTable, mu: float, c: float, tol: float = ANALYTIC_TOL,
-                   seed: int = 0) -> VerificationReport:
+def gaussian_bound(table: KernelTable, mu: float, c: float,
+                   tol: float = ANALYTIC_TOL) -> VerificationReport:
     """Off-diagonal bound with weight exp(-d^2/(c t)) and extracted A_emp(c).
 
     A_emp is the grid maximum of H (4 pi t)^{n/2} e^mu e^{d^2/(ct)}; the pass
     criteria are finiteness and stability under nested refinement (within
     ``STABILITY``). ``table`` is on the refined grid; the base grid, whose
-    rows the report carries, is the slice [:pairs // 2, ::2] of it: the first
-    half of the pairs at every other time. A splitting cross-check bounds H
-    by the weighted L2 integrals of both endpoints.
+    rows the report carries, is the slice [::2, ::2] of it: every other
+    separation at every other time. A splitting cross-check bounds H by the
+    weighted L2 integrals of both endpoints.
     """
     if c <= 4.0:
         raise ValueError("the off-diagonal weight requires c > 4")
-    evaluator, g = table.evaluator, table.grid
+    evaluator = table.evaluator
     space = evaluator.space
-    base = (slice(len(g) // 2), slice(None, None, 2))
+    base = (slice(None, None, 2), slice(None, None, 2))
     ts = table.times[base[1]]
-    grid = {"pairs": len(g) // 2, "times": len(ts), "c": c}
+    grid = {"pairs": len(table.grid.d[base[0]]), "times": len(ts), "c": c}
     if not table.values[base].size:
         return _empty_grid_report("gaussian-bound", space.token, evaluator.a,
-                                  grid, STABILITY, seed, "ratio")
+                                  grid, STABILITY, None, "ratio")
     r = ratios(table, mu, lambda d, t: d * d / (c * t))
     a_ref, _ = _max_resolved(r)
     a_base, _ = _max_resolved(r.cells(base))
@@ -408,7 +389,7 @@ def gaussian_bound(table: KernelTable, mu: float, c: float, tol: float = ANALYTI
     for col in (2 * (len(ts) // 2), 2 * (len(ts) - 1)):
         t = float(table.times[col])
         e = evaluator.weighted_l2(t / 2.0, D)
-        for k, d in enumerate(table.d[:4]):
+        for k, d in enumerate(table.grid.d[:4].tolist()):
             bound = e * math.exp(-d * d / (2.0 * D * t))
             split_worst = max(split_worst, table.values[k, col] / bound)
     notes = [f"A_emp base {a_base:.6g}, refined {a_ref:.6g}",
@@ -419,11 +400,11 @@ def gaussian_bound(table: KernelTable, mu: float, c: float, tol: float = ANALYTI
     return _ratio_report("gaussian-bound", table, r, base, worst=worst,
                          constants={"A_emp": a_ref, "A_emp_base": a_base,
                                     "splitting_max_ratio": split_worst},
-                         notes=notes, grid=grid, tol=STABILITY, seed=seed)
+                         notes=notes, grid=grid, tol=STABILITY)
 
 
-def cr_bound(table: KernelTable, mu: float, C_R: float, tol: float = ANALYTIC_TOL,
-             seed: int = 0) -> VerificationReport:
+def cr_bound(table: KernelTable, mu: float, C_R: float,
+             tol: float = ANALYTIC_TOL) -> VerificationReport:
     """Laplace-kernel bound with the curvature growth factor exp(C_R t / 6).
 
     Also probes (without gating) whether the smaller exponent C_R t / 12
@@ -442,8 +423,9 @@ def cr_bound(table: KernelTable, mu: float, C_R: float, tol: float = ANALYTIC_TO
     return _ratio_report("cr-bound", table, r, worst=worst,
                          constants={"max_ratio": worst, "max_ratio_exponent_12": worst12},
                          notes=notes,
-                         grid={"pairs": len(table.grid), "times": len(table.times), "C_R": C_R},
-                         tol=tol, seed=seed)
+                         grid={"pairs": len(table.grid.seps), "times": len(table.times),
+                               "C_R": C_R},
+                         tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +434,7 @@ def cr_bound(table: KernelTable, mu: float, C_R: float, tol: float = ANALYTIC_TO
 
 
 def green_bound(green_evaluator: GreenEvaluator, mu: float,
-                distances=None, seed: int = 0) -> VerificationReport:
+                distances=None) -> VerificationReport:
     """B_emp = max G(x, y) d^{n-2} e^mu over a separation grid.
 
     Pass requires finiteness and refinement stability (within ``STABILITY``);
@@ -505,7 +487,7 @@ def green_bound(green_evaluator: GreenEvaluator, mu: float,
         a=green_evaluator.a,
         grid={"distances": [float(d) for d in ds]},
         tolerance=STABILITY,
-        seed=seed,
+        seed=None,
         mode="ratio",
         worst_case_slack=worst,
         extracted_constants={"B_emp": b_ref, "B_emp_base": b_base, "slope": slope},
@@ -520,13 +502,13 @@ def green_bound(green_evaluator: GreenEvaluator, mu: float,
 
 
 def eigenvalue_bound(spectrum: Spectrum, mu: float, table: KernelTable, k_max: int, *,
-                     tol: float = ANALYTIC_TOL, seed: int = 0) -> VerificationReport:
+                     tol: float = ANALYTIC_TOL) -> VerificationReport:
     """lambda_k >= (2 n pi / e) (k e^mu / V)^{2/n} plus the partition route.
 
     Also verified: the partition-function inequality
     Z(t) <= e^{-mu} V (4 pi t)^{-n/2} at the times of ``table``, with Z the
-    trace V H(o, o, t) read from the table's first pair, which must be a
-    diagonal one (certified at its upper value, trace plus error estimate),
+    trace V H(o, o, t) read from the table's first row, which must be the
+    diagonal (certified at its upper value, trace plus error estimate),
     the minimizing time t0 = n / (2 lambda) of e^{lambda t} (4 pi t)^{-n/2}
     by sampling, and the Weyl ratio window for k in [200, 400] when
     available. n and V are those of the table's space.
@@ -534,8 +516,8 @@ def eigenvalue_bound(spectrum: Spectrum, mu: float, table: KernelTable, k_max: i
     kernel = table.evaluator
     if kernel.a != spectrum.a:
         raise ValueError("the kernel and the spectrum must share the coupling a")
-    if not table.d or table.d[0] != 0.0:
-        raise ValueError("the trace is read from the table's first pair, which must be diagonal")
+    if not len(table.grid.d) or table.grid.d[0] != 0.0:
+        raise ValueError("the trace is read from the table's first row, which must be diagonal")
     n, V = kernel.space.n, kernel.space.volume
     lam = spectrum.values
     if len(lam) < k_max:
@@ -596,11 +578,11 @@ def eigenvalue_bound(spectrum: Spectrum, mu: float, table: KernelTable, k_max: i
     worst = min(worst, part_worst)
     return VerificationReport(
         theorem_id="eigenvalue-bound",
-        space=None,
+        space=kernel.space.token,
         a=spectrum.a,
         grid={"k_max": k_max, "times": len(ts)},
         tolerance=tol,
-        seed=seed,
+        seed=None,
         mode="slack",
         worst_case_slack=worst,
         extracted_constants={"min_eigen_slack": min(r["slack"] for r in rows
@@ -748,11 +730,11 @@ class GrigoryanConstants:
     D0: float       # 2 / m
     delta: float    # (D-2)/(5 D0 - 2) / gamma, capped at the D >= 5 D0 value
 
-    def report(self, seed: int = 0) -> VerificationReport:
+    def report(self) -> VerificationReport:
         """The ``grigoryan-constants`` check: the constants, with m as its slack."""
         return VerificationReport(
             theorem_id="grigoryan-constants", space=None, a=None,
-            grid={"gamma": self.gamma, "D": self.D}, tolerance=0.0, seed=seed,
+            grid={"gamma": self.gamma, "D": self.D}, tolerance=0.0, seed=None,
             mode="slack", worst_case_slack=self.m,
             extracted_constants={"m": self.m, "k_argmin": self.k_argmin,
                                  "D0": self.D0, "delta": self.delta},
@@ -910,7 +892,7 @@ def energy_monotonicity(op: DiscretizedOperator, trials: int = 20, seed: int = 0
 
 
 def weighted_energy_bound(probe: GrigoryanProbe, mu: float, times=None,
-                          tol: float = FD_TOL, seed: int = 0) -> VerificationReport:
+                          tol: float = FD_TOL) -> VerificationReport:
     """E_D(t) and the tail mass I_R(t), at R = 1, 2 and 4, against their
     iteration bounds.
 
@@ -941,7 +923,7 @@ def weighted_energy_bound(probe: GrigoryanProbe, mu: float, times=None,
     if not hypothesis_ok:
         return VerificationReport(
             theorem_id="weighted-energy", space=probe.op.space.token, a=probe.op.a,
-            grid={"times": len(ts)}, tolerance=tol, seed=seed, mode="slack",
+            grid={"times": len(ts)}, tolerance=tol, seed=None, mode="slack",
             worst_case_slack=-math.inf, points=rows,
             notes=["hypothesis I(t) <= e^{-mu} (8 pi t)^{-n/2} failed; check aborted"],
         )
@@ -978,7 +960,7 @@ def weighted_energy_bound(probe: GrigoryanProbe, mu: float, times=None,
         a=probe.op.a,
         grid={"times": len(ts), "radii": list(radii), "D": D, "gamma": gamma},
         tolerance=tol,
-        seed=seed,
+        seed=None,
         mode="slack",
         worst_case_slack=worst,
         extracted_constants={"m": consts.m, "D0": consts.D0, "delta": consts.delta},
@@ -988,10 +970,10 @@ def weighted_energy_bound(probe: GrigoryanProbe, mu: float, times=None,
 
 
 def exploratory_a_sweep(space: SolitonSpace, a_values, make_evaluator,
-                        mu: float, seed: int = 0) -> list:
+                        mu: float) -> list:
     """Record ultracontractivity ratios for couplings below 1/4; never gates."""
     out = []
-    g = pair_grid(space, count=8, seed=seed)
+    g = separation_grid(space, count=8)
     ts = time_grid(count=12)
     for a in a_values:
         mx, _ = _max_resolved(ratios(kernel_table(make_evaluator(a), g, ts), mu, lambda d, t: 0.0))

@@ -48,7 +48,7 @@ def test_criterion_2_ultracontractivity(default_table):
     start = time.time()
     # flat space: equality on the diagonal at every sampled time, strict below 1 off it
     ek = EuclideanHeatKernel(make_space("gaussian", 3), 0.25)
-    rep = verify.ultracontractivity(default_table(ek, 1), 0.0, seed=1)
+    rep = verify.ultracontractivity(default_table(ek), 0.0)
     assert rep.passed
     diag = [r for r in rep.points if r["d"] == 0.0]
     assert len(diag) == 40 and all(abs(r["ratio"] - 1.0) <= 1e-13 for r in diag)
@@ -57,7 +57,7 @@ def test_criterion_2_ultracontractivity(default_table):
     for tok, ev in (("sphere:2", SphereHeatKernel(2, 0.25)),
                     ("cylinder:3", CylinderHeatKernel(3, 0.25))):
         sp = parse_space(tok)
-        rep = verify.ultracontractivity(default_table(ev, 1), mu_closed_form(sp), seed=1)
+        rep = verify.ultracontractivity(default_table(ev), mu_closed_form(sp))
         assert rep.worst_case_slack <= 1.0 + 1e-6
         assert rep.passed
     _report(2, "ultracontractivity", start, 60.0)
@@ -66,16 +66,16 @@ def test_criterion_2_ultracontractivity(default_table):
 def test_criterion_3_gaussian_bound(default_table):
     start = time.time()
     ek = EuclideanHeatKernel(make_space("gaussian", 3), 0.25)
-    rep = verify.gaussian_bound(default_table(ek, 2, refined=True), 0.0, 5.0, seed=2)
+    rep = verify.gaussian_bound(default_table(ek, refined=True), 0.0, 5.0)
     assert rep.passed
     assert rep.extracted_constants["A_emp"] == pytest.approx(1.0, abs=1e-12)
 
     for tok, ev in (("sphere:2", SphereHeatKernel(2, 0.25)),
                     ("cylinder:3", CylinderHeatKernel(3, 0.25))):
         sp = parse_space(tok)
-        table = default_table(ev, 2, refined=True)
+        table = default_table(ev, refined=True)
         for c in (4.5, 5.0, 8.0):
-            rep = verify.gaussian_bound(table, mu_closed_form(sp), c, seed=2)
+            rep = verify.gaussian_bound(table, mu_closed_form(sp), c)
             a_base = rep.extracted_constants["A_emp_base"]
             a_ref = rep.extracted_constants["A_emp"]
             assert math.isfinite(a_ref)
@@ -194,7 +194,7 @@ def test_criterion_8_weighted_energy_machinery():
 
     probe = verify.GrigoryanProbe(discretize_radial(make_space("gaussian", 1), 8.0, 512),
                                   1e-3, D=10.0, gamma=2.0)
-    wrep = verify.weighted_energy_bound(probe, 0.0, times=np.geomspace(1e-2, 1.0, 10), seed=13)
+    wrep = verify.weighted_energy_bound(probe, 0.0, times=np.geomspace(1e-2, 1.0, 10))
     assert wrep.passed
     _report(8, "weighted-energy machinery", start, 180.0)
 

@@ -525,6 +525,53 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     assert a == b
 
 
+def test_seed_moves_no_ratio_check_row(tmp_path):
+    # the ratio checks tabulate a deterministic separation grid, and the
+    # deterministic checks report no seed
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_SPHERE2)
+    docs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"s{seed}"
+        main(["--config", str(cfg), "--json", f"{out}.json", "--csv", str(out),
+              "suite", "--seed", seed])
+        docs.append(json.loads((tmp_path / f"s{seed}.json").read_text())["checks"])
+    names = ["ultracontractivity.csv", "cr-bound.csv"]
+    names += [f"gaussian-bound_c={c}.csv" for c in ("4.5", "5", "8", "16")]
+    for name in names:
+        assert (tmp_path / "s0" / name).read_bytes() == (tmp_path / "s1" / name).read_bytes()
+    for doc in docs:
+        assert {k for k, v in doc.items() if v["seed"] is not None} == \
+            {"kernel-axioms", "log-sobolev"}
+    assert docs[0]["ultracontractivity"]["points"][0]["x_id"] == "theta=0"
+
+
+def test_eigenvalue_bound_names_its_space(tmp_path):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_SPHERE2)
+    out = tmp_path / "csv"
+    main(["--config", str(cfg), "--csv", str(out), "--json", str(tmp_path / "r.json"), "suite"])
+    rep = json.loads((tmp_path / "r.json").read_text())["checks"]["eigenvalue-bound"]
+    assert rep["space"] == "sphere:2"
+    with open(out / "eigenvalue-bound.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(row["space"] == "sphere:2" for row in rows)
+
+
+@pytest.mark.parametrize("n,k_max,count", [(3, 400, 506), (100, 400, 5252), (119, 400, 7380),
+                                           (2, 1, 4), (3, 20, 30)])
+def test_eigenvalue_bound_expands_the_spectrum_through_the_level_of_k_max_plus_one(
+        n, k_max, count):
+    # whole levels through the (k_max + 1)-th eigenvalue and none past it;
+    # the level after it would hold 234 228 654 values on S^119
+    from solitonlab.cli import _level_for_count
+    from solitonlab.spectral import sphere_multiplicity
+
+    level = _level_for_count(n, k_max)
+    through = [sum(sphere_multiplicity(n, l) for l in range(top + 1)) for top in (level - 1, level)]
+    assert through[0] <= k_max < through[1] == count
+
+
 # ---------------------------------------------------------------------------
 # one kernel per coupling
 # ---------------------------------------------------------------------------

@@ -74,6 +74,23 @@ def test_euclidean_error_estimate_covers_decimal_closed_form():
     assert checked >= 1000
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_euclidean_error_estimate_covers_subnormal_values(n):
+    # where exp(-d^2/4t) is subnormal only its last place is certain; the
+    # cylinder's line factor lands there at s = 2, t = 1.34e-3
+    ek = EuclideanHeatKernel(make_space("gaussian", n))
+    pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+    t = 1e-3
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for r in np.sqrt(4.0 * t * np.linspace(708.5, 744.0, 300)).tolist():
+            v, err = ek.at(r, t)
+            assert v > 0.0
+            exact = (-(Decimal(r) ** 2) / (4 * Decimal(t))).exp() \
+                * (4 * pi * Decimal(t)) ** Decimal(-n / 2)
+            assert abs(Decimal(v) - exact) <= Decimal(err), r
+
+
 def test_euclidean_mass_one():
     # quadrature oracle: integral over R^n of the kernel is one
     for n in (1, 2, 3):
@@ -458,33 +475,34 @@ def test_evaluator_quadrature_methods(token):
 
 
 # ---------------------------------------------------------------------------
-# pair x time tables against the scalar evaluator
+# separation x time tables against the scalar evaluator
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("token", ["gaussian:3", "sphere:2", "sphere:3", "cylinder:3"])
 def test_table_equals_scalar_evaluate(token):
-    from solitonlab.verify import pair_grid, time_grid
+    # the table over the separations of seeded random point pairs equals
+    # evaluate at those pairs in every cell
+    from solitonlab.verify import time_grid
 
     sp = parse_space(token)
     ev = heat_kernel(sp, 0.25)
-    grid = pair_grid(sp, count=12, seed=7)
-    xs = [grid.points[i] for i, _ in grid.pairs]
-    ys = [grid.points[j] for _, j in grid.pairs]
+    rng = np.random.default_rng(7)
+    pairs = [(sp.random_point(rng), sp.random_point(rng)) for _ in range(11)]
+    pairs.insert(0, (pairs[0][0], pairs[0][0]))  # and one diagonal pair
+    seps = [ev.separation(x, y) for x, y in pairs]
     ts = np.append(time_grid(15), ev.t_min or 1e-3)
-    h, err = ev.table(xs, ys, ts)
+    h, err = ev.table(seps, ts)
     assert h.shape == err.shape == (12, 16)
-    for k, (x, y) in enumerate(zip(xs, ys)):
+    for k, (x, y) in enumerate(pairs):
         for m, t in enumerate(ts):
             assert (h[k, m], err[k, m]) == ev.evaluate(x, y, float(t))
     if sp.kind != "gaussian":
         with pytest.raises(TimeDomainError):
-            ev.evaluate(xs[1], ys[1], 0.5 * ev.t_min)
+            ev.evaluate(*pairs[1], 0.5 * ev.t_min)
         with pytest.raises(TimeDomainError):
-            ev.table(xs, ys, [1.0, 0.5 * ev.t_min])
+            ev.table(seps, [1.0, 0.5 * ev.t_min])
     if sp.kind == "cylinder":
         wrong = make_space("cylinder", 4).pole()
         with pytest.raises(KindMismatchError):
-            ev.evaluate(xs[0], wrong, 1.0)
-        with pytest.raises(KindMismatchError):
-            ev.table(xs[:1], [wrong], [1.0])
+            ev.evaluate(pairs[0][0], wrong, 1.0)

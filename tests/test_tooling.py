@@ -1,16 +1,18 @@
 """The benchmark's span tracer wraps package names that exist, restores them
-and has a span name for each check, and every function under src/solitonlab
-reads each of its parameters."""
+and has a span name for each check, every function under src/solitonlab
+reads each of its parameters, and the documented example code runs."""
 
 import ast
 import importlib.util
+import runpy
 from pathlib import Path
 
 import scipy.linalg
 
 from solitonlab import entropy, kernels, spectral, verify
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _load_spans():
@@ -70,7 +72,7 @@ def test_every_theorem_has_its_span_name():
     assert names <= set(spans.VERIFY_CHECKS)
 
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "solitonlab"
+SRC = ROOT / "src" / "solitonlab"
 
 
 def _unread_parameters(tree: ast.AST) -> list:
@@ -93,3 +95,15 @@ def test_every_parameter_under_src_is_read():
     unread = {path.name: _unread_parameters(ast.parse(path.read_text(encoding="utf-8")))
               for path in sorted(SRC.glob("*.py"))}
     assert {name: params for name, params in unread.items() if params} == {}
+
+
+def test_readme_example_and_demo_06_run(capsys):
+    # the documented library calls and the theorem-suite demo run as written
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("```", 1)[0] for b in readme.split("```python\n")[1:]]
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+    runpy.run_path(str(ROOT / "demos" / "06_theorem_suite.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "exploratory sweep" in out and "FAIL" not in out

@@ -56,7 +56,7 @@ def test_kernel_axioms_cylinder_far_line_pairs(seed):
 
 def test_ultracontractivity_gaussian_sharp(default_table):
     ek = EuclideanHeatKernel(make_space("gaussian", 3), 0.25)
-    rep = verify.ultracontractivity(default_table(ek, 1), 0.0, seed=1)
+    rep = verify.ultracontractivity(default_table(ek), 0.0)
     assert rep.passed
     assert rep.worst_case_slack == pytest.approx(1.0, abs=1e-13)
     # sharpness: the maximum sits on the diagonal
@@ -69,7 +69,7 @@ def test_ultracontractivity_gaussian_sharp(default_table):
 def test_ultracontractivity_sphere_small_time_diagonal_limit(default_table):
     sp = parse_space("sphere:2")
     sk = SphereHeatKernel(2, 0.25)
-    rep = verify.ultracontractivity(default_table(sk, 1), mu_closed_form(sp), seed=1)
+    rep = verify.ultracontractivity(default_table(sk), mu_closed_form(sp))
     assert rep.passed
     # short-time diagonal ratio approaches e^mu = 2/e
     t0 = 1e-3
@@ -80,8 +80,8 @@ def test_ultracontractivity_sphere_small_time_diagonal_limit(default_table):
 
 def test_ultracontractivity_cylinder(default_table):
     sp = parse_space("cylinder:3")
-    rep = verify.ultracontractivity(default_table(CylinderHeatKernel(3, 0.25), 1),
-                                    mu_closed_form(sp), seed=1)
+    rep = verify.ultracontractivity(default_table(CylinderHeatKernel(3, 0.25)),
+                                    mu_closed_form(sp))
     assert rep.passed
     assert rep.worst_case_slack <= 1.0 + 1e-6
 
@@ -93,7 +93,7 @@ def test_ultracontractivity_cylinder(default_table):
 
 def test_gaussian_bound_flat_space_constant_is_one(default_table):
     ek = EuclideanHeatKernel(make_space("gaussian", 3), 0.25)
-    rep = verify.gaussian_bound(default_table(ek, 2, refined=True), 0.0, 5.0, seed=2)
+    rep = verify.gaussian_bound(default_table(ek, refined=True), 0.0, 5.0)
     assert rep.passed
     assert rep.extracted_constants["A_emp"] == pytest.approx(1.0, abs=1e-12)
     # one-dimensional optimization oracle over s = d^2/t >= 0
@@ -103,20 +103,20 @@ def test_gaussian_bound_flat_space_constant_is_one(default_table):
 
 def test_gaussian_bound_c45_on_flat_space(default_table):
     ek = EuclideanHeatKernel(make_space("gaussian", 3), 0.25)
-    rep = verify.gaussian_bound(default_table(ek, 2, refined=True), 0.0, 4.5, seed=2)
+    rep = verify.gaussian_bound(default_table(ek, refined=True), 0.0, 4.5)
     assert rep.extracted_constants["A_emp"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gaussian_bound_rejects_small_c(default_table):
-    table = default_table(EuclideanHeatKernel(make_space("gaussian", 3), 0.25), 0, refined=True)
+    table = default_table(EuclideanHeatKernel(make_space("gaussian", 3), 0.25), refined=True)
     with pytest.raises(ValueError):
         verify.gaussian_bound(table, 0.0, 4.0)
 
 
 def test_gaussian_bound_sphere_stable(default_table):
     sp = parse_space("sphere:2")
-    rep = verify.gaussian_bound(default_table(SphereHeatKernel(2, 0.25), 2, refined=True),
-                                mu_closed_form(sp), 8.0, seed=2)
+    rep = verify.gaussian_bound(default_table(SphereHeatKernel(2, 0.25), refined=True),
+                                mu_closed_form(sp), 8.0)
     assert rep.passed
     assert math.isfinite(rep.extracted_constants["A_emp"])
     assert rep.extracted_constants["splitting_max_ratio"] <= 1.0 + 1e-5
@@ -129,15 +129,15 @@ def test_gaussian_bound_sphere_stable(default_table):
 
 def test_cr_bound_gaussian_reduces_to_ultracontractivity(default_table):
     ek = EuclideanHeatKernel(make_space("gaussian", 3), 0.0)
-    rep = verify.cr_bound(default_table(ek, 1, hi=50.0), 0.0, 0.0, seed=1)
+    rep = verify.cr_bound(default_table(ek, hi=50.0), 0.0, 0.0)
     assert rep.passed
     assert rep.worst_case_slack == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cr_bound_sphere2_passes_and_half_exponent_fails(default_table):
     sp = parse_space("sphere:2")
-    rep = verify.cr_bound(default_table(SphereHeatKernel(2, 0.0), 1, hi=50.0),
-                          mu_closed_form(sp), 1.0, seed=1)
+    rep = verify.cr_bound(default_table(SphereHeatKernel(2, 0.0), hi=50.0),
+                          mu_closed_form(sp), 1.0)
     assert rep.passed
     # long-time diagonal: ratio (t/e) e^{-t/6} peaks at 6/e^2 < 1
     assert rep.worst_case_slack == pytest.approx(6.0 / math.e ** 2, rel=0.02)
@@ -148,13 +148,13 @@ def test_cr_bound_sphere2_passes_and_half_exponent_fails(default_table):
 
 def test_cr_bound_sphere3(default_table):
     sp = parse_space("sphere:3")
-    rep = verify.cr_bound(default_table(SphereHeatKernel(3, 0.0), 1, hi=50.0),
-                          mu_closed_form(sp), 1.5, seed=1)
+    rep = verify.cr_bound(default_table(SphereHeatKernel(3, 0.0), hi=50.0),
+                          mu_closed_form(sp), 1.5)
     assert rep.passed
 
 
 def test_cr_bound_requires_laplace_kernel(default_table):
-    table = default_table(SphereHeatKernel(2, 0.25), 0, hi=50.0)
+    table = default_table(SphereHeatKernel(2, 0.25), hi=50.0)
     with pytest.raises(ValueError):
         verify.cr_bound(table, 0.0, 1.0)
 
@@ -167,18 +167,18 @@ def test_cr_bound_requires_laplace_kernel(default_table):
 def test_ratio_check_without_a_resolved_row_fails_with_a_note(check):
     # every value sits inside its own error estimate, so no row certifies anything
     ev = EuclideanHeatKernel(make_space("gaussian", 3), 0.0)
-    grid = verify.pair_grid(ev.space, 8, 0)
+    grid = verify.separation_grid(ev.space, 8)
     times = np.array([1.0, 3.0, 10.0])
-    d = [ev.space.distance(grid.points[i], grid.points[j]) for i, j in grid.pairs]
-    shape = (len(grid), len(times))
-    rep = check(verify.KernelTable(ev, grid, times, d, np.zeros(shape), np.ones(shape)))
+    shape = (len(grid.seps), len(times))
+    rep = check(verify.KernelTable(ev, grid, times, np.zeros(shape), np.ones(shape)))
     assert not rep.passed
     assert verify.NO_RESOLVED_NOTE in rep.notes
 
 
-def _flat_table(pairs, times):
+def _flat_table(separations, times):
     ev = EuclideanHeatKernel(make_space("gaussian", 3), 0.0)
-    return verify.kernel_table(ev, verify.pair_grid(ev.space, pairs, 0), verify.time_grid(times))
+    return verify.kernel_table(ev, verify.separation_grid(ev.space, separations),
+                               verify.time_grid(times))
 
 
 @pytest.mark.parametrize("check", [
@@ -191,10 +191,10 @@ def _flat_table(pairs, times):
                            trials=0),
     # the two Talenti trials of the flat space are no refinement grid either
     lambda: verify.sobolev(parse_space("gaussian:3"), 0.0, trials=0),
-    # a ratio table with no pair or no time; gaussian-bound reads its base half
+    # a ratio table with no separation or no time; gaussian-bound reads its even rows
     lambda: verify.ultracontractivity(_flat_table(0, 40), 0.0),
     lambda: verify.ultracontractivity(_flat_table(24, 0), 0.0),
-    lambda: verify.gaussian_bound(_flat_table(1, 79), 0.0, 8.0),
+    lambda: verify.gaussian_bound(_flat_table(0, 79), 0.0, 8.0),
     lambda: verify.gaussian_bound(_flat_table(48, 0), 0.0, 8.0),
     lambda: verify.cr_bound(_flat_table(0, 40), 0.0, 0.0),
     lambda: verify.cr_bound(_flat_table(24, 0), 0.0, 0.0),
@@ -212,14 +212,17 @@ def test_check_on_an_empty_grid_fails_with_a_note(check):
 def test_cylinder_ratio_rows_are_sphere_rows_times_line_factor():
     # cylinder:3 is the model 2-sphere times a line, with the same R and mu,
     # so its gaussian-bound ratio at (theta, ds, t) is the sphere:2 ratio at
-    # (theta, t) times exp(-ds^2 (1/4 - 1/c) / t)
+    # (theta, t) times exp(-ds^2 (1/4 - 1/c) / t); checked at mixed separations
     cyl, sph = parse_space("cylinder:3"), parse_space("sphere:2")
-    grid = verify.pair_grid(cyl, 24, seed=0)
-    sgrid = verify.PairGrid([sph.point(p.vector) for p in grid.points], grid.pairs, grid.labels)
+    theta, ds = (v.ravel() for v in np.meshgrid(np.linspace(0.0, math.pi, 7),
+                                                [0.25, 1.0, 2.0, 4.0]))
+    arc = sph.sphere_radius * theta
+    labels = [""] * theta.size
+    grid = verify.SeparationGrid(list(zip(theta.tolist(), ds.tolist())), np.hypot(arc, ds), labels)
     times = verify.time_grid()
     ctab = verify.kernel_table(CylinderHeatKernel(3, 0.25), grid, times)
-    stab = verify.kernel_table(SphereHeatKernel(2, 0.25), sgrid, times)
-    ds = np.array([grid.points[i].s - grid.points[j].s for i, j in grid.pairs])
+    stab = verify.kernel_table(SphereHeatKernel(2, 0.25),
+                               verify.SeparationGrid(theta.tolist(), arc, labels), times)
     # compare only values that resolve on both sides
     both = (ctab.values > 10.0 * ctab.errors) & (stab.values > 10.0 * stab.errors)
     hc, ec, hs, es = ctab.values[both], ctab.errors[both], stab.values[both], stab.errors[both]
@@ -246,10 +249,8 @@ def _reference_ratio_rows(table, mu, log_weight):
         return math.exp(lr) if lr < 700.0 else math.inf
 
     n = table.evaluator.space.n
-    labels = table.grid.labels
     rows = []
-    for k, (i, j) in enumerate(table.grid.pairs):
-        d = table.d[k]
+    for k, (label, d) in enumerate(zip(table.grid.labels, table.grid.d.tolist())):
         for t, h, err in zip(table.times, table.values[k].tolist(), table.errors[k].tolist()):
             shift = mu + 0.5 * n * math.log(4.0 * math.pi * t) + log_weight(d, float(t))
             if h > 10.0 * err:
@@ -261,7 +262,7 @@ def _reference_ratio_rows(table, mu, log_weight):
                 else:
                     ratio, resolved = math.nan, False
             rhs = math.exp(-min(max(shift, -700.0), 700.0))
-            rows.append({"x_id": labels[i], "y_id": labels[j], "t": float(t), "d": d,
+            rows.append({"x_id": label, "y_id": "", "t": float(t), "d": d,
                          "lhs": h, "rhs": rhs, "slack": rhs - h, "ratio": ratio,
                          "resolved": resolved})
     return rows
@@ -284,8 +285,8 @@ def test_ratio_arrays_match_the_per_cell_loop(space, default_table):
     make = {"gaussian": lambda a: EuclideanHeatKernel(sp, a),
             "sphere": lambda a: SphereHeatKernel(sp.n, a),
             "cylinder": lambda a: CylinderHeatKernel(sp.n, a)}[sp.kind]
-    table = default_table(make(0.25), 0, refined=True)
-    laplace = default_table(make(0.0), 0, hi=50.0)
+    table = default_table(make(0.25), refined=True)
+    laplace = default_table(make(0.0), hi=50.0)
     cases = [(table, lambda d, t: 0.0)]
     cases += [(table, lambda d, t, c=c: d * d / (c * t)) for c in (4.5, 5.0, 8.0, 16.0)]
     cases += [(laplace, lambda d, t: -C_R * t / 6.0), (laplace, lambda d, t: -C_R * t / 12.0)]
@@ -299,21 +300,46 @@ def test_ratio_arrays_match_the_per_cell_loop(space, default_table):
         assert np.array_equal(r.resolved, np.array([row["resolved"] for row in ref]).reshape(shape))
         assert np.array_equal(r.rhs, np.array([row["rhs"] for row in ref]).reshape(shape))
         rows = verify._ratio_report("ratio", tab, r, worst=0.0, constants={}, notes=[], grid={},
-                                    tol=0.0, seed=0).points
+                                    tol=0.0).points
         assert _same_rows(rows, ref)
         noise += int(np.count_nonzero(r.resolved & ~(tab.values > 10.0 * tab.errors)))
         unresolved += int(np.count_nonzero(~r.resolved))
-    # the reports carry the same rows: all of them, or the base half of the refined table
+    # the reports carry the same rows: all of them, or the even rows of the refined
+    # table at its even times
     assert _same_rows(verify.ultracontractivity(table, mu).points,
                       _reference_ratio_rows(table, mu, lambda d, t: 0.0))
     nt = len(table.times)
     base = [row for idx, row in enumerate(_reference_ratio_rows(table, mu, cases[3][1]))
-            if idx // nt < len(table.grid) // 2 and idx % nt % 2 == 0]
+            if idx // nt % 2 == 0 and idx % nt % 2 == 0]
     assert _same_rows(verify.gaussian_bound(table, mu, 8.0).points, base)
     assert _same_rows(verify.cr_bound(laplace, mu, C_R).points,
                       _reference_ratio_rows(laplace, mu, cases[5][1]))
     # the closed form leaves no cell unresolved
     assert noise and (unresolved or sp.kind == "gaussian")
+
+
+@pytest.mark.parametrize("token", ["gaussian:3", "sphere:2", "cylinder:3"])
+@pytest.mark.parametrize("count", [4, 5, 24])
+def test_refined_separation_grid_nests_the_base_grid(token, count):
+    sp = parse_space(token)
+    base = verify.separation_grid(sp, count)
+    refined = verify.separation_grid(sp, count, refined=True)
+    assert len(base.seps) == count and len(refined.seps) == 2 * count - 1
+    assert refined.seps[::2] == base.seps
+    assert np.array_equal(refined.d[::2], base.d) and refined.labels[::2] == base.labels
+    # the diagonal first, and the distances of the separations
+    assert refined.d[0] == 0.0 and len(set(refined.labels)) == len(refined.labels)
+    if sp.kind == "gaussian":
+        assert refined.d.tolist() == refined.seps and refined.d[-1] == 8.0
+    elif sp.kind == "sphere":
+        assert np.array_equal(refined.d, sp.sphere_radius * np.array(refined.seps))
+        assert refined.seps[-1] == math.pi
+    else:
+        theta, s = np.array(refined.seps).T
+        assert np.array_equal(refined.d, np.hypot(sp.sphere_radius * theta, s))
+        assert np.all((theta == 0.0) | (s == 0.0))
+        assert theta.max() == math.pi and s[-1] == 8.0
+        assert np.count_nonzero(s == 0.0) == 2 * (count // 2) - 1
 
 
 def test_cylinder_a_emp_bounded_by_sphere_a_emp():
@@ -335,7 +361,7 @@ def test_cylinder_a_emp_bounded_by_sphere_a_emp():
 
 def test_green_bound_gaussian3():
     gv = green(make_space("gaussian", 3), 0.25)
-    rep = verify.green_bound(gv, 0.0, distances=[0.5, 1.0, 2.0, 4.0], seed=0)
+    rep = verify.green_bound(gv, 0.0, distances=[0.5, 1.0, 2.0, 4.0])
     assert rep.passed
     assert rep.extracted_constants["B_emp"] == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-6)
     assert rep.extracted_constants["slope"] == pytest.approx(-1.0, abs=0.01)
@@ -344,7 +370,7 @@ def test_green_bound_gaussian3():
 def test_green_bound_gaussian4_standard_constant():
     # B_emp equals the standard constant in four dimensions, at every radius
     gv = green(make_space("gaussian", 4), 0.25)
-    rep = verify.green_bound(gv, 0.0, distances=[0.5, 1.0, 2.0], seed=0)
+    rep = verify.green_bound(gv, 0.0, distances=[0.5, 1.0, 2.0])
     assert rep.passed
     assert rep.extracted_constants["B_emp"] == pytest.approx(
         1.0 / (4.0 * math.pi ** 2), rel=1e-6)
@@ -353,7 +379,7 @@ def test_green_bound_gaussian4_standard_constant():
 
 def test_green_bound_sphere3_small_angle_slope():
     sp = make_space("sphere", 3)
-    rep = verify.green_bound(green(sp, 0.25), mu_closed_form(sp), seed=0)
+    rep = verify.green_bound(green(sp, 0.25), mu_closed_form(sp))
     assert rep.passed
     assert rep.extracted_constants["slope"] == pytest.approx(-1.0, abs=0.05)
     assert math.isfinite(rep.extracted_constants["B_emp"])
@@ -365,15 +391,15 @@ def test_green_bound_sphere3_small_angle_slope():
 
 
 def _trace_table(kernel):
-    """The kernel on 4 pairs, the pole diagonal first, x the default times."""
-    return verify.kernel_table(kernel, verify.pair_grid(kernel.space, 4, 0), verify.time_grid())
+    """The kernel on 4 separations, the diagonal first, x the default times."""
+    return verify.kernel_table(kernel, verify.separation_grid(kernel.space, 4), verify.time_grid())
 
 
 def test_eigenvalue_bound_first_two_levels():
     sp = parse_space("sphere:2")
     mu = mu_closed_form(sp)
     spec = sphere_spectrum(2, 0.25, 30)
-    rep = verify.eigenvalue_bound(spec, mu, _trace_table(SphereHeatKernel(2, 0.25)), 50, seed=0)
+    rep = verify.eigenvalue_bound(spec, mu, _trace_table(SphereHeatKernel(2, 0.25)), 50)
     assert rep.passed
     # oracle: bound(k) = (4 pi / e)(k e^mu / V) = k / e^2 here
     rows = {r["x_id"]: r for r in rep.points if r["x_id"].startswith("k=")}
@@ -398,8 +424,8 @@ def test_eigenvalue_bound_rejects_a_kernel_of_another_coupling():
 def test_eigenvalue_bound_rejects_a_table_without_a_diagonal_first_pair():
     spec = sphere_spectrum(2, 0.25, 30)
     table = _trace_table(SphereHeatKernel(2, 0.25))
-    off = verify.KernelTable(table.evaluator, table.grid, table.times, table.d[1:],
-                             table.values[1:], table.errors[1:])
+    off = verify.KernelTable(table.evaluator, verify.SeparationGrid(*(v[1:] for v in table.grid)),
+                             table.times, table.values[1:], table.errors[1:])
     with pytest.raises(ValueError, match="diagonal"):
         verify.eigenvalue_bound(spec, 0.0, off, 50)
 
@@ -408,13 +434,13 @@ def test_eigenvalue_bound_rejects_a_table_without_a_diagonal_first_pair():
 def test_eigenvalue_bound_certifies_every_partition_time(token):
     # the partition rows read the series kernel's trace: every time of the
     # default grid is certified, each at V times the ultracontractivity
-    # table's pole diagonal, bit for bit
+    # table's diagonal, bit for bit
     cfg, store = ExperimentConfig(space=token), {}
     rep = run_theorem("eigenvalue-bound", cfg, store=store)
     ultra = run_theorem("ultracontractivity", cfg, store=store)
     V = parse_space(token).volume
     part = [r for r in rep.points if r["x_id"] == "partition"]
-    diag = [r for r in ultra.points if r["x_id"] == r["y_id"] == "p0"]
+    diag = [r for r in ultra.points if r["x_id"] == "theta=0"]
     assert len(part) == len(diag) == 40
     assert all(math.isfinite(r["slack"]) and math.isfinite(r["ratio"]) for r in part)
     assert not any("truncation" in note for note in rep.notes)
@@ -612,7 +638,7 @@ def test_source_probe_state_is_the_kernel_profile(n):
 def test_weighted_energy_bound_gaussian1():
     op = discretize_radial(make_space("gaussian", 1), 8.0, 512)
     probe = verify.GrigoryanProbe(op, 1e-3, D=10.0, gamma=2.0)
-    rep = verify.weighted_energy_bound(probe, 0.0, seed=0)
+    rep = verify.weighted_energy_bound(probe, 0.0)
     assert rep.passed
     # I(t) <= E_D(t) rows present and consistent
     i_rows = {r["t"]: r["lhs"] for r in rep.points if r["x_id"] == "I"}
@@ -623,7 +649,7 @@ def test_weighted_energy_bound_gaussian1():
 def test_weighted_energy_hypothesis_failure_aborts():
     op = discretize_radial(make_space("gaussian", 1), 8.0, 128)
     bad = verify.GrigoryanProbe(op, 0.05, data0=np.full(op.m, 50.0) * (op.r < 6.0))
-    rep = verify.weighted_energy_bound(bad, 0.0, times=np.linspace(0.06, 0.5, 5), seed=0)
+    rep = verify.weighted_energy_bound(bad, 0.0, times=np.linspace(0.06, 0.5, 5))
     assert not rep.passed
     assert any("hypothesis" in n for n in rep.notes)
 
@@ -631,8 +657,7 @@ def test_weighted_energy_hypothesis_failure_aborts():
 def test_exploratory_a_sweep_records_without_gating():
     sp = parse_space("sphere:2")
     mu = mu_closed_form(sp)
-    rows = verify.exploratory_a_sweep(sp, [0.0, 0.1], lambda a: SphereHeatKernel(2, a),
-                                      mu, seed=0)
+    rows = verify.exploratory_a_sweep(sp, [0.0, 0.1], lambda a: SphereHeatKernel(2, a), mu)
     assert [r["a"] for r in rows] == [0.0, 0.1]
     # without the coupling the long-time diagonal grows past the bound
     assert rows[0]["max_ratio"] > 1.0
