@@ -11,7 +11,10 @@ evaluation routes are implemented, matched to the catalogue:
   factorization exp(-a R t) * (Laplace kernel), justified by uniqueness of
   the minimal fundamental solution; the cylinder S^{n-1} x R has the scalar
   curvature of its sphere factor, so its kernel is the sphere factor's
-  Schrodinger kernel times the line's Gaussian kernel;
+  Schrodinger kernel times the line's Gaussian kernel. A series call bounds
+  its terms on a doubling prefix of the level table, only as far as the cut
+  and the tail estimate read, and takes the zonal harmonics in one compiled
+  Legendre call on S^2, in closed form on S^3 and level by level beyond;
 * implicit finite differences on truncated Dirichlet balls of the gaussian
   space, bootstrapped from the exact profile at a small positive time so no
   initial-layer error enters the comparisons. One engine, ``RadialMarch``,
@@ -33,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import simpson
 from scipy.linalg import solve_banded
+from scipy.special import legendre_p_all
 
 from .exceptions import (
     DimensionError,
@@ -53,6 +57,7 @@ METHODS = ("auto", "closed_form", "spectral_series", "fd_dirichlet")
 AUTO = {"gaussian": "closed_form", "sphere": "spectral_series", "cylinder": "spectral_series"}
 # level cap of the zonal series: times t >= t_min need fewer than 2000 levels,
 # and the Green time integral, which reaches down to t = d^2 / 282, fewer than 8000
+# from d = 0.03 on sphere:3 (0.04 on sphere:4, 0.05 on sphere:5)
 L_MAX = 8000
 GREEN_REL_TAIL = 1e-12  # the Green time integral stops below this share
 
@@ -66,13 +71,18 @@ def zonal_values(sphere_dim: int, l_max: int, u) -> np.ndarray:
     """Zonal harmonics Z_l(u) on S^{sphere_dim}, normalized to Z_l(1) = 1.
 
     Z_l is the Gegenbauer ratio C_l^alpha(u) / C_l^alpha(1) with
-    alpha = (sphere_dim - 1)/2; for the 3-sphere this collapses to
-    sin((l+1) theta) / ((l+1) sin theta). Accepts scalar or array u and
-    returns shape (l_max + 1,) + u.shape.
+    alpha = (sphere_dim - 1)/2. On the 2-sphere it is the Legendre
+    polynomial P_l(u), all levels and points in one compiled Bonnet
+    recurrence (``scipy.special.legendre_p_all``); on the 3-sphere it
+    collapses to sin((l+1) theta) / ((l+1) sin theta); from the 4-sphere on
+    the Gegenbauer recurrence runs one level at a time over the point array.
+    Accepts scalar or array u and returns shape (l_max + 1,) + u.shape.
     """
     u = np.asarray(u, dtype=float)
     if sphere_dim < 2:
         raise DimensionError("zonal harmonics need sphere dimension >= 2")
+    if sphere_dim == 2:
+        return legendre_p_all(l_max, u)[0]
     out = np.empty((l_max + 1,) + u.shape)
     if sphere_dim == 3:
         # Z_l(theta) = (-1)^l Z_l(pi - theta): the quotient keeps its relative
@@ -275,24 +285,7 @@ class SphereHeatKernel(TwoPointKernel):
     def _laplace_series(self, u, t: float) -> tuple[np.ndarray, float, int]:
         """Laplace-kernel series at cos-angles u; returns (values, tail, levels)."""
         u = np.asarray(u, dtype=float)
-        # the levels with w = lam t <= 745 are a prefix of the table; the
-        # eigenvalue gaps put its end inside one level past the guess 745 / t
-        end = min(int(np.searchsorted(self._lam, 745.0 / t, side="right")) + 2, len(self._lam))
-        w = self._lam[:end] * t
-        live = int(np.searchsorted(w, 745.0, side="right"))
-        # rigorous term bounds over the live levels and the first capped one;
-        # past it the capped bounds grow with the multiplicity
-        top = min(live + 1, len(w))
-        b = self._mult[:top] * np.fromiter(map(math.exp, memoryview(-np.minimum(w[:top], 745.0))),
-                                           float, top) / self._V
-        stop = min(L_MAX, top - 1)
-        hits = np.flatnonzero((b[1:stop + 1] < self.eps) & (b[1:stop + 1] < b[:stop]))
-        if not hits.size:
-            raise SeriesTruncationError(
-                f"zonal series needs more than L_MAX={L_MAX} levels at t={t}"
-            )
-        cutoff = int(hits[0]) + 1
-        coef = b[:min(cutoff + 1, live), None]
+        cutoff, tail, coef = self._cut(t)
         flat = u.reshape(-1)
         acc = np.empty(flat.shape)
         # the sum runs along the level axis in level order, whatever the
@@ -300,16 +293,46 @@ class SphereHeatKernel(TwoPointKernel):
         block = max(1, 2 ** 16 // (cutoff + 1))
         for i in range(0, flat.size, block):
             terms = zonal_values(self.n, cutoff, flat[i:i + block])[:len(coef)]
-            terms *= coef
+            terms *= coef[:, None]
             acc[i:i + block] = np.cumsum(terms, axis=0, out=terms)[-1]
-        # tail estimate: sum the rigorous bounds past the cutoff until negligible
-        tail = 0.0
-        rest = b[cutoff + 1:live]
-        if rest.size:
-            run = np.cumsum(rest)
-            small = np.flatnonzero(rest < 1e-4 * np.maximum(run, self.eps))
-            tail = float(run[small[0] if small.size else -1])
         return acc.reshape(u.shape), tail, cutoff
+
+    def _cut(self, t: float) -> tuple[int, float, np.ndarray]:
+        """The series cut at time t: (cutoff, tail estimate, coefficients).
+
+        The term bounds mult(l) e^{-lambda_l t}/V run over a prefix of the
+        level table that starts at lambda t = 64 and doubles until both the
+        cut and the stop of the tail sum lie inside it. The levels with
+        lambda t <= 745 (``live`` of them) keep their bounds, which are the
+        series coefficients up to the cutoff; the first capped level gets the
+        bound at 745, and past it the capped bounds grow with the
+        multiplicity. The result does not depend on the prefix.
+        """
+        size = len(self._lam)
+        k = min(int(np.searchsorted(self._lam, 64.0 / t)) + 2, size)
+        while True:
+            w = self._lam[:k] * t
+            live = int(np.searchsorted(w, 745.0, side="right"))
+            whole = live < k or k == size  # the prefix holds every bound that is read
+            top = min(live + 1, k)
+            b = self._mult[:top] * np.fromiter(map(math.exp, memoryview(-np.minimum(w[:top], 745.0))),
+                                               float, top) / self._V
+            stop = min(L_MAX, top - 1)
+            hits = np.flatnonzero((b[1:stop + 1] < self.eps) & (b[1:stop + 1] < b[:stop]))
+            if hits.size:
+                cutoff = int(hits[0]) + 1
+                # tail estimate: sum the rigorous bounds past the cutoff until negligible
+                rest = b[cutoff + 1:live]
+                run = np.cumsum(rest)
+                small = np.flatnonzero(rest < 1e-4 * np.maximum(run, self.eps))
+                if small.size or whole:
+                    tail = float(run[small[0] if small.size else -1]) if rest.size else 0.0
+                    return cutoff, tail, b[:min(cutoff + 1, live)]
+            elif whole or stop == L_MAX:
+                raise SeriesTruncationError(
+                    f"zonal series needs more than L_MAX={L_MAX} levels at t={t}"
+                )
+            k = min(2 * k, size)
 
     def profile(self, u, t: float) -> tuple[np.ndarray, float]:
         """Kernel at cos-angle array u (internal: no t_min gate)."""
@@ -732,7 +755,13 @@ class GreenEvaluator:
             # below t_floor the kernel is Gaussian-small; bound the omitted mass
             t_floor = d * d / (4.0 * 8.4 ** 2)
             floor_bound = 2.0 * (4.0 * math.pi) ** (-n / 2.0) * _gaussian_time_tail(n, d, t_floor)
-            near, near_err = quad_log(h, t_floor, d * d)
+            try:
+                near, near_err = quad_log(h, t_floor, d * d)
+            except SeriesTruncationError as exc:
+                raise SeriesTruncationError(
+                    f"the Green's function at d={d:.6g} integrates the kernel down to "
+                    f"t = d^2/282 = {t_floor:.6g}, below the reach of its series ({exc})"
+                ) from None
 
             def bound(T):
                 # integrand decays at least at the spectral-gap rate past T

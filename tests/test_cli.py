@@ -254,6 +254,24 @@ def test_green_subcommand(tmp_path):
     assert doc["value"] == pytest.approx(1.0 / (4 * math.pi), rel=1e-4)
 
 
+@pytest.mark.parametrize("space,x,y", [
+    ("sphere:3", "1,0,0,0", "0.99995,0.0099998,0,0"),
+    ("sphere:4", "1,0,0,0,0", "0.99995,0.0099998,0,0,0"),
+    ("cylinder:3", "1,0,0;0", "0.99995,0.0099998,0;0"),
+])
+def test_green_below_the_series_reach_names_the_distance(tmp_path, capsys, space, x, y):
+    # at d ~ 0.02 the time integral reaches down to t = d^2/282, where the
+    # series needs more than L_MAX levels; the error names the distance
+    out = tmp_path / "g.json"
+    code = main(["--json", str(out), "green", "--space", space, "--a", "0.25",
+                 "--x", x, "--y", y])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "SeriesTruncationError" in err and "d=" in err and "d^2/282" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,theorem,constant,value,abs_tol", [
     (["grigoryan-constants", "--gamma", "2.0", "--D", "10.0"],
      "grigoryan-constants", "m", 0.002221, 1e-6),

@@ -4,6 +4,7 @@ import sys
 from decimal import Decimal, localcontext
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -16,6 +17,7 @@ from solitonlab.exceptions import (
     TimeDomainError,
 )
 from solitonlab.kernels import (
+    EPS,
     L_MAX,
     CylinderHeatKernel,
     DirichletRadialHeatKernel,
@@ -120,6 +122,68 @@ def test_zonal_matches_legendre_on_s2():
     Z = zonal_values(2, 30, u)
     for l in (0, 1, 5, 17, 30):
         np.testing.assert_allclose(Z[l], eval_legendre(l, u), atol=1e-13)
+
+
+@pytest.mark.parametrize("l_max", [0, 1, 247, 2000, 8000])
+def test_s2_zonal_values_against_mpmath_legendre(l_max):
+    # the compiled Legendre recurrence against mpmath's hypergeometric P_l, at
+    # the level counts of t = 1e-3 (247) and of the Green integral (to 8000);
+    # near u = +-1 its rounding grows like l^{3/2} eps, a fifth of which is
+    # the worst seen
+    points = [-1.0, -0.999999, 0.0, 0.3, 0.999999, 1.0]
+    u = np.array(points)
+    Z = zonal_values(2, l_max, u)
+    assert Z.shape == (l_max + 1, 6)
+    levels = sorted({0, min(1, l_max), min(2, l_max), l_max // 3, l_max // 2,
+                     max(l_max - 1, 0), l_max}
+                    | set(np.random.default_rng(l_max).integers(0, l_max + 1, 8).tolist()))
+    with mpmath.workdps(30):
+        for l in levels:
+            for j, x in enumerate(points):
+                exact = float(mpmath.legendre(l, mpmath.mpf(x)))
+                assert abs(Z[l, j] - exact) <= EPS * (l + 1) ** 1.5, (l, x)
+    # 0-d and 2-d points give the same levels in their own shapes
+    for j, x in enumerate(points):
+        scalar = zonal_values(2, l_max, x)
+        assert scalar.shape == (l_max + 1,)
+        assert np.array_equal(scalar, Z[:, j])
+    grid = zonal_values(2, l_max, u.reshape(2, 3))
+    assert grid.shape == (l_max + 1, 2, 3)
+    assert np.array_equal(grid.reshape(l_max + 1, 6), Z)
+
+
+def s2_legendre_kernel(r2, V, aR, ct, t):
+    """mpmath sum of e^{-aRt} (2l+1) e^{-l(l+1)t/r^2} P_l(cos theta) / V, to
+    terms below 1e-40 of the first."""
+    with mpmath.workdps(40):
+        ct, t = mpmath.mpf(ct), mpmath.mpf(t)
+        acc, l = mpmath.mpf(0), 0
+        while True:
+            weight = (2 * l + 1) * mpmath.exp(-l * (l + 1) * t / r2)
+            acc += weight * mpmath.legendre(l, ct)
+            if l > 2 and weight < mpmath.mpf(10) ** -40:
+                return mpmath.exp(-aR * t) * acc / V
+            l += 1
+
+
+@pytest.mark.parametrize("token", ["sphere:2", "cylinder:3"])
+def test_s2_series_values_within_their_estimates_of_an_mpmath_legendre_sum(token):
+    sp = parse_space(token)
+    ev = heat_kernel(sp, 0.25)
+    sphere = ev if sp.kind == "sphere" else ev.sphere
+    r2, V = sphere.space.sphere_radius ** 2, sphere.space.volume
+    aR = mpmath.mpf(0.25) * sp.sup_R
+    offsets = (0.0,) if sp.kind == "sphere" else (0.0, 0.5, 2.0)
+    for t in (1e-3, 1e-2, 1.0):
+        for theta in (0.0, 1e-4, 0.3, math.pi / 2, 2.5, math.pi - 1e-4, math.pi):
+            factor = s2_legendre_kernel(r2, V, aR, math.cos(theta), t)
+            for s in offsets:
+                sep = theta if sp.kind == "sphere" else (theta, s)
+                v, err = ev.at(sep, t)
+                with mpmath.workdps(40):  # the line factor on the cylinder
+                    exact = factor if sp.kind == "sphere" else factor * mpmath.exp(
+                        -mpmath.mpf(s) ** 2 / (4 * t)) / mpmath.sqrt(4 * mpmath.pi * t)
+                assert abs(v - float(exact)) <= err + sys.float_info.min, (theta, s, t)
 
 
 def test_zonal_matches_gegenbauer_on_s4():
@@ -259,7 +323,7 @@ def laplace_series_loop(sk, u, t):
     return acc, tail, cutoff
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
 def test_laplace_series_equals_level_loop(n):
     # times down to those the Green's function integrates; cos-angles include
     # both poles, where the S^3 closed form switches to its limits
