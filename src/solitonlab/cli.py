@@ -41,7 +41,7 @@ CSV_COLUMNS = ["theorem_id", "space", "a", "x_id", "y_id", "t", "lhs", "rhs", "s
 THEOREM_IDS = (
     "kernel-axioms", "ultracontractivity", "gaussian-bound", "cr-bound",
     "green-bound", "eigenvalue-bound", "log-sobolev", "sobolev",
-    "energy-monotonicity", "weighted-energy", "grigoryan-constants",
+    "energy-monotonicity", "weighted-energy",
 )
 
 
@@ -324,7 +324,9 @@ def run_theorem(theorem_id: str, cfg: ExperimentConfig, *, store: dict | None = 
     """Build what the check needs from the config and run it. ``store``, kept
     by the caller for one config, shares the evaluators (one per route and
     coupling) and kernel tables (one per grid) between checks. Only the
-    checks that draw trials or point pairs take the seed. The report's
+    checks that draw trials or point pairs take the seed, and this is the one
+    place that picks the ``kernel-axioms`` tolerance: ``fd`` for the
+    finite-difference kernel, else ``analytic``. The report's
     ``runtime_seconds`` is the wall time of the whole check, the kernels and
     tables it builds first included."""
     reason = _skip_reason(theorem_id, cfg)
@@ -384,11 +386,8 @@ def run_theorem(theorem_id: str, cfg: ExperimentConfig, *, store: dict | None = 
                                             dt=cfg.probe_dt, tol=cfg.tol_analytic)
     elif theorem_id == "weighted-energy":
         op = spectral.discretize_radial(space, cfg.probe_r_max, cfg.probe_m, 0.0)
-        probe = verify.GrigoryanProbe(op, cfg.t0, dt=cfg.probe_dt,
-                                      D=cfg.big_d, gamma=cfg.gamma)
+        probe = verify.GrigoryanProbe(op, cfg.t0, D=cfg.big_d, gamma=cfg.gamma)
         report = verify.weighted_energy_bound(probe, mu, tol=cfg.tol_fd)
-    elif theorem_id == "grigoryan-constants":
-        report = verify.grigoryan_constants(cfg.gamma, cfg.big_d).report()
     else:
         raise ConfigError(f"unknown theorem id {theorem_id!r}")
     report.runtime_seconds = time.perf_counter() - start

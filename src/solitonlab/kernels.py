@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import simpson
 from scipy.linalg import solve_banded
-from scipy.special import legendre_p_all
+from scipy.special import gammaincc, gammaln, legendre_p_all
 
 from .exceptions import (
     DimensionError,
@@ -797,12 +797,12 @@ class GreenEvaluator:
 
 
 def _gaussian_time_tail(n: int, d: float, T: float) -> float:
-    """Integral of t^{-n/2} exp(-d^2/(4t)) over (0, T]."""
+    """Integral of t^{-n/2} exp(-d^2/(4t)) over (0, T] (n >= 3, d > 0): with
+    u = d^2/(4t) it is (4/d^2)^s Gamma(s, d^2/(4T)), s = n/2 - 1."""
     if T <= 0.0:
         return 0.0
-    val, _ = quad_log(lambda t: t ** (-n / 2.0) * math.exp(-d * d / (4.0 * t)),
-                      max(T * 1e-8, 1e-300), T)
-    return val
+    s = n / 2.0 - 1.0
+    return math.exp(s * math.log(4.0 / (d * d)) + gammaln(s)) * gammaincc(s, d * d / (4.0 * T))
 
 
 def green(space: SolitonSpace, a: float) -> GreenEvaluator:

@@ -10,8 +10,11 @@ with its explicit iteration constants m(gamma), D0, delta.
 
 Checks return a VerificationReport carrying the worst-case slack (or ratio),
 any extracted empirical constants, per-grid-point rows for CSV export, and a
-pass flag. Non-explicit constants are never assumed: the pass criteria for
-them are finiteness plus stability under nested grid refinement. The three
+pass flag; its notes carry only what no other field holds. Every check can
+fail: a property that holds by construction (the kernel's symmetry, the
+positivity of m(gamma)) is a test, not a check. Non-explicit constants are
+never assumed: the pass criteria for them are finiteness plus stability
+under nested grid refinement. The three
 ratio checks read a shared KernelTable through ``ratios``, one array pass
 per weight, and build rows only for the cells their report carries.
 """
@@ -134,22 +137,19 @@ def refine_times(ts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def kernel_axioms(evaluator, seed: int = 0, tol: float | None = None) -> VerificationReport:
-    """Symmetry and positivity at 6 random pairs, mass <= 1, and the
-    semigroup identity.
+def kernel_axioms(evaluator, seed: int = 0, tol: float = ANALYTIC_TOL) -> VerificationReport:
+    """Positivity at 6 random pairs, mass <= 1, and the semigroup identity.
 
-    Failures are reported, not raised. The tolerance defaults to the method
-    class of the evaluator (analytic vs finite differences).
+    Failures are reported, not raised. Symmetry is not a row: a two-point
+    kernel is a function of the separation, and the separation is symmetric
+    bit for bit.
     """
     space = evaluator.space
-    is_fd = isinstance(evaluator, DirichletRadialHeatKernel)
-    tol_eff = tol if tol is not None else (FD_TOL if is_fd else ANALYTIC_TOL)
     rng = np.random.default_rng(seed)
     samples = 6
     ts = [0.05, 0.3, 1.0]
     notes = []
-    sym_viol = 0.0
-    if is_fd:
+    if isinstance(evaluator, DirichletRadialHeatKernel):
         ts = [t for t in ts if t > evaluator.t0 * 4] or [8.0 * evaluator.t0]
         pos_viol = max(max(0.0, -float(evaluator.profile(t).min())) for t in ts)
         semi_viol = max(evaluator.semigroup_defect(t, t / 2) for t in ts)
@@ -159,8 +159,6 @@ def kernel_axioms(evaluator, seed: int = 0, tol: float | None = None) -> Verific
         for (px, py) in pairs:
             for t in ts:
                 hxy, err = evaluator.evaluate(px, py, t)
-                hyx, _ = evaluator.evaluate(py, px, t)
-                sym_viol = max(sym_viol, abs(hxy - hyx))
                 pos_viol = max(pos_viol, -min(hxy + err, 0.0))
         # a moderate deterministic pair keeps the identity resolvable even
         # when the random pairs land in the far-tail noise of the series
@@ -182,9 +180,8 @@ def kernel_axioms(evaluator, seed: int = 0, tol: float | None = None) -> Verific
     mass_viol = max(max(0.0, evaluator.mass(t) - 1.0) for t in ts)
 
     axioms = [
-        ("symmetry", sym_viol, 1e-10),
-        ("positivity", pos_viol, tol_eff),
-        ("mass", mass_viol, tol_eff),
+        ("positivity", pos_viol, tol),
+        ("mass", mass_viol, tol),
         ("semigroup", semi_viol, 1e-3),
     ]
     # one row per axiom: its violation against its limit
@@ -292,17 +289,17 @@ def _empty_grid_report(theorem_id: str, space: str, a, grid: dict, tol: float, s
 
 def _ratio_report(theorem_id: str, table: KernelTable, r: Ratios,
                   cells=(slice(None), slice(None)), *, worst: float, constants: dict,
-                  notes: list, grid: dict, tol: float) -> VerificationReport:
+                  grid: dict, tol: float) -> VerificationReport:
     """The report of a ratio check whose rows are the (separation, time) ``cells``
-    of the table; with no cell it fails with EMPTY_GRID_NOTE alone. After the
-    check's ``notes`` come the count of unresolved cells (of the rows and,
-    when they are a sub-grid, of the whole table) and NO_RESOLVED_NOTE when
-    no row resolves."""
+    of the table; with no cell it fails with EMPTY_GRID_NOTE alone. Its notes
+    are the count of unresolved cells (of the rows and, when they are a
+    sub-grid, of the whole table) and NO_RESOLVED_NOTE when no row resolves."""
     space, a = table.evaluator.space, table.evaluator.a
     shown = r.cells(cells)
     if not shown.ratio.size:
         return _empty_grid_report(theorem_id, space.token, a, grid, tol, None, "ratio")
     unresolved = int(np.count_nonzero(~shown.resolved))
+    notes = []
     if shown.ratio.size < r.ratio.size:
         everywhere = int(np.count_nonzero(~r.resolved))
         if everywhere:
@@ -349,7 +346,7 @@ def ultracontractivity(table: KernelTable, mu: float,
     if arg is not None:
         argmax = {"x_id": table.grid.labels[arg[0]], "t": float(table.times[arg[1]])}
     report = _ratio_report("ultracontractivity", table, r, worst=worst,
-                           constants={"max_ratio": worst, "argmax": argmax}, notes=[],
+                           constants={"max_ratio": worst, "argmax": argmax},
                            grid={"pairs": len(table.grid.seps), "times": len(table.times)},
                            tol=tol)
     report.notes += sharp_notes
@@ -392,15 +389,13 @@ def gaussian_bound(table: KernelTable, mu: float, c: float,
         for k, d in enumerate(table.grid.d[:4].tolist()):
             bound = e * math.exp(-d * d / (2.0 * D * t))
             split_worst = max(split_worst, table.values[k, col] / bound)
-    notes = [f"A_emp base {a_base:.6g}, refined {a_ref:.6g}",
-             f"splitting cross-check max ratio {split_worst:.6g}"]
     worst = a_ref / a_base if a_base > 0 else math.inf
     if not (math.isfinite(a_ref) and math.isfinite(a_base)) or split_worst > 1.0 + 10 * tol:
         worst = math.inf
     return _ratio_report("gaussian-bound", table, r, base, worst=worst,
                          constants={"A_emp": a_ref, "A_emp_base": a_base,
                                     "splitting_max_ratio": split_worst},
-                         notes=notes, grid=grid, tol=STABILITY)
+                         grid=grid, tol=STABILITY)
 
 
 def cr_bound(table: KernelTable, mu: float, C_R: float,
@@ -416,13 +411,8 @@ def cr_bound(table: KernelTable, mu: float, C_R: float,
     r = ratios(table, mu, lambda d, t: -C_R * t / 6.0)
     worst, _ = _max_resolved(r)
     worst12, _ = _max_resolved(ratios(table, mu, lambda d, t: -C_R * t / 12.0))
-    notes = [
-        f"exploratory exponent C_R t/12: max ratio {worst12:.6g} "
-        + ("(holds empirically)" if worst12 <= 1.0 + tol else "(fails empirically)")
-    ]
     return _ratio_report("cr-bound", table, r, worst=worst,
                          constants={"max_ratio": worst, "max_ratio_exponent_12": worst12},
-                         notes=notes,
                          grid={"pairs": len(table.grid.seps), "times": len(table.times),
                                "C_R": C_R},
                          tol=tol)
@@ -476,8 +466,6 @@ def green_bound(green_evaluator: GreenEvaluator, mu: float,
     xs = np.log([r["d"] for r in small])
     ys = np.log([r["lhs"] for r in small])
     slope = float(np.polyfit(xs, ys, 1)[0])
-    notes = [f"B_emp base {b_base:.6g}, refined {b_ref:.6g}",
-             f"small-separation log-log slope {slope:.4f} (expected {2 - n})"]
     worst = b_ref / max(b_base, 1e-300)
     if not math.isfinite(b_ref):
         worst = math.inf
@@ -492,7 +480,6 @@ def green_bound(green_evaluator: GreenEvaluator, mu: float,
         worst_case_slack=worst,
         extracted_constants={"B_emp": b_ref, "B_emp_base": b_base, "slope": slope},
         points=rows_ref,
-        notes=notes,
     )
 
 
@@ -508,10 +495,9 @@ def eigenvalue_bound(spectrum: Spectrum, mu: float, table: KernelTable, k_max: i
     Also verified: the partition-function inequality
     Z(t) <= e^{-mu} V (4 pi t)^{-n/2} at the times of ``table``, with Z the
     trace V H(o, o, t) read from the table's first row, which must be the
-    diagonal (certified at its upper value, trace plus error estimate),
-    the minimizing time t0 = n / (2 lambda) of e^{lambda t} (4 pi t)^{-n/2}
-    by sampling, and the Weyl ratio window for k in [200, 400] when
-    available. n and V are those of the table's space.
+    diagonal (certified at its upper value, trace plus error estimate), and
+    the Weyl ratio window for k in [200, 400] when available. n and V are
+    those of the table's space.
     """
     kernel = table.evaluator
     if kernel.a != spectrum.a:
@@ -544,17 +530,6 @@ def eigenvalue_bound(spectrum: Spectrum, mu: float, table: KernelTable, k_max: i
         rows.append({"x_id": "partition", "y_id": "", "t": float(t),
                      "lhs": z, "rhs": rhs, "slack": slack, "ratio": upper / rhs})
 
-    # the chained bound rests on minimizing e^{lambda t}(4 pi t)^{-n/2} at n/(2 lambda)
-    t0_ok = True
-    for k in (1, max(1, k_max // 2), k_max):
-        lk = float(lam[k - 1])
-        t0 = n / (2.0 * lk)
-        g0 = math.exp(lk * t0) * (4.0 * math.pi * t0) ** (-n / 2.0)
-        for fac in (0.5, 0.9, 1.1, 2.0):
-            gt = math.exp(lk * t0 * fac) * (4.0 * math.pi * t0 * fac) ** (-n / 2.0)
-            if gt < g0 * (1.0 - 1e-12):
-                t0_ok = False
-
     notes = []
     if k_max >= 400:
         cw = weyl_constant(n)
@@ -567,14 +542,9 @@ def eigenvalue_bound(spectrum: Spectrum, mu: float, table: KernelTable, k_max: i
         notes.append(f"counting ratios at k=200,300,400: {[round(c, 4) for c in count_ratios]}")
         # the [0.9, 1.1] window is a dimension-two statement; higher
         # dimensions have wider multiplicity blocks and only get recorded
-        weyl_ok = n != 2 or (0.9 <= min(ratios) and max(ratios) <= 1.1)
-    else:
-        weyl_ok = True
-    if not t0_ok:
-        worst = -math.inf
-    if not weyl_ok:
-        notes.append("Weyl window violated")
-        worst = -math.inf
+        if n == 2 and not (0.9 <= min(ratios) and max(ratios) <= 1.1):
+            notes.append("Weyl window violated")
+            worst = -math.inf
     worst = min(worst, part_worst)
     return VerificationReport(
         theorem_id="eigenvalue-bound",
@@ -690,13 +660,11 @@ def sobolev(space: SolitonSpace, mu: float, a: float = 0.25, trials: int = 50,
              "slack": math.nan, "ratio": q} for i, q in enumerate(base)]
     c_base, c_ref = max(base), max(ref)
 
-    notes = [f"C_emp base {c_base:.6g}, refined {c_ref:.6g}"]
     dilation_dev = 0.0
     if space.kind == "gaussian":
         tr, q0 = ref_list[0], ref[0]
         for lam in (0.5, 2.0):
             dilation_dev = max(dilation_dev, abs(quotient(tr.dilated(lam)) - q0) / q0)
-        notes.append(f"dilation invariance deviation {dilation_dev:.2e}")
     worst = c_ref / max(c_base, 1e-300)
     if not math.isfinite(c_ref) or dilation_dev > 1e-6:
         worst = math.inf
@@ -712,7 +680,6 @@ def sobolev(space: SolitonSpace, mu: float, a: float = 0.25, trials: int = 50,
         extracted_constants={"C_emp": c_ref, "C_emp_base": c_base,
                              "dilation_deviation": dilation_dev},
         points=rows,
-        notes=notes,
     )
 
 
@@ -729,16 +696,6 @@ class GrigoryanConstants:
     k_argmin: int
     D0: float       # 2 / m
     delta: float    # (D-2)/(5 D0 - 2) / gamma, capped at the D >= 5 D0 value
-
-    def report(self) -> VerificationReport:
-        """The ``grigoryan-constants`` check: the constants, with m as its slack."""
-        return VerificationReport(
-            theorem_id="grigoryan-constants", space=None, a=None,
-            grid={"gamma": self.gamma, "D": self.D}, tolerance=0.0, seed=None,
-            mode="slack", worst_case_slack=self.m,
-            extracted_constants={"m": self.m, "k_argmin": self.k_argmin,
-                                 "D0": self.D0, "delta": self.delta},
-        )
 
 
 def grigoryan_constants(gamma: float, D: float) -> GrigoryanConstants:
@@ -950,8 +907,7 @@ def weighted_energy_bound(probe: GrigoryanProbe, mu: float, times=None,
             rows.append({"x_id": f"I_R R={R}", "y_id": "", "t": float(t),
                          "lhs": ir, "rhs": tail_rhs, "slack": tail_rhs - ir,
                          "ratio": ir / tail_rhs})
-    notes = [f"m({gamma}) = {consts.m:.6e}, D0 = {consts.D0:.4f}, delta = {consts.delta:.6e}",
-             f"exact-kernel E_D dominates the Dirichlet value with margin {exact_margin:.3e}"]
+    notes = [f"exact-kernel E_D dominates the Dirichlet value with margin {exact_margin:.3e}"]
     if exact_margin < 0:
         worst = -math.inf
     return VerificationReport(

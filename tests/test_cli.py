@@ -273,14 +273,14 @@ def test_green_below_the_series_reach_names_the_distance(tmp_path, capsys, space
 
 
 @pytest.mark.parametrize("argv,theorem,constant,value,abs_tol", [
-    (["grigoryan-constants", "--gamma", "2.0", "--D", "10.0"],
-     "grigoryan-constants", "m", 0.002221, 1e-6),
+    (["weighted-energy", "--gamma", "2.0", "--D", "10.0"],
+     "weighted-energy", "m", 0.002221, 1e-6),
     # the partition rows read the series kernel whatever the configured method
     (["eigenvalue-bound", "--space", "sphere:3", "--method", "fd_dirichlet"],
      "eigenvalue-bound", "min_partition_relative_slack", 0.209123, 1e-6),
     (["eigenvalue-bound", "--space", "sphere:3", "--method", "closed_form"],
      "eigenvalue-bound", "min_partition_relative_slack", 0.209123, 1e-6),
-], ids=["grigoryan", "eigenvalue-fd-method", "eigenvalue-closed-form-method"])
+], ids=["weighted-energy", "eigenvalue-fd-method", "eigenvalue-closed-form-method"])
 def test_verify_subcommand_exit_codes(tmp_path, argv, theorem, constant, value, abs_tol):
     out = tmp_path / "v.json"
     code = main(["--json", str(out), "verify"] + argv)
@@ -306,7 +306,7 @@ def test_tolerances_reach_kernel_axioms(tmp_path, config, argv, limit):
 @pytest.mark.parametrize("before,after", [(["--seed", "5"], []), ([], ["--seed", "5"])])
 def test_seed_flag_in_either_position(tmp_path, before, after):
     out = tmp_path / "r.json"
-    argv = ["--json", str(out)] + before + ["verify", "grigoryan-constants"] + after
+    argv = ["--json", str(out)] + before + ["verify", "kernel-axioms"] + after
     assert main(argv) == EXIT_PASS
     assert json.loads(out.read_text())["config"]["seed"] == 5
     # the suite subcommand shares the flag handling
@@ -326,14 +326,14 @@ def test_verify_c_flag(tmp_path, c, code):
 
 
 @pytest.mark.parametrize("config,argv", [
-    (None, ["--seed", "-1", "verify", "grigoryan-constants"]),
+    (None, ["--seed", "-1", "verify", "kernel-axioms"]),
     (None, ["verify", "eigenvalue-bound", "--space", "sphere:2", "--k-max", "0"]),
     (None, ["verify", "log-sobolev", "--trials", "0", "--tau-grid", "1,2,0"]),
     (None, ["verify", "log-sobolev", "--tau-grid", "1,0.1,3"]),
     (None, ["verify", "log-sobolev", "--tau-grid", "1,2"]),
     (None, ["verify", "kernel-axioms", "--space", "sphere:2", "--a", "nan"]),
     ("a = inf\n", ["verify", "kernel-axioms", "--space", "sphere:2"]),
-    ("[grids]\nc =\n", ["verify", "grigoryan-constants"]),
+    ("[grids]\nc =\n", ["verify", "kernel-axioms"]),
 ], ids=["negative-seed", "k-max-0", "trials-0", "reversed-tau-grid", "short-tau-grid",
         "nan-a", "inf-a-in-file", "empty-c-list-in-file"])
 def test_invalid_config_and_flags_exit_2(tmp_path, config, argv):
@@ -416,7 +416,7 @@ def test_suite_skips_inapplicable_theorems_with_reasons(tmp_path):
     code = main(["--config", str(cfg), "--json", str(out), "suite", "--a", "0.1"])
     assert code in (EXIT_PASS, EXIT_VIOLATION)
     doc = json.loads(out.read_text())
-    ran = {"kernel-axioms", "log-sobolev", "cr-bound", "grigoryan-constants"}
+    ran = {"kernel-axioms", "log-sobolev", "cr-bound"}
     assert set(doc["checks"]) == ran
     assert set(doc["skipped"]) == set(THEOREM_IDS) - ran
     assert doc["skipped"]["ultracontractivity"] == "ultracontractivity requires a >= 1/4"
@@ -683,8 +683,19 @@ def test_runtime_covers_the_kernel_table_a_check_builds(monkeypatch):
 
 
 def test_flags_override_the_fields_they_name(tmp_path):
+    # --D and --gamma reach only the weighted-energy check
     out = tmp_path / "g.json"
-    argv = ["--json", str(out), "verify", "grigoryan-constants", "--D", "12", "--gamma", "3"]
+    argv = ["--json", str(out), "verify", "weighted-energy", "--D", "12", "--gamma", "3"]
     assert main(argv) == EXIT_PASS
-    cfg = json.loads(out.read_text())["config"]
-    assert (cfg["big_d"], cfg["gamma"]) == (12.0, 3.0)
+    doc = json.loads(out.read_text())
+    assert (doc["config"]["big_d"], doc["config"]["gamma"]) == (12.0, 3.0)
+    grid = doc["checks"]["weighted-energy"]["grid"]
+    assert (grid["D"], grid["gamma"]) == (12.0, 3.0)
+
+
+def test_probe_dt_does_not_reach_weighted_energy():
+    # the weighted-energy probe marches the source kernel with its own step
+    # rule; probe_dt sets the steps of energy-monotonicity alone
+    points = [run_theorem("weighted-energy", ExperimentConfig(probe_dt=dt)).points
+              for dt in (5e-4, 2e-3)]
+    assert points[0] == points[1]

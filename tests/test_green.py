@@ -1,16 +1,33 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from solitonlab.exceptions import DimensionError, DivergenceError
-from solitonlab.kernels import green, volume_growth_integral
+from solitonlab.kernels import _gaussian_time_tail, green, volume_growth_integral
 from solitonlab.spaces import make_space, parse_space
 
 
 def euclidean_green_constant(n):
     """G = C(n) r^{2-n} with C(n) = Gamma(n/2 - 1) / (4 pi^{n/2})."""
     return math.gamma(n / 2.0 - 1.0) / (4.0 * math.pi ** (n / 2.0))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_gaussian_time_tail_against_mpmath_incomplete_gamma(n):
+    # the Green floor bound: integral of t^{-n/2} e^{-d^2/4t} over (0, T] is
+    # (4/d^2)^s Gamma(s, d^2/4T) with s = n/2 - 1; at T = d^2/282, where the
+    # Green's function cuts its near-time integral, the integral is ~1e-31
+    # of the scale and an adaptive rule with an absolute tolerance misses it
+    s = mpmath.mpf(n) / 2 - 1
+    for d in (0.02, 0.3, 1.0, 4.0):
+        for T in (d * d / 282.0, d * d / 40.0, d * d, 10.0 * d * d):
+            with mpmath.workdps(40):
+                d2 = mpmath.mpf(d) ** 2
+                exact = (4 / d2) ** s * mpmath.gammainc(s, d2 / (4 * mpmath.mpf(T)))
+            assert _gaussian_time_tail(n, d, T) == pytest.approx(float(exact), rel=1e-12)
+    assert _gaussian_time_tail(n, 1.0, 0.0) == 0.0
 
 
 def test_green_gaussian3_matches_inverse_distance():

@@ -26,7 +26,7 @@ from solitonlab.kernels import (
     heat_kernel,
     zonal_values,
 )
-from solitonlab.spaces import make_space, parse_space, sphere_area
+from solitonlab.spaces import Point, make_space, parse_space, sphere_area
 from solitonlab.spectral import discretize_radial, sphere_multiplicity
 
 ORACLES = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
@@ -284,6 +284,32 @@ def test_sphere_series_symmetry():
     rng = np.random.default_rng(2)
     x, y = sk.space.random_point(rng), sk.space.random_point(rng)
     assert abs(sk(x, y, 0.4) - sk(y, x, 0.4)) <= 1e-14
+
+
+def _antipode(p):
+    """The point reflected through the origin of each factor (the line
+    coordinate too): at the antipode on a sphere."""
+    return Point(p.kind, -p.vector, s=None if p.s is None else -p.s)
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda: EuclideanHeatKernel(make_space("gaussian", 1), 0.25),
+    lambda: EuclideanHeatKernel(make_space("gaussian", 3), 0.25),
+    *(lambda n=n: SphereHeatKernel(n, 0.25) for n in (2, 3, 4, 5)),
+    *(lambda n=n: CylinderHeatKernel(n, 0.25) for n in (3, 4)),
+], ids=["gaussian:1", "gaussian:3", "sphere:2", "sphere:3", "sphere:4", "sphere:5",
+        "cylinder:3", "cylinder:4"])
+def test_two_point_kernels_are_symmetric_bit_for_bit(kernel):
+    # the kernel is a function of the separation, which is symmetric to the
+    # last bit, so symmetry needs no tolerance and no report row
+    k = kernel()
+    rng = np.random.default_rng(11)
+    points = [k.space.random_point(rng) for _ in range(6)]
+    pairs = list(zip(points[::2], points[1::2]))
+    pairs += [(p, p) for p in points[:2]] + [(p, _antipode(p)) for p in points[:3]]
+    for x, y in pairs:
+        for t in (1e-3, 0.05, 1.0, 50.0):
+            assert k.evaluate(x, y, t) == k.evaluate(y, x, t)
 
 
 def laplace_series_loop(sk, u, t):

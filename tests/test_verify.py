@@ -25,8 +25,7 @@ from solitonlab import verify
 def test_kernel_axioms_gaussian_closed_form():
     rep = verify.kernel_axioms(EuclideanHeatKernel(make_space("gaussian", 2), 0.25), seed=0)
     assert rep.passed
-    sym = [r for r in rep.points if r["x_id"] == "symmetry"][0]
-    assert sym["lhs"] <= 1e-14
+    assert [r["x_id"] for r in rep.points] == ["positivity", "mass", "semigroup"]
 
 
 def test_kernel_axioms_sphere_series():
@@ -143,7 +142,7 @@ def test_cr_bound_sphere2_passes_and_half_exponent_fails(default_table):
     assert rep.worst_case_slack == pytest.approx(6.0 / math.e ** 2, rel=0.02)
     # the halved exponent is refuted empirically: the same peak becomes 12/e^2
     assert rep.extracted_constants["max_ratio_exponent_12"] > 1.5
-    assert any("fails empirically" in note for note in rep.notes)
+    assert rep.extracted_constants["max_ratio_exponent_12"] > 1.0 + verify.ANALYTIC_TOL
 
 
 def test_cr_bound_sphere3(default_table):
@@ -299,7 +298,7 @@ def test_ratio_arrays_match_the_per_cell_loop(space, default_table):
         assert np.array_equal(r.ratio, ref_ratio, equal_nan=True)
         assert np.array_equal(r.resolved, np.array([row["resolved"] for row in ref]).reshape(shape))
         assert np.array_equal(r.rhs, np.array([row["rhs"] for row in ref]).reshape(shape))
-        rows = verify._ratio_report("ratio", tab, r, worst=0.0, constants={}, notes=[], grid={},
+        rows = verify._ratio_report("ratio", tab, r, worst=0.0, constants={}, grid={},
                                     tol=0.0).points
         assert _same_rows(rows, ref)
         noise += int(np.count_nonzero(r.resolved & ~(tab.values > 10.0 * tab.errors)))
