@@ -18,9 +18,9 @@ evaluation routes are implemented, matched to the catalogue:
 * implicit finite differences on truncated Dirichlet balls of the gaussian
   space, bootstrapped from the exact profile at a small positive time so no
   initial-layer error enters the comparisons. One engine, ``RadialMarch``,
-  holds the time -> state cache, the tridiagonal stepper that Crank-Nicolson
-  and Numerov steps share, and the Simpson rule over the nodes; a state may
-  hold one solution per row, and the weighted-energy probe is a view on it.
+  holds the time -> state cache, the Crank-Nicolson and Numerov steps, each
+  factored once per step size, and the Simpson rule over the nodes; a state
+  may hold one solution per row, and the weighted-energy probe is a view on it.
 
 Every evaluator reports a per-evaluation error estimate next to the value.
 ``GreenEvaluator`` integrates a given two-point kernel over time, so the
@@ -30,12 +30,10 @@ Green's function rests on the same kernel the heat-kernel checks tabulate.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 from scipy.special import gammaincc, gammaln, legendre_p_all
 
 from .exceptions import (
@@ -456,50 +454,44 @@ class CylinderHeatKernel(TwoPointKernel):
 # ---------------------------------------------------------------------------
 
 
-def _tridiagonal_march(scheme, w: np.ndarray, dts) -> np.ndarray:
-    """Two-level steps of the sizes in ``dts`` on w (one solution per row):
-    ``scheme(dt)`` gives the banded matrix and the explicit side, built again
-    only when dt changes. The rows share one banded solve per step."""
-    built = None
-    for dt in dts:
-        if dt != built:
-            ab, explicit = scheme(dt)
-            built = dt
-        w = solve_banded((1, 1), ab, explicit(w).T).T
-    return w
+def _solve(solver, factors, rhs: np.ndarray) -> np.ndarray:
+    """One LAPACK solve on every row of ``rhs``, in place (rows are columns of rhs.T)."""
+    x, _ = solver(*factors, np.atleast_2d(rhs).T, overwrite_b=True)
+    return x.T.reshape(rhs.shape)
 
 
 def _crank_nicolson(op: DiscretizedOperator, dt: float):
-    """Crank-Nicolson on the conservative second-order operator."""
-    ab = np.zeros((3, op.m))
-    ab[0, 1:] = 0.5 * dt * op.upper
-    ab[1, :] = 1.0 + 0.5 * dt * op.diag
-    ab[2, :-1] = 0.5 * dt * op.lower
-    return ab, lambda w: w - 0.5 * dt * op.apply(w)
+    """Crank-Nicolson on the conservative operator, as a step on y = W^{1/2} u
+    with the symmetric S = W^{1/2} A W^{-1/2}: for M = I + (dt/2) S the step
+    M^{-1} (2I - M) y is (M/2)^{-1} y - y, and M/2 is positive definite."""
+    diag, off = op.symmetric_tridiagonal()
+    d, e, _ = dpttrf(0.5 + 0.25 * dt * diag, 0.25 * dt * off)
+    return lambda y: _solve(dpttrs, (d, e), y.copy()) - y
 
 
 def _numerov(size: int, h: float, even: bool, dt: float):
     """Crank-Nicolson on the compact fourth-order (Numerov) form of v_rr over
     ``size`` unknowns; ``even`` folds the ghost v_{-1} = v_1 of an even v
-    into the first row."""
+    into the first row. The matrix is strictly diagonally dominant, so its
+    LU never breaks down."""
     c = dt / (2.0 * h * h)
-    ab = np.empty((3, size))
-    ab[[0, 2]] = 1.0 / 12.0 - c
-    ab[1] = 10.0 / 12.0 + 2.0 * c
+    off = np.full(size - 1, 1.0 / 12.0 - c)
+    upper = off.copy()
     if even:
-        ab[0, 1] *= 2.0
+        upper[0] *= 2.0
+    *lu, _ = dgttrf(off, np.full(size, 10.0 / 12.0 + 2.0 * c), upper)
     rdi = 10.0 / 12.0 - 2.0 * c
     roff = 1.0 / 12.0 + c
 
-    def explicit(v):
+    def step(v):
         rhs = rdi * v
         rhs[..., :-1] += roff * v[..., 1:]
         rhs[..., 1:] += roff * v[..., :-1]
         if even:
             rhs[..., 0] += roff * v[..., 1]
-        return rhs
+        return _solve(dgttrs, lu, rhs)
 
-    return ab, explicit
+    return step
 
 
 def graded_steps(t_from: float, t: float, dt_max: float):
@@ -517,11 +509,12 @@ class RadialMarch:
 
     A state holds values at the nodes r_0 .. r_{m-1} on its last axis, one
     solution per row, and vanishes at the Dirichlet node r_m = R_max.
-    ``state(t)`` fills one time -> state cache behind one lock, marching from
-    the latest cached time before t through the steps ``steps(t_from, t)``:
-    Crank-Nicolson on the conservative operator or, with ``numerov`` (n in
-    {1, 3}), on the compact fourth-order form of v = r^{(n-1)/2} u, for which
-    the radial operator is a pure second derivative.
+    ``state(t)`` fills one time -> state cache, marching from the latest
+    cached time before t through the steps ``steps(t_from, t)``, each size
+    factored once: Crank-Nicolson on the conservative operator in y = W^{1/2} u
+    or, with ``numerov`` (n in {1, 3}), on the compact fourth-order form of
+    v = r^{(n-1)/2} u, for which the radial operator is a pure second
+    derivative.
     """
 
     def __init__(self, op: DiscretizedOperator, t0: float, state0: np.ndarray,
@@ -532,28 +525,36 @@ class RadialMarch:
         self._steps = steps
         self.numerov = numerov
         self._cache = {t0: state0}
-        self._lock = threading.Lock()  # marches fill the cache
+        self._factored = {}  # step size -> its factored step
 
     def state(self, t: float) -> np.ndarray:
         if t < self.t0:
             raise TimeDomainError(f"finite-difference states need t >= t0 = {self.t0}")
-        with self._lock:
-            if t not in self._cache:
-                t_from = max(s for s in self._cache if s <= t)
-                self._cache[t] = self._march(self._cache[t_from], t_from, t)
-            return self._cache[t]
+        if t not in self._cache:
+            t_from = max(s for s in self._cache if s <= t)
+            self._cache[t] = self._march(self._cache[t_from], t_from, t)
+        return self._cache[t]
+
+    def _advance(self, scheme, w: np.ndarray, t_from: float, t: float) -> np.ndarray:
+        """Steps ``steps(t_from, t)`` on w; ``scheme(dt)`` factors a new size."""
+        for dt in self._steps(t_from, t):
+            if dt not in self._factored:
+                self._factored[dt] = scheme(dt)
+            w = self._factored[dt](w)
+        return w
 
     def _march(self, u: np.ndarray, t_from: float, t: float) -> np.ndarray:
-        op, dts = self.op, self._steps(t_from, t)
+        op = self.op
         if not self.numerov:
-            return _tridiagonal_march(lambda dt: _crank_nicolson(op, dt), u, dts)
+            sw = np.sqrt(op.weights)
+            return self._advance(lambda dt: _crank_nicolson(op, dt), sw * u, t_from, t) / sw
         if op.space.n == 1:  # v = u is even: ghost reflection at the origin
-            return _tridiagonal_march(lambda dt: _numerov(op.m, op.h, True, dt), u, dts)
+            return self._advance(lambda dt: _numerov(op.m, op.h, True, dt), u, t_from, t)
         # n = 3: v = r u vanishes at both ends; the unknowns are nodes 1 .. m-1
         r = op.r[1:]
         out = np.empty(u.shape)
-        out[..., 1:] = _tridiagonal_march(lambda dt: _numerov(op.m - 1, op.h, False, dt),
-                                          r * u[..., 1:], dts) / r
+        out[..., 1:] = self._advance(lambda dt: _numerov(op.m - 1, op.h, False, dt),
+                                     r * u[..., 1:], t_from, t) / r
         out[..., 0] = (4.0 * out[..., 1] - out[..., 2]) / 3.0  # even extension through r = 0
         return out
 
@@ -562,6 +563,7 @@ class RadialMarch:
         ``values``, zero at the Dirichlet node: a float, or one per row. Rows
         reduce along their contiguous axis, so each sums as it would alone."""
         n, r = self.op.space.n, self.nodes
+        from scipy.integrate import simpson
         values = np.concatenate((values, np.zeros(values.shape[:-1] + (1,))), axis=-1)
         return np.asarray(simpson(values * sphere_area(n - 1) * r ** (n - 1), x=r)).tolist()
 

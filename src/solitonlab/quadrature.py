@@ -12,7 +12,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 # absolute tolerance per adaptive integral; entropy defects at 1e-8 must be
 # resolvable, so individual integrals are pushed well below that
@@ -21,6 +20,13 @@ EPSREL = 1e-11
 
 LIMIT = 200  # subintervals per adaptive integral
 TAIL_WIDTHS = 12.0  # Gaussian tails are analytically dominated past this
+
+
+def _quad(f, a: float, b: float, points=None) -> tuple[float, float]:
+    """scipy's adaptive rule at the package tolerances, imported on first use
+    (``scipy.integrate`` loads ``scipy.optimize``)."""
+    from scipy.integrate import quad
+    return quad(f, a, b, epsabs=EPSABS, epsrel=EPSREL, limit=LIMIT, points=points)
 
 
 def quad_ab(f, a: float, b: float, points=None) -> tuple[float, float]:
@@ -33,21 +39,12 @@ def quad_ab(f, a: float, b: float, points=None) -> tuple[float, float]:
         points = [p for p in points if a < p < b]
         if not points:
             points = None
-    val, err = quad(f, a, b, epsabs=EPSABS, epsrel=EPSREL, limit=LIMIT, points=points)
-    return val, err
+    return _quad(f, a, b, points)
 
 
 def quad_log(f, a: float, b: float) -> tuple[float, float]:
     """Adaptive integral over [a, b] in the log variable (a, b > 0)."""
-    val, err = quad(
-        lambda s: f(math.exp(s)) * math.exp(s),
-        math.log(a),
-        math.log(b),
-        epsabs=EPSABS,
-        epsrel=EPSREL,
-        limit=LIMIT,
-    )
-    return val, err
+    return _quad(lambda s: f(math.exp(s)) * math.exp(s), math.log(a), math.log(b))
 
 
 @lru_cache(maxsize=32)

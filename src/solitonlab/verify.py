@@ -388,7 +388,7 @@ def gaussian_bound(table: KernelTable, mu: float, c: float,
         e = evaluator.weighted_l2(t / 2.0, D)
         for k, d in enumerate(table.grid.d[:4].tolist()):
             bound = e * math.exp(-d * d / (2.0 * D * t))
-            split_worst = max(split_worst, table.values[k, col] / bound)
+            split_worst = max(split_worst, float(table.values[k, col]) / bound)
     worst = a_ref / a_base if a_base > 0 else math.inf
     if not (math.isfinite(a_ref) and math.isfinite(a_base)) or split_worst > 1.0 + 10 * tol:
         worst = math.inf
@@ -456,10 +456,10 @@ def green_bound(green_evaluator: GreenEvaluator, mu: float,
         return rows
 
     rows = b_rows(ds)
-    b_base = max(r["ratio"] for r in rows)
+    b_base = float(max(r["ratio"] for r in rows))
     mids = np.sqrt(ds[:-1] * ds[1:])
     rows_ref = rows + b_rows(mids)
-    b_ref = max(r["ratio"] for r in rows_ref)
+    b_ref = float(max(r["ratio"] for r in rows_ref))
 
     # small-separation slope of log G vs log d
     small = sorted(rows_ref, key=lambda r: r["d"])[:6]
@@ -608,7 +608,7 @@ def log_sobolev(space: SolitonSpace, mu: float, trials: int = 100, tau_grid=None
             rows.append({"x_id": f"trial{idx}", "y_id": "", "t": float(tau),
                          "lhs": entropy_term, "rhs": slack + entropy_term,
                          "slack": slack, "ratio": math.nan})
-            worst = min(worst, slack)
+            worst = min(worst, float(slack))
     return VerificationReport(
         theorem_id="log-sobolev",
         space=space.token,

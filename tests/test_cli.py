@@ -699,3 +699,16 @@ def test_probe_dt_does_not_reach_weighted_energy():
     points = [run_theorem("weighted-energy", ExperimentConfig(probe_dt=dt)).points
               for dt in (5e-4, 2e-3)]
     assert points[0] == points[1]
+
+
+def test_extracted_constants_are_plain_numbers():
+    # Python callers of the checks read plain floats and ints, not numpy scalars
+    from solitonlab.cli import suite_jobs
+    cfg = ExperimentConfig(space="gaussian:3")
+    store = {}
+    for job_id, kw in suite_jobs(cfg):
+        report = run_theorem(job_id.split(":")[0], cfg, store=store, **kw)
+        for name, value in report.extracted_constants.items():
+            if name == "argmax":  # the cell of the largest ratio: a row label and a time
+                value = value["t"]
+            assert type(value) in (float, int), (job_id, name, type(value))
