@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Green's functions of the Schrodinger operator and the volume-growth screen.
 
-The time integral of the kernel is split at t = d^2 with a rigorously
-bounded tail. On the flat space it reproduces the inverse-distance law
-exactly; on the compact sphere the gap a R > 0 makes the integral converge,
-with the inverse-separation blowup at small angles. The volume-growth
+The Green's function takes an exact route where the space has one: the
+closed form on the flat space, the sinh form on the 3-sphere and the
+line-resolvent mode sum on the cylinder. Elsewhere it is the time integral
+of the kernel, split at t = d^2 with a rigorously bounded tail; on the flat
+space that integral reproduces the inverse-distance law, and on the compact
+sphere the gap a R > 0 makes it converge, with the inverse-separation blowup
+at small angles. The volume-growth
 integral flags the spaces that cannot carry a positive Laplace Green's
 function.
 """
@@ -22,9 +25,11 @@ sp = make_space("gaussian", 3)
 gv = green(sp, 0.25)
 x = sp.point([0, 0, 0])
 for r in (0.5, 1.0, 2.0, 4.0):
-    v, err = gv.evaluate(x, sp.point([r, 0, 0]))
-    print(f"  r = {r:3.1f}:  G = {v:.8f}   exact = {1 / (4 * math.pi * r):.8f}"
-          f"   quadrature error <= {err:.1e}")
+    y = sp.point([r, 0, 0])
+    v, err, route = gv.evaluate(x, y)
+    q, q_err = gv.time_integral(x, y)
+    print(f"  r = {r:3.1f}:  G = {v:.8f} ({route})   time integral = {q:.8f}"
+          f"   integral error <= {q_err:.1e}")
 
 print()
 print("flat space, n = 4: the standard constant C(4) = 1/(4 pi^2)")
@@ -42,7 +47,7 @@ pole = s3.pole()
 thetas = np.array([0.02, 0.05, 0.1, math.pi / 2, 3.0])
 vals = []
 for th in thetas:
-    v, _ = gs.evaluate(pole, s3.point_at_distance(th * s3.sphere_radius))
+    v, _, _ = gs.evaluate(pole, s3.point_at_distance(th * s3.sphere_radius))
     vals.append(v)
     print(f"  theta = {th:5.3f}:  G = {v:.8e}")
 slope = np.polyfit(np.log(thetas[:3]), np.log(vals[:3]), 1)[0]

@@ -430,6 +430,10 @@ def run_checks(cfg: ExperimentConfig, jobs: list) -> tuple[dict, int]:
     A check that raises a non-config SolitonLabError is an ``error`` entry and
     an ``error: <check id>: <Type>: <message>`` line on stderr. Exit 1 means a
     check ran and failed, else 2 that one raised; a ConfigError propagates."""
+    # loaded here once, not by whichever check makes the first adaptive
+    # integral, so that no check's runtime_seconds carries the import
+    import scipy.integrate  # noqa: F401
+
     store, results = {}, {}
     for job_id, kw in jobs:
         theorem = job_id.split(":")[0]
@@ -662,8 +666,8 @@ def _dispatch(args, cfg: ExperimentConfig) -> int:
         if sp.distance(x, y) == 0.0:
             raise ConfigError("Green's function is singular on the diagonal: "
                               "--x and --y must differ")
-        val, err = gv.evaluate(x, y)
-        _write_json(_envelope(cfg, {"value": val, "method": "time_quadrature",
+        val, err, route = gv.evaluate(x, y)
+        _write_json(_envelope(cfg, {"value": val, "method": route,
                                     "error_estimate": err}), cfg.json_path)
         return EXIT_PASS
 

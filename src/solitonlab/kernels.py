@@ -23,8 +23,13 @@ evaluation routes are implemented, matched to the catalogue:
   may hold one solution per row, and the weighted-energy probe is a view on it.
 
 Every evaluator reports a per-evaluation error estimate next to the value.
-``GreenEvaluator`` integrates a given two-point kernel over time, so the
-Green's function rests on the same kernel the heat-kernel checks tabulate.
+``GreenEvaluator`` takes a two-point kernel's exact Green's-function route
+(``green_at``) where it has one: the closed form on the gaussian space, the
+sinh form on S^3, and on the cylinder at line offset s != 0 the sphere
+factor's mode sum with the line resolvent. Elsewhere it integrates the
+kernel over time, so the Green's function rests on the same kernel the
+heat-kernel checks tabulate; that integral is also the cross-check of each
+exact route.
 """
 
 from __future__ import annotations
@@ -54,8 +59,9 @@ METHODS = ("auto", "closed_form", "spectral_series", "fd_dirichlet")
 # the method ``auto`` resolves to on each kind of space
 AUTO = {"gaussian": "closed_form", "sphere": "spectral_series", "cylinder": "spectral_series"}
 # level cap of the zonal series: times t >= t_min need fewer than 2000 levels,
-# and the Green time integral, which reaches down to t = d^2 / 282, fewer than 8000
-# from d = 0.03 on sphere:3 (0.04 on sphere:4, 0.05 on sphere:5)
+# and the fallback Green time integral, which reaches down to t = d^2 / 282,
+# fewer than 8000 from d = 0.04 on sphere:4 (0.05 on sphere:5); it also caps
+# the cylinder's line-resolvent series, which needs about 40 r / |s| levels
 L_MAX = 8000
 GREEN_REL_TAIL = 1e-12  # the Green time integral stops below this share
 
@@ -63,6 +69,12 @@ GREEN_REL_TAIL = 1e-12  # the Green time integral stops below this share
 # ---------------------------------------------------------------------------
 # zonal harmonics
 # ---------------------------------------------------------------------------
+
+
+# the compiled Bonnet recurrence behind ``legendre_p_all`` (no derivatives),
+# signature ()->(l_max+1, 1): called on a preallocated output it skips the
+# wrapper's shape and dtype resolution, about 11 us a call at any level count
+_LEGENDRE_ALL = legendre_p_all._ufunc_or_ufuncs[0]
 
 
 def zonal_values(sphere_dim: int, l_max: int, u) -> np.ndarray:
@@ -80,7 +92,9 @@ def zonal_values(sphere_dim: int, l_max: int, u) -> np.ndarray:
     if sphere_dim < 2:
         raise DimensionError("zonal harmonics need sphere dimension >= 2")
     if sphere_dim == 2:
-        return legendre_p_all(l_max, u)[0]
+        out = np.empty((l_max + 1,) + u.shape + (1,))
+        _LEGENDRE_ALL(u, out=out, axes=[(), (0, -1)])
+        return out[..., 0]
     out = np.empty((l_max + 1,) + u.shape)
     if sphere_dim == 3:
         # Z_l(theta) = (-1)^l Z_l(pi - theta): the quotient keeps its relative
@@ -118,11 +132,14 @@ def zonal_values(sphere_dim: int, l_max: int, u) -> np.ndarray:
 
 class TwoPointKernel:
     """A kernel supplies ``separation(x, y)``, the ungated ``at(separation,
-    t)`` -> (value, error estimate), and its quadratures ``mass(t)``,
-    ``weighted_l2(t, D)`` and ``compose``; a batched route overrides
-    ``column``. ``evaluate`` and ``table`` reject times below ``t_min``. Every
-    catalogue space is homogeneous, so the mass and the weighted L2 integral
-    of H(x, ., t) are the same at every x and take no point."""
+    t)`` -> (value, error estimate), its quadratures ``mass(t)``,
+    ``weighted_l2(t, D)`` and ``compose``, and ``green_at(separation)``: the
+    Green's function of -Laplacian + a R by an exact route, as (value, error
+    estimate, route name), or None where it has none and ``GreenEvaluator``
+    integrates ``pair`` over time. A batched route overrides ``column``.
+    ``evaluate`` and ``table`` reject times below ``t_min``. Every catalogue
+    space is homogeneous, so the mass and the weighted L2 integral of
+    H(x, ., t) are the same at every x and take no point."""
 
     t_min = 0.0
 
@@ -193,6 +210,15 @@ class EuclideanHeatKernel(TwoPointKernel):
             # before it meets v, and each keeps only its last place
             err = 4.0 * EPS * (1.0 + x) * v + (scale + 1.0) * math.ulp(0.0)
         return v, err
+
+    def green_at(self, r: float):
+        """G = Gamma(n/2 - 1) / (4 pi^{n/2}) r^{2-n} for every a, as R = 0; the
+        gamma function and the powers each round to a few ulps."""
+        n = self.space.n
+        if n < 3:
+            return None
+        v = math.gamma(n / 2.0 - 1.0) / (4.0 * math.pi ** (n / 2.0)) * r ** (2 - n)
+        return v, (8 + n) * EPS * v, "closed_form"
 
     def mass(self, t: float) -> float:
         """Volume integral of H(x, ., t) by radial quadrature."""
@@ -353,6 +379,79 @@ class SphereHeatKernel(TwoPointKernel):
         """One series profile at the cos-angles of ``thetas``."""
         return self.profile(np.array([np.cos(th) for th in thetas]), t)
 
+    # -- Green's functions ---------------------------------------------------
+
+    def green_at(self, theta: float):
+        """On S^3 the mode sum sum_l (l+1)^2 Z_l / (V (lambda_l + m)), m = a R,
+        closes: with r the radius and c^2 = m r^2 - 1 (> -1 while m > 0),
+        G = pi r^2 S(pi - theta) / (2 V sin theta), where S(phi) is
+        sinh(c phi) / sinh(c pi), its limit phi / pi at |c^2| <= eps, and
+        sin(k phi) / sin(k pi) with k^2 = -c^2 below. Past pi/2 the sine is
+        taken of phi = pi - theta too, so S(phi) / sin(phi) keeps its relative
+        accuracy up to the antipode, where it is the limit S'(0). The error
+        estimate is the argument rounding of exp, expm1 and sin. No closed
+        form on other spheres."""
+        if self.n != 3 or self._aR <= 0.0:
+            return None
+        c2 = self._aR * self._radius2 - 1.0
+        phi = math.pi - theta
+        if c2 > 0.0:  # sinh(c phi) / sinh(c pi), without overflow
+            c = math.sqrt(c2)
+            scale = -math.expm1(-2.0 * c * math.pi)
+            slope = 2.0 * c * math.exp(-c * math.pi) / scale
+            shape = -math.exp(-c * theta) * math.expm1(-2.0 * c * phi) / scale
+            cond = 5.0 * c * math.pi
+        elif abs(c2) <= EPS:  # the linear limit, off by c^2 pi^2 / 6 relative
+            slope, shape, cond = 1.0 / math.pi, phi / math.pi, 2.0
+        else:
+            k = math.sqrt(-c2)
+            scale = math.sin(k * math.pi)
+            slope, shape = k / scale, math.sin(k * phi) / scale
+            cond = 2.0 * k * math.pi / scale  # the sines near k pi -> pi
+        ratio = slope if phi == 0.0 else shape / math.sin(min(theta, phi))
+        v = math.pi * self._radius2 * ratio / (2.0 * self._V)
+        return v, (8.0 + cond) * EPS * v, "sinh_form"
+
+    def line_green(self, theta: float, s: float):
+        """Green's function on this sphere times the line, at angle theta and
+        line offset s: the line resolvent integrates each mode over time, so
+        with mu_l = lambda_l + a R it is the sum of b_l Z_l(cos theta),
+        b_l = mult_l e^{-sqrt(mu_l) |s|} / (2 sqrt(mu_l) V). As |Z_l| <= 1,
+        the tail past a level L is at most b_L q_L / (1 - q_L) once q_L < 1,
+        where q_L = (mult_{L+1} / mult_L) e^{-|s| min(sqrt(mu_{L+1}) -
+        sqrt(mu_L), 1/r)} bounds every later ratio b_{l+1} / b_l: the
+        multiplicity ratio falls with l, and the steps of r sqrt(mu_l) =
+        sqrt((l + h)^2 + const) rise with l or fall towards 1. The sum stops at
+        the first level whose tail bound is below eps of the bounds so far, on
+        a doubling prefix of the level table. None at s = 0, without the gap
+        a R > 0, or when that level lies past ``L_MAX``."""
+        s = abs(s)
+        if s == 0.0 or self._aR <= 0.0:
+            return None
+        k = 64
+        while True:
+            k = min(k, L_MAX + 2)
+            root = np.sqrt(self._lam[:k] + self._aR)
+            b = self._mult[:k] * np.exp(-s * root) / (2.0 * self._V * root)
+            step = np.minimum(np.diff(root), 1.0 / self.space.sphere_radius)
+            q = self._mult[1:k] / self._mult[:k - 1] * np.exp(-s * step)
+            with np.errstate(divide="ignore"):
+                tail = np.where(q < 1.0, b[:-1] * q / (1.0 - q), math.inf)
+            run = np.cumsum(b[:-1])
+            hits = np.flatnonzero(tail <= EPS * run)
+            if hits.size:
+                cut = int(hits[0])
+                break
+            if k == L_MAX + 2:
+                return None
+            k *= 2
+        terms = b[:cut + 1] * zonal_values(self.n, cut, math.cos(theta))
+        # rounding: the exponent s sqrt(mu_l), the zonal recurrence (l ulps)
+        # and the sum, each relative to the term bound
+        levels = np.arange(cut + 1)
+        rounding = 4.0 * EPS * float(np.sum((levels + 4.0 + s * root[:cut + 1]) * b[:cut + 1]))
+        return float(np.sum(terms)), float(tail[cut]) + rounding, "line_resolvent_series"
+
     # -- zonal quadratures about any point x ----------------------------------
 
     def _zonal_measure(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -431,6 +530,11 @@ class CylinderHeatKernel(TwoPointKernel):
         v1, e1 = self.sphere.column([theta for theta, _ in seps], t)
         v2, e2 = self.line.column([ds for _, ds in seps], t)
         return v1 * v2, e1 * v2 + v1 * e2
+
+    def green_at(self, sep: tuple[float, float]):
+        """The sphere factor's mode sum with the line resolvent, off the
+        sphere factor's own slice (s != 0)."""
+        return self.sphere.line_green(*sep)
 
     def _factors(self, p: Point) -> tuple[Point, Point]:
         return Point("sphere", p.vector), Point("gaussian", [p.s])
@@ -722,14 +826,16 @@ def heat_kernel(space: SolitonSpace, a: float, method: str = "auto", **params):
 
 
 class GreenEvaluator:
-    """Time integral of a two-point heat kernel, split at t = r^2.
+    """Green's function of -Laplacian + a R over a two-point heat kernel.
 
-    ``kernel.pair`` is integrated without the kernel's t_min gate, and the
-    space and coupling are the kernel's. The near part is integrated
-    adaptively on [t_floor, r^2]: t_floor = 0 without a Schrodinger gap
-    (a R = 0, the gaussian space); with a gap it is chosen so the omitted mass
-    is below rounding, and recorded in the error estimate. The far part runs
-    over doubling log windows until a rigorous remainder bound falls under
+    ``evaluate`` takes the kernel's exact route (``green_at``) where it has
+    one and the time integral of ``kernel.pair`` otherwise, and names the
+    route it took. The time integral runs without the kernel's t_min gate,
+    split at t = r^2. The near part is integrated adaptively on
+    [t_floor, r^2]: t_floor = 0 without a Schrodinger gap (a R = 0, the
+    gaussian space); with a gap it is chosen so the omitted mass is below
+    rounding, and recorded in the error estimate. The far part runs over
+    doubling log windows until a rigorous remainder bound falls under
     ``GREEN_REL_TAIL`` of the running total.
     """
 
@@ -746,10 +852,24 @@ class GreenEvaluator:
             )
         self.kernel = kernel
 
-    def evaluate(self, x: Point, y: Point) -> tuple[float, float]:
+    def _distance(self, x: Point, y: Point) -> float:
         d = self.space.distance(x, y)
         if d == 0.0:
             raise ValueError("Green's function is singular on the diagonal")
+        return d
+
+    def evaluate(self, x: Point, y: Point) -> tuple[float, float, str]:
+        """(value, error estimate, route): the kernel's exact route, else
+        ``time_quadrature``."""
+        self._distance(x, y)
+        exact = self.kernel.green_at(self.kernel.separation(x, y))
+        if exact is not None:
+            return exact
+        return (*self.time_integral(x, y), "time_quadrature")
+
+    def time_integral(self, x: Point, y: Point) -> tuple[float, float]:
+        """The time integral of the heat kernel: (value, error estimate)."""
+        d = self._distance(x, y)
         h = self.kernel.pair(x, y)
         n, gap = self.space.n, self._gap
 

@@ -22,6 +22,7 @@ per weight, and build rows only for the cells their report carries.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -429,7 +430,8 @@ def green_bound(green_evaluator: GreenEvaluator, mu: float,
 
     Pass requires finiteness and refinement stability (within ``STABILITY``);
     the small-separation power law (log-log slope 2 - n) is fitted and
-    recorded.
+    recorded. ``grid["routes"]`` counts the rows each Green's function route
+    evaluated.
     """
     space = green_evaluator.space
     n = space.n
@@ -441,12 +443,14 @@ def green_bound(green_evaluator: GreenEvaluator, mu: float,
     else:
         ds = np.asarray(distances, dtype=float)
     pole = space.pole()
+    routes = Counter()
 
     def b_rows(dd):
         rows = []
         for d in dd:
             y = space.point_at_distance(float(d))
-            gval, gerr = green_evaluator.evaluate(pole, y)
+            gval, gerr, route = green_evaluator.evaluate(pole, y)
+            routes[route] += 1
             rows.append({"x_id": "p0", "y_id": f"d={d:.6g}", "t": math.nan,
                          "d": float(d), "lhs": gval,
                          "rhs": math.exp(-mu) / d ** (n - 2),
@@ -473,7 +477,7 @@ def green_bound(green_evaluator: GreenEvaluator, mu: float,
         theorem_id="green-bound",
         space=space.token,
         a=green_evaluator.a,
-        grid={"distances": [float(d) for d in ds]},
+        grid={"distances": [float(d) for d in ds], "routes": dict(sorted(routes.items()))},
         tolerance=STABILITY,
         seed=None,
         mode="ratio",

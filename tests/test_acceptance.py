@@ -113,7 +113,7 @@ def test_criterion_5_green():
     rs = np.array([0.5, 1.0, 2.0, 4.0])
     vals = []
     for r in rs:
-        v, _ = gv.evaluate(x, sp.point([r, 0, 0]))
+        v, _, _ = gv.evaluate(x, sp.point([r, 0, 0]))
         assert v == pytest.approx(1.0 / (4.0 * math.pi * r), rel=1e-4)
         vals.append(v)
     slope = float(np.polyfit(np.log(rs), np.log(vals), 1)[0])
@@ -125,7 +125,7 @@ def test_criterion_5_green():
     thetas = np.geomspace(0.02, 0.1, 6)
     gvals = []
     for th in thetas:
-        v, _ = gs.evaluate(pole, s3.point_at_distance(th * s3.sphere_radius))
+        v, _, _ = gs.evaluate(pole, s3.point_at_distance(th * s3.sphere_radius))
         assert math.isfinite(v) and v > 0.0
         gvals.append(v)
     slope = float(np.polyfit(np.log(thetas), np.log(gvals), 1)[0])

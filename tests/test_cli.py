@@ -3,7 +3,10 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,7 +28,7 @@ from solitonlab.cli import (
     write_points_csv,
 )
 from solitonlab.exceptions import ConfigError
-from solitonlab.spaces import KINDS
+from solitonlab.spaces import KINDS, make_space
 
 SMALL_GRID = """
 space = "gaussian:3"
@@ -251,17 +254,38 @@ def test_green_subcommand(tmp_path):
                  "--x", "0,0,0", "--y", "1,0,0"])
     assert code == EXIT_PASS
     doc = json.loads(out.read_text())
-    assert doc["value"] == pytest.approx(1.0 / (4 * math.pi), rel=1e-4)
+    assert doc["value"] == pytest.approx(1.0 / (4 * math.pi), rel=1e-14)
+    assert doc["method"] == "closed_form"
+
+
+def test_green_close_pair_on_sphere3_takes_the_sinh_form(tmp_path):
+    # d ~ 0.02 lies below the reach of the time integral (see below), but
+    # the S^3 Green's function is the sinh form at every separation
+    out = tmp_path / "g.json"
+    code = main(["--json", str(out), "green", "--space", "sphere:3", "--a", "0.25",
+                 "--x", "1,0,0,0", "--y", "0.99995,0.0099998,0,0"])
+    assert code == EXIT_PASS
+    doc = json.loads(out.read_text())
+    assert doc["method"] == "sinh_form"
+    # the angle as the space measures it, so only the route is under test
+    sp = make_space("sphere", 3)
+    theta = sp.distance(sp.pole(), sp.point([0.99995, 0.0099998, 0, 0])) / sp.sphere_radius
+    # radius 2, V = 16 pi^2, c^2 = 4 (3/2)(1/4) - 1 = 1/2
+    c = math.sqrt(0.5)
+    exact = math.pi * 4.0 * math.sinh(c * (math.pi - theta)) / (
+        2.0 * 16.0 * math.pi ** 2 * math.sin(theta) * math.sinh(c * math.pi))
+    assert doc["value"] == pytest.approx(exact, rel=1e-13)
+    assert 0.0 < doc["error_estimate"] <= 1e-13 * doc["value"]
 
 
 @pytest.mark.parametrize("space,x,y", [
-    ("sphere:3", "1,0,0,0", "0.99995,0.0099998,0,0"),
     ("sphere:4", "1,0,0,0,0", "0.99995,0.0099998,0,0,0"),
     ("cylinder:3", "1,0,0;0", "0.99995,0.0099998,0;0"),
 ])
 def test_green_below_the_series_reach_names_the_distance(tmp_path, capsys, space, x, y):
     # at d ~ 0.02 the time integral reaches down to t = d^2/282, where the
-    # series needs more than L_MAX levels; the error names the distance
+    # series needs more than L_MAX levels; the error names the distance. No
+    # exact route covers S^4 or a cylinder pair at line offset 0
     out = tmp_path / "g.json"
     code = main(["--json", str(out), "green", "--space", space, "--a", "0.25",
                  "--x", x, "--y", y])
@@ -680,6 +704,18 @@ def test_runtime_covers_the_kernel_table_a_check_builds(monkeypatch):
     monkeypatch.setattr(verify, "kernel_table", slow)
     rep = run_theorem("ultracontractivity", ExperimentConfig(space="gaussian:3", pairs=8, times=10))
     assert rep.runtime_seconds >= 0.05
+
+
+def test_checks_run_after_the_integration_import_the_package_does_not_make():
+    # run_checks loads scipy.integrate before its first check, so no check's
+    # runtime_seconds carries the import; importing the CLI leaves it unloaded
+    code = ("import sys; import solitonlab.cli as c; "
+            "assert 'scipy.integrate' not in sys.modules; "
+            "c.run_checks(c.ExperimentConfig(space='gaussian:3', pairs=4, times=4), []); "
+            "assert 'scipy.integrate' in sys.modules")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_flags_override_the_fields_they_name(tmp_path):

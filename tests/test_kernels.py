@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import eval_gegenbauer, eval_legendre
+from scipy.special import eval_gegenbauer, eval_legendre, legendre_p_all
 
 from solitonlab.exceptions import (
     DimensionError,
@@ -122,6 +122,17 @@ def test_zonal_matches_legendre_on_s2():
     Z = zonal_values(2, 30, u)
     for l in (0, 1, 5, 17, 30):
         np.testing.assert_allclose(Z[l], eval_legendre(l, u), atol=1e-13)
+
+
+@pytest.mark.parametrize("l_max", [0, 1, 2, 30, 2000])
+def test_s2_zonal_values_are_scipy_legendre_p_all_bit_for_bit(l_max):
+    # the direct call on a preallocated output runs the same compiled
+    # recurrence as the public wrapper, for scalar, vector and grid points
+    for u in (0.3, np.linspace(-1.0, 1.0, 7), np.linspace(-1.0, 1.0, 12).reshape(3, 4)):
+        Z = zonal_values(2, l_max, u)
+        ref = legendre_p_all(l_max, np.asarray(u))[0]
+        assert Z.shape == ref.shape == (l_max + 1,) + np.shape(u)
+        assert np.array_equal(Z, ref)
 
 
 @pytest.mark.parametrize("l_max", [0, 1, 247, 2000, 8000])

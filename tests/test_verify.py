@@ -362,7 +362,8 @@ def test_green_bound_gaussian3():
     gv = green(make_space("gaussian", 3), 0.25)
     rep = verify.green_bound(gv, 0.0, distances=[0.5, 1.0, 2.0, 4.0])
     assert rep.passed
-    assert rep.extracted_constants["B_emp"] == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-6)
+    assert rep.grid["routes"] == {"closed_form": 7}  # 4 distances and 3 midpoints
+    assert rep.extracted_constants["B_emp"] == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14)
     assert rep.extracted_constants["slope"] == pytest.approx(-1.0, abs=0.01)
 
 
@@ -380,8 +381,19 @@ def test_green_bound_sphere3_small_angle_slope():
     sp = make_space("sphere", 3)
     rep = verify.green_bound(green(sp, 0.25), mu_closed_form(sp))
     assert rep.passed
+    assert rep.grid["routes"] == {"sinh_form": 15}
     assert rep.extracted_constants["slope"] == pytest.approx(-1.0, abs=0.05)
     assert math.isfinite(rep.extracted_constants["B_emp"])
+
+
+def test_green_bound_names_each_route():
+    # every default cylinder row has line offset d / sqrt(2) > 0; sphere:4
+    # has no exact route
+    cyl = verify.green_bound(green(make_space("cylinder", 3), 0.25), 0.0)
+    assert cyl.grid["routes"] == {"line_resolvent_series": 15}
+    s4 = verify.green_bound(green(make_space("sphere", 4), 0.25), 0.0,
+                            distances=[1.0, 2.0])
+    assert s4.grid["routes"] == {"time_quadrature": 3}
 
 
 # ---------------------------------------------------------------------------
