@@ -431,7 +431,9 @@ def run_checks(cfg: ExperimentConfig, jobs: list) -> tuple[dict, int]:
     an ``error: <check id>: <Type>: <message>`` line on stderr. Exit 1 means a
     check ran and failed, else 2 that one raised; a ConfigError propagates."""
     # loaded here once, not by whichever check makes the first adaptive
-    # integral, so that no check's runtime_seconds carries the import
+    # integral, so that no check's runtime_seconds carries the import; it
+    # also loads scipy.linalg and scipy.special, which the package imports
+    # only where it calls them
     import scipy.integrate  # noqa: F401
 
     store, results = {}, {}

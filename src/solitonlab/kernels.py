@@ -30,16 +30,23 @@ factor's mode sum with the line resolvent. Elsewhere it integrates the
 kernel over time, so the Green's function rests on the same kernel the
 heat-kernel checks tabulate; that integral is also the cross-check of each
 exact route.
+
+The module imports numpy only. Each scipy routine is imported by the code
+that calls it: the S^2 Legendre recurrence (``scipy.special``, through a
+cached getter), the LAPACK factorizations of the marches (``scipy.linalg``),
+the incomplete gamma bound of the Green time integral (``scipy.special``)
+and the adaptive integrals (``scipy.integrate``). A closed-form or S^3 query
+loads none of them. The series level table is built once per sphere
+dimension and shared, read-only, by every kernel of that dimension.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
-from scipy.special import gammaincc, gammaln, legendre_p_all
 
 from .exceptions import (
     DimensionError,
@@ -49,7 +56,7 @@ from .exceptions import (
     TimeDomainError,
 )
 from .quadrature import gaussian_cutoff, leggauss_ab, quad_ab, quad_log
-from .spaces import Point, SolitonSpace, make_space, sphere_area
+from .spaces import Point, SolitonSpace, _angle, make_space, sphere_area
 from .spectral import DiscretizedOperator, discretize_radial, sphere_multiplicity
 
 EPS = float(np.finfo(float).eps)
@@ -71,10 +78,14 @@ GREEN_REL_TAIL = 1e-12  # the Green time integral stops below this share
 # ---------------------------------------------------------------------------
 
 
-# the compiled Bonnet recurrence behind ``legendre_p_all`` (no derivatives),
-# signature ()->(l_max+1, 1): called on a preallocated output it skips the
-# wrapper's shape and dtype resolution, about 11 us a call at any level count
-_LEGENDRE_ALL = legendre_p_all._ufunc_or_ufuncs[0]
+@functools.cache
+def _legendre_all():
+    """The compiled Bonnet recurrence behind ``legendre_p_all`` (no
+    derivatives), signature ()->(l_max+1, 1): called on a preallocated output
+    it skips the wrapper's shape and dtype resolution, about 11 us a call at
+    any level count. ``scipy.special`` is imported on the first S^2 call."""
+    from scipy.special import legendre_p_all
+    return legendre_p_all._ufunc_or_ufuncs[0]
 
 
 def zonal_values(sphere_dim: int, l_max: int, u) -> np.ndarray:
@@ -93,7 +104,7 @@ def zonal_values(sphere_dim: int, l_max: int, u) -> np.ndarray:
         raise DimensionError("zonal harmonics need sphere dimension >= 2")
     if sphere_dim == 2:
         out = np.empty((l_max + 1,) + u.shape + (1,))
-        _LEGENDRE_ALL(u, out=out, axes=[(), (0, -1)])
+        _legendre_all()(u, out=out, axes=[(), (0, -1)])
         return out[..., 0]
     out = np.empty((l_max + 1,) + u.shape)
     if sphere_dim == 3:
@@ -271,6 +282,23 @@ def line_compose(p: float, q: float, t: float, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _level_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the Laplacian and multiplicities on the model n-sphere
+    for l = 0 .. L_MAX + 10000, the reach of the tail estimate: built once per
+    dimension and shared, read-only, by every series kernel on it."""
+    levels = np.arange(L_MAX + 10001)
+    lam = (levels * (levels + n - 1)).astype(float) / make_space("sphere", n).sphere_radius ** 2
+    try:
+        mult = np.fromiter((float(sphere_multiplicity(n, l)) for l in levels),
+                           float, len(levels))
+    except OverflowError:  # from S^120 on at this level count
+        raise DimensionError(f"the level multiplicities of S^{n} overflow a float "
+                             f"within {len(levels)} levels") from None
+    lam.flags.writeable = mult.flags.writeable = False
+    return lam, mult
+
+
 @dataclass
 class SphereHeatKernel(TwoPointKernel):
     """Schrodinger heat kernel on the model n-sphere via its zonal series.
@@ -293,16 +321,7 @@ class SphereHeatKernel(TwoPointKernel):
         self._radius2 = self.space.sphere_radius ** 2
         self._V = self.space.volume
         self._aR = self.a * self.space.sup_R
-        # level table: eigenvalues of the Laplacian and multiplicities for
-        # l = 0 .. L_MAX + 10000, the reach of the tail estimate
-        levels = np.arange(L_MAX + 10001)
-        self._lam = (levels * (levels + self.n - 1)).astype(float) / self._radius2
-        try:
-            self._mult = np.fromiter((float(sphere_multiplicity(self.n, l)) for l in levels),
-                                     float, len(levels))
-        except OverflowError:  # from S^120 on at this level count
-            raise DimensionError(f"the level multiplicities of S^{self.n} overflow a float "
-                                 f"within {len(levels)} levels") from None
+        self._lam, self._mult = _level_table(self.n)
 
     # -- series machinery ----------------------------------------------------
 
@@ -518,8 +537,7 @@ class CylinderHeatKernel(TwoPointKernel):
     def separation(self, x: Point, y: Point) -> tuple[float, float]:
         self.space._check(x)
         self.space._check(y)
-        cosang = float(np.clip(np.dot(x.vector, y.vector), -1.0, 1.0))
-        return math.acos(cosang), x.s - y.s
+        return _angle(x.vector, y.vector), x.s - y.s
 
     def at(self, sep: tuple[float, float], t: float) -> tuple[float, float]:
         v1, e1 = self.sphere.at(sep[0], t)
@@ -568,6 +586,7 @@ def _crank_nicolson(op: DiscretizedOperator, dt: float):
     """Crank-Nicolson on the conservative operator, as a step on y = W^{1/2} u
     with the symmetric S = W^{1/2} A W^{-1/2}: for M = I + (dt/2) S the step
     M^{-1} (2I - M) y is (M/2)^{-1} y - y, and M/2 is positive definite."""
+    from scipy.linalg.lapack import dpttrf, dpttrs
     diag, off = op.symmetric_tridiagonal()
     d, e, _ = dpttrf(0.5 + 0.25 * dt * diag, 0.25 * dt * off)
     return lambda y: _solve(dpttrs, (d, e), y.copy()) - y
@@ -578,6 +597,7 @@ def _numerov(size: int, h: float, even: bool, dt: float):
     ``size`` unknowns; ``even`` folds the ghost v_{-1} = v_1 of an even v
     into the first row. The matrix is strictly diagonally dominant, so its
     LU never breaks down."""
+    from scipy.linalg.lapack import dgttrf, dgttrs
     c = dt / (2.0 * h * h)
     off = np.full(size - 1, 1.0 / 12.0 - c)
     upper = off.copy()
@@ -923,6 +943,7 @@ def _gaussian_time_tail(n: int, d: float, T: float) -> float:
     u = d^2/(4t) it is (4/d^2)^s Gamma(s, d^2/(4T)), s = n/2 - 1."""
     if T <= 0.0:
         return 0.0
+    from scipy.special import gammaincc, gammaln
     s = n / 2.0 - 1.0
     return math.exp(s * math.log(4.0 / (d * d)) + gammaln(s)) * gammaincc(s, d * d / (4.0 * T))
 

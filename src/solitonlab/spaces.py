@@ -250,10 +250,11 @@ class SolitonSpace:
 
 
 def _angle(u: np.ndarray, v: np.ndarray) -> float:
-    if u is v or np.array_equal(u, v):
-        return 0.0  # rounding in dot(v, v) must not break d(x, x) = 0
-    # clamp to [-1, 1] so antipodal pairs cannot raise domain errors
-    return math.acos(min(1.0, max(-1.0, float(np.dot(u, v)))))
+    """Angle between unit vectors as 2 atan2(|u - v|, |u + v|): exact at
+    u = v and at the antipode, and accurate to a few ulps at every angle,
+    where acos(u . v) loses eps / theta^2 relative near 0."""
+    d, s = u - v, u + v
+    return 2.0 * math.atan2(math.sqrt(float(np.dot(d, d))), math.sqrt(float(np.dot(s, s))))
 
 
 def _sin_power_integral(theta, k: int) -> np.ndarray:

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .exceptions import DimensionError, EigenSolveError, KindMismatchError
 from .spaces import SolitonSpace, sphere_area
@@ -158,6 +157,7 @@ def eigen_solve(op: DiscretizedOperator, k: int, eigenvectors: bool = False) -> 
     """
     if not 1 <= k <= op.m:
         raise ValueError(f"k must lie in [1, {op.m}]")
+    from scipy.linalg import eigh_tridiagonal
     d, e = op.symmetric_tridiagonal()
     try:
         if eigenvectors:

@@ -707,12 +707,25 @@ def test_runtime_covers_the_kernel_table_a_check_builds(monkeypatch):
 
 
 def test_checks_run_after_the_integration_import_the_package_does_not_make():
-    # run_checks loads scipy.integrate before its first check, so no check's
-    # runtime_seconds carries the import; importing the CLI leaves it unloaded
-    code = ("import sys; import solitonlab.cli as c; "
-            "assert 'scipy.integrate' not in sys.modules; "
-            "c.run_checks(c.ExperimentConfig(space='gaussian:3', pairs=4, times=4), []); "
-            "assert 'scipy.integrate' in sys.modules")
+    # importing the CLI and answering a closed-form or S^3 query load no
+    # scipy module; run_checks loads scipy.integrate, and with it
+    # scipy.linalg and scipy.special, before its first check, so no check's
+    # runtime_seconds carries an import
+    queries = [
+        ["kernel", "--space", "gaussian:3", "--t", "1", "--x", "0,0,0", "--y", "1,0,0"],
+        ["kernel", "--space", "sphere:3", "--t", "1", "--x", "1,0,0,0", "--y", "0,1,0,0"],
+        ["green", "--space", "gaussian:3", "--x", "0,0,0", "--y", "1,0,0"],
+        ["green", "--space", "sphere:3", "--a", "0.25", "--x", "1,0,0,0", "--y", "0,1,0,0"],
+        ["kernel", "--space", "cylinder:4", "--t", "1", "--x", "1,0,0,0;0", "--y", "0,1,0,0;1"],
+    ]
+    code = ("import os, sys; import solitonlab.cli as c\n"
+            "def scipy_loaded(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "assert scipy_loaded() == [], scipy_loaded()\n"
+            f"for argv in {queries!r}:\n"
+            "    assert c.main(['--json', os.devnull, *argv]) == 0\n"
+            "    assert scipy_loaded() == [], (argv, scipy_loaded())\n"
+            "c.run_checks(c.ExperimentConfig(space='gaussian:3', pairs=4, times=4), [])\n"
+            "assert {'scipy.integrate', 'scipy.linalg', 'scipy.special'} <= set(sys.modules)\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)

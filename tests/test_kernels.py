@@ -290,6 +290,22 @@ def test_sphere_series_whose_multiplicities_overflow_is_a_dimension_error():
         SphereHeatKernel(120, 0.25)
 
 
+def test_series_kernels_of_one_dimension_share_a_read_only_level_table():
+    # S^3 alone, and as the sphere factor of cylinder:4
+    kernels = [SphereHeatKernel(3, 0.25), SphereHeatKernel(3, 1.0, eps=1e-10),
+               CylinderHeatKernel(4, 0.5).sphere]
+    for k in kernels[1:]:
+        assert k._lam is kernels[0]._lam and k._mult is kernels[0]._mult
+    lam, mult = kernels[0]._lam, kernels[0]._mult
+    for table in (lam, mult):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+    levels = np.arange(len(lam))
+    assert np.array_equal(lam, (levels * (levels + 2)).astype(float) / kernels[0]._radius2)
+    assert mult[:5].tolist() == [sphere_multiplicity(3, l) for l in range(5)]
+    assert SphereHeatKernel(2, 0.25)._lam is not lam
+
+
 def test_sphere_series_symmetry():
     sk = SphereHeatKernel(3, 0.25)
     rng = np.random.default_rng(2)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from solitonlab.exceptions import DimensionError, KindMismatchError
+from solitonlab.kernels import heat_kernel
 from solitonlab.spaces import (
     Point,
     ball_volume,
@@ -73,6 +74,22 @@ def test_distance_examples():
         sp = parse_space(tok)
         p = sp.random_point(np.random.default_rng(0))
         assert distance(sp, p, p) == 0.0
+
+
+@pytest.mark.parametrize("token", ["sphere:3", "cylinder:3"])
+@pytest.mark.parametrize("theta", [1e-6, 1e-4, math.pi - 1e-6])
+def test_angles_keep_full_precision_near_both_poles(token, theta):
+    # acos of the dot product would lose about eps / theta^2 relative here
+    sp = parse_space(token)
+    coords = np.zeros(sp.pole().vector.size)
+    coords[:2] = math.cos(theta), math.sin(theta)
+    x, y = sp.pole(), sp.point(coords, s=0.0 if sp.kind == "cylinder" else None)
+    eps = np.finfo(float).eps
+    assert abs(sp.distance(x, y) / sp.sphere_radius - theta) <= 4 * eps * theta
+    sep = heat_kernel(sp, 0.25).separation(x, y)
+    angle = sep[0] if sp.kind == "cylinder" else sep
+    assert abs(angle - theta) <= 4 * eps * theta
+    assert sp.distance(y, y) == 0.0
 
 
 def test_distance_kind_mismatch():
