@@ -366,8 +366,8 @@ def run_theorem(theorem_id: str, cfg: ExperimentConfig, *, store: dict | None = 
     elif theorem_id == "cr-bound":
         ts = verify.time_grid(cfg.times, cfg.t_low, min(cfg.t_high, 50.0))
         report = verify.cr_bound(table(0.0, ts), mu, space.sup_R, tol=cfg.tol_analytic)
-    # the Green's function integrates, and the partition rows trace, the
-    # closed-form or series kernel whatever the configured method
+    # the Green's function takes its route from, and the partition rows
+    # trace, the closed-form or series kernel whatever the configured method
     elif theorem_id == "green-bound":
         report = verify.green_bound(kernels.GreenEvaluator(evaluator(cfg.a, auto)), mu)
     elif theorem_id == "eigenvalue-bound":

@@ -1,8 +1,8 @@
 """Heat kernels of -Laplacian + a R, Green's functions, and volume growth.
 
 The two-point evaluators share one protocol, ``TwoPointKernel``: a kernel
-supplies its separation, values and quadratures, and the base derives
-``evaluate``, ``table``, ``pair`` and the semigroup defect from them. Three
+supplies its separation, values, quadratures and Green's function, and the
+base derives ``evaluate``, ``table`` and the semigroup defect from them. Three
 evaluation routes are implemented, matched to the catalogue:
 
 * closed form on the flat gaussian space (where R = 0 makes the Schrodinger
@@ -23,21 +23,19 @@ evaluation routes are implemented, matched to the catalogue:
   may hold one solution per row, and the weighted-energy probe is a view on it.
 
 Every evaluator reports a per-evaluation error estimate next to the value.
-``GreenEvaluator`` takes a two-point kernel's exact Green's-function route
-(``green_at``) where it has one: the closed form on the gaussian space, the
-sinh form on S^3, and on the cylinder at line offset s != 0 the sphere
-factor's mode sum with the line resolvent. Elsewhere it integrates the
-kernel over time, so the Green's function rests on the same kernel the
-heat-kernel checks tabulate; that integral is also the cross-check of each
-exact route.
+``GreenEvaluator`` takes the one Green's-function route of each space kind
+(``green_at``), chosen from the separation, and never integrates over time:
+the closed form on the gaussian space, the Dirichlet-Mehler integral
+(``sphere_green``) on spheres, and on the cylinder the line resolvent's mode
+sum at the line offsets it reaches, else the line's Fourier integral over it.
 
 The module imports numpy only. Each scipy routine is imported by the code
 that calls it: the S^2 Legendre recurrence (``scipy.special``, through a
-cached getter), the LAPACK factorizations of the marches (``scipy.linalg``),
-the incomplete gamma bound of the Green time integral (``scipy.special``)
-and the adaptive integrals (``scipy.integrate``). A closed-form or S^3 query
-loads none of them. The series level table is built once per sphere
-dimension and shared, read-only, by every kernel of that dimension.
+cached getter), the LAPACK factorizations of the marches (``scipy.linalg``)
+and the adaptive integrals (``scipy.integrate``). A closed-form or S^3 query,
+and every Green's function but the line series on S^2 x R, loads none of
+them. The series level table is built once per sphere dimension and shared,
+read-only, by every kernel of that dimension.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ from .exceptions import (
     SeriesTruncationError,
     TimeDomainError,
 )
-from .quadrature import gaussian_cutoff, leggauss_ab, quad_ab, quad_log
+from .quadrature import gaussian_cutoff, leggauss_ab, quad_ab
 from .spaces import Point, SolitonSpace, _angle, make_space, sphere_area
 from .spectral import DiscretizedOperator, discretize_radial, sphere_multiplicity
 
@@ -65,12 +63,10 @@ FD_DT_MIN, FD_DT_MAX = 1e-7, 4e-3  # bounds on a finite-difference march step
 METHODS = ("auto", "closed_form", "spectral_series", "fd_dirichlet")
 # the method ``auto`` resolves to on each kind of space
 AUTO = {"gaussian": "closed_form", "sphere": "spectral_series", "cylinder": "spectral_series"}
-# level cap of the zonal series: times t >= t_min need fewer than 2000 levels,
-# and the fallback Green time integral, which reaches down to t = d^2 / 282,
-# fewer than 8000 from d = 0.04 on sphere:4 (0.05 on sphere:5); it also caps
-# the cylinder's line-resolvent series, which needs about 40 r / |s| levels
+# level cap of the zonal series, which needs fewer than 2000 levels at times
+# t >= t_min, and of the cylinder's line-resolvent series, which needs about
+# 40 r / |s| levels at line offset s
 L_MAX = 8000
-GREEN_REL_TAIL = 1e-12  # the Green time integral stops below this share
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +141,9 @@ class TwoPointKernel:
     """A kernel supplies ``separation(x, y)``, the ungated ``at(separation,
     t)`` -> (value, error estimate), its quadratures ``mass(t)``,
     ``weighted_l2(t, D)`` and ``compose``, and ``green_at(separation)``: the
-    Green's function of -Laplacian + a R by an exact route, as (value, error
-    estimate, route name), or None where it has none and ``GreenEvaluator``
-    integrates ``pair`` over time. A batched route overrides ``column``.
+    Green's function of -Laplacian + a R (n >= 3, and a R > 0 off the flat
+    space) as (value, error estimate, route name). A batched route overrides
+    ``column``.
     ``evaluate`` and ``table`` reject times below ``t_min``. Every catalogue
     space is homogeneous, so the mass and the weighted L2 integral of
     H(x, ., t) are the same at every x and take no point."""
@@ -178,11 +174,6 @@ class TwoPointKernel:
         for k, t in enumerate(times):
             h[:, k], err[:, k] = self.column(seps, self._gated(t))
         return h, err
-
-    def pair(self, x: Point, y: Point):
-        """t -> H(x, y, t) without the t_min gate, for integrals over time."""
-        sep = self.separation(x, y)
-        return lambda t: self.at(sep, t)[0]
 
     def semigroup_defect(self, x: Point, y: Point, t: float, s: float) -> float:
         """Relative defect of the composition identity at (x, y, t, s)."""
@@ -226,8 +217,6 @@ class EuclideanHeatKernel(TwoPointKernel):
         """G = Gamma(n/2 - 1) / (4 pi^{n/2}) r^{2-n} for every a, as R = 0; the
         gamma function and the powers each round to a few ulps."""
         n = self.space.n
-        if n < 3:
-            return None
         v = math.gamma(n / 2.0 - 1.0) / (4.0 * math.pi ** (n / 2.0)) * r ** (2 - n)
         return v, (8 + n) * EPS * v, "closed_form"
 
@@ -297,6 +286,85 @@ def _level_table(n: int) -> tuple[np.ndarray, np.ndarray]:
                              f"within {len(levels)} levels") from None
     lam.flags.writeable = mult.flags.writeable = False
     return lam, mult
+
+
+# ---------------------------------------------------------------------------
+# Green's functions on spheres: the Dirichlet-Mehler integral
+# ---------------------------------------------------------------------------
+
+
+def _gamma2(lam: float, tau2: np.ndarray) -> np.ndarray:
+    """|Gamma(lam + i tau)|^2 e^{pi tau} where tau^2 >= 0 (up from pi tau / sinh(pi tau)
+    or pi / cosh(pi tau) by |Gamma(z + 1)| = |z Gamma(z)|), else Gamma(lam +- |tau|)."""
+    t = np.sqrt(np.abs(tau2))
+    x = 2.0 * math.pi * t
+    if lam % 1.0 == 0.0:
+        out = np.ones_like(t)
+        np.divide(x, -np.expm1(-x), out=out, where=x > 0.0)
+    else:
+        out = 2.0 * math.pi / (1.0 + np.exp(-x))
+    for j in np.arange(lam % 1.0 or 1.0, lam):
+        out *= j * j + t * t
+    out[tau2 < 0.0] = [math.gamma(lam + s) * math.gamma(lam - s) for s in t[tau2 < 0.0]]
+    return out
+
+
+def _sinc(x):
+    return np.sinc(x / math.pi)  # sin(x) / x, 1 at x = 0
+
+
+def sphere_green(n: int, theta: float, M) -> tuple[np.ndarray, np.ndarray]:
+    """Green's function of -Laplacian + M on the unit n-sphere at angle theta
+    in (0, pi], for an array of M > 0: (values, error estimates). It is the
+    Dirichlet-Mehler integral (DLMF 14.12 at n = 2): with lam = (n-1)/2,
+    tau^2 = M - lam^2 and g = pi - theta - psi,
+        G = |Gamma(lam + i tau)|^2 / (2^{lam+1} Gamma(lam) pi^{lam+1}) (sin theta)^{1-2 lam}
+            int_0^{pi-theta} cosh(tau psi) [2 sin(g/2) sin(theta + g/2)]^{lam-1} dpsi,
+    cos(|tau| psi) for tau^2 < 0, with cosh scaled by e^{-tau pi} against the
+    gamma factor. Up to pi/2, g = 2 theta sinh^2 v makes the integrand 2^{2-lam}
+    theta^{2 lam-1} (sinh 2v)^{n-2} [sinc(g/2) sinc(theta cosh^2 v)]^{lam-1},
+    analytic in v, on panels of length <= 2; past pi/2, g = phi s^2 with
+    phi = pi - theta makes it phi^{2 lam-1} 2s [s^2 (1 - s^2/2) sinc(g/2)
+    sinc(phi - g/2)]^{lam-1} for s in [0, 1]. Either power cancels (sin
+    theta)^{1-2 lam}, so the antipode is the plain limit. The value is the
+    48-node Gauss-Legendre sum on each half panel, the estimate its difference
+    from whole panels plus (8 n + 4 pi |tau|) eps of the sum of the modulus."""
+    lam, phi = 0.5 * (n - 1), math.pi - theta
+    tau2 = np.atleast_1d(np.asarray(M, dtype=float)) - lam * lam
+    tau = np.sqrt(np.abs(tau2))[:, None]
+
+    def weight(psi):
+        return np.where(tau2[:, None] >= 0.0,
+                        0.5 * (np.exp(tau * (psi - math.pi)) + np.exp(-tau * (psi + math.pi))),
+                        np.cos(tau * psi))
+
+    if theta <= math.pi / 2:
+        reach = math.asinh(math.sqrt(phi / (2.0 * theta)))
+        panels = math.ceil(reach / 2.0)
+        factor = 2.0 ** (2.0 - lam) * _sinc(theta) ** (1.0 - 2.0 * lam)
+
+        def integrand(v):
+            g = 2.0 * theta * np.sinh(v) ** 2
+            return weight(phi - g) * np.sinh(2.0 * v) ** (n - 2) * (
+                _sinc(0.5 * g) * _sinc(theta * np.cosh(v) ** 2)) ** (lam - 1.0)
+    else:
+        reach, panels, factor = 1.0, 1, _sinc(phi) ** (1.0 - 2.0 * lam)
+
+        def integrand(s):
+            g = phi * s * s
+            return weight(phi - g) * 2.0 * s * (
+                s * s * (1.0 - 0.5 * s * s) * _sinc(0.5 * g) * _sinc(phi - 0.5 * g)) ** (lam - 1.0)
+
+    # 48 Gauss-Legendre nodes on each panel, then on each half panel, in one call
+    x, w = leggauss_ab(48, 0.0, 1.0)
+    width = np.repeat([reach / panels, reach / (2 * panels)], [panels, 2 * panels])[:, None]
+    lo = np.concatenate([np.arange(panels), 0.5 * np.arange(2 * panels)])[:, None] * (reach / panels)
+    f = integrand((lo + width * x).ravel()).reshape(len(tau2), 3 * panels, 48) * (width * w)
+    coarse, fine, modulus = (np.sum(part.reshape(len(tau2), -1), axis=1)
+                             for part in (f[:, :panels], f[:, panels:], np.abs(f[:, panels:])))
+    scale = _gamma2(lam, tau2) * factor / (2.0 ** (lam + 1.0) * math.gamma(lam) * math.pi ** (lam + 1.0))
+    rounding = (8.0 * n + 4.0 * math.pi * tau[:, 0]) * EPS * modulus
+    return scale * fine, scale * (np.abs(fine - coarse) + rounding)
 
 
 @dataclass
@@ -401,35 +469,11 @@ class SphereHeatKernel(TwoPointKernel):
     # -- Green's functions ---------------------------------------------------
 
     def green_at(self, theta: float):
-        """On S^3 the mode sum sum_l (l+1)^2 Z_l / (V (lambda_l + m)), m = a R,
-        closes: with r the radius and c^2 = m r^2 - 1 (> -1 while m > 0),
-        G = pi r^2 S(pi - theta) / (2 V sin theta), where S(phi) is
-        sinh(c phi) / sinh(c pi), its limit phi / pi at |c^2| <= eps, and
-        sin(k phi) / sin(k pi) with k^2 = -c^2 below. Past pi/2 the sine is
-        taken of phi = pi - theta too, so S(phi) / sin(phi) keeps its relative
-        accuracy up to the antipode, where it is the limit S'(0). The error
-        estimate is the argument rounding of exp, expm1 and sin. No closed
-        form on other spheres."""
-        if self.n != 3 or self._aR <= 0.0:
-            return None
-        c2 = self._aR * self._radius2 - 1.0
-        phi = math.pi - theta
-        if c2 > 0.0:  # sinh(c phi) / sinh(c pi), without overflow
-            c = math.sqrt(c2)
-            scale = -math.expm1(-2.0 * c * math.pi)
-            slope = 2.0 * c * math.exp(-c * math.pi) / scale
-            shape = -math.exp(-c * theta) * math.expm1(-2.0 * c * phi) / scale
-            cond = 5.0 * c * math.pi
-        elif abs(c2) <= EPS:  # the linear limit, off by c^2 pi^2 / 6 relative
-            slope, shape, cond = 1.0 / math.pi, phi / math.pi, 2.0
-        else:
-            k = math.sqrt(-c2)
-            scale = math.sin(k * math.pi)
-            slope, shape = k / scale, math.sin(k * phi) / scale
-            cond = 2.0 * k * math.pi / scale  # the sines near k pi -> pi
-        ratio = slope if phi == 0.0 else shape / math.sin(min(theta, phi))
-        v = math.pi * self._radius2 * ratio / (2.0 * self._V)
-        return v, (8.0 + cond) * EPS * v, "sinh_form"
+        """The Dirichlet-Mehler integral ``sphere_green`` at M = a R r^2,
+        scaled to the radius r: G = r^{2-n} G_1(theta; M). Needs a R > 0."""
+        v, err = sphere_green(self.n, theta, self._aR * self._radius2)
+        scale = self._radius2 ** (1.0 - 0.5 * self.n)
+        return float(v[0]) * scale, float(err[0]) * scale, "dirichlet_mehler"
 
     def line_green(self, theta: float, s: float):
         """Green's function on this sphere times the line, at angle theta and
@@ -550,9 +594,40 @@ class CylinderHeatKernel(TwoPointKernel):
         return v1 * v2, e1 * v2 + v1 * e2
 
     def green_at(self, sep: tuple[float, float]):
-        """The sphere factor's mode sum with the line resolvent, off the
-        sphere factor's own slice (s != 0)."""
-        return self.sphere.line_green(*sep)
+        """The sphere factor's mode sum with the line resolvent where it
+        reaches (``line_green``, s != 0), else ``k_integral`` (theta > 0). At
+        theta = 0 the mode sum is the only route."""
+        theta, s = sep
+        series = self.sphere.line_green(theta, s)
+        if series is not None:
+            return series
+        if theta == 0.0:
+            raise SeriesTruncationError(
+                f"the Green's function at d={abs(s):.6g} along the line needs more than "
+                f"L_MAX={L_MAX} levels of its line series")
+        return self.k_integral(theta, s)
+
+    def k_integral(self, theta: float, s: float):
+        """G = (1/pi) int_0^inf cos(k s) G_S(theta; a R + k^2) dk over the
+        sphere factor's Dirichlet-Mehler integral G_S, at angle theta > 0.
+        The poles of G_S, k = i sqrt(a R + lambda_l), all lie on Im w = pi/2
+        under k = sqrt(a R) sinh w, so the rule in w converges geometrically;
+        it stops at k d = sqrt(a R) d + 45 (d = r theta), past which G_S is
+        below e^{-45} of its share. The value is the 64-node Gauss-Legendre
+        sum, the estimate its difference from 32 nodes plus the integrand's."""
+        sphere = self.sphere
+        gap = math.sqrt(sphere._aR)
+        reach = math.asinh(1.0 + 45.0 / (gap * sphere.space.sphere_radius * theta))
+        sums = []
+        for k in (32, 64):
+            w, dw = leggauss_ab(k, 0.0, reach)
+            freq = gap * np.sinh(w)
+            g, g_err = sphere_green(sphere.n, theta, (sphere._aR + freq * freq) * sphere._radius2)
+            c = np.cos(freq * s) * gap * np.cosh(w) * dw
+            sums.append((c @ g, np.abs(c) @ g_err))
+        (coarse, _), (fine, fine_err) = sums
+        scale = sphere._radius2 ** (1.0 - 0.5 * sphere.n) / math.pi
+        return scale * float(fine), scale * (abs(fine - coarse) + float(fine_err)), "k_integral"
 
     def _factors(self, p: Point) -> tuple[Point, Point]:
         return Point("sphere", p.vector), Point("gaussian", [p.s])
@@ -846,18 +921,8 @@ def heat_kernel(space: SolitonSpace, a: float, method: str = "auto", **params):
 
 
 class GreenEvaluator:
-    """Green's function of -Laplacian + a R over a two-point heat kernel.
-
-    ``evaluate`` takes the kernel's exact route (``green_at``) where it has
-    one and the time integral of ``kernel.pair`` otherwise, and names the
-    route it took. The time integral runs without the kernel's t_min gate,
-    split at t = r^2. The near part is integrated adaptively on
-    [t_floor, r^2]: t_floor = 0 without a Schrodinger gap (a R = 0, the
-    gaussian space); with a gap it is chosen so the omitted mass is below
-    rounding, and recorded in the error estimate. The far part runs over
-    doubling log windows until a rigorous remainder bound falls under
-    ``GREEN_REL_TAIL`` of the running total.
-    """
+    """Green's function of -Laplacian + a R over a two-point heat kernel:
+    ``evaluate`` takes, and names, the kernel's route (``green_at``)."""
 
     def __init__(self, kernel: TwoPointKernel):
         space = kernel.space
@@ -865,87 +930,19 @@ class GreenEvaluator:
             raise DimensionError("Green's functions need n >= 3")
         self.space = space
         self.a = float(kernel.a)
-        self._gap = self.a * space.sup_R
-        if space.kind != "gaussian" and self._gap <= 0.0:
-            raise DivergenceError(
-                f"{space.token} has no positive Green's function without the gap a R > 0"
-            )
+        if space.kind != "gaussian" and self.a * space.sup_R <= 0.0:
+            raise DivergenceError(f"{space.token} has no positive Green's function without "
+                                  "the gap a R > 0")
         self.kernel = kernel
 
-    def _distance(self, x: Point, y: Point) -> float:
-        d = self.space.distance(x, y)
-        if d == 0.0:
-            raise ValueError("Green's function is singular on the diagonal")
-        return d
-
     def evaluate(self, x: Point, y: Point) -> tuple[float, float, str]:
-        """(value, error estimate, route): the kernel's exact route, else
-        ``time_quadrature``."""
-        self._distance(x, y)
-        exact = self.kernel.green_at(self.kernel.separation(x, y))
-        if exact is not None:
-            return exact
-        return (*self.time_integral(x, y), "time_quadrature")
-
-    def time_integral(self, x: Point, y: Point) -> tuple[float, float]:
-        """The time integral of the heat kernel: (value, error estimate)."""
-        d = self._distance(x, y)
-        h = self.kernel.pair(x, y)
-        n, gap = self.space.n, self._gap
-
-        if gap > 0.0:
-            # below t_floor the kernel is Gaussian-small; bound the omitted mass
-            t_floor = d * d / (4.0 * 8.4 ** 2)
-            floor_bound = 2.0 * (4.0 * math.pi) ** (-n / 2.0) * _gaussian_time_tail(n, d, t_floor)
-            try:
-                near, near_err = quad_log(h, t_floor, d * d)
-            except SeriesTruncationError as exc:
-                raise SeriesTruncationError(
-                    f"the Green's function at d={d:.6g} integrates the kernel down to "
-                    f"t = d^2/282 = {t_floor:.6g}, below the reach of its series ({exc})"
-                ) from None
-
-            def bound(T):
-                # integrand decays at least at the spectral-gap rate past T
-                return h(T) / gap
-        else:
-            floor_bound = 0.0
-            near, near_err = quad_ab(h, 0.0, d * d)
-
-            def bound(T):
-                # integrand <= (4 pi t)^{-n/2}
-                return (4.0 * math.pi) ** (-n / 2.0) * T ** (1.0 - n / 2.0) / (n / 2.0 - 1.0)
-
-        total = near
-        err = near_err
-        lo = d * d
-        for _ in range(400):
-            hi = lo * 4.0
-            v, e = quad_log(h, lo, hi)
-            total += v
-            err += e
-            lo = hi
-            b = bound(lo)
-            if b < GREEN_REL_TAIL * max(total, 1e-300):
-                break
-            if gap > 0.0 and lo > 1e6 / gap:
-                raise DivergenceError("Green tail failed to come down; integral diverges")
-        else:
-            raise DivergenceError("Green tail not summable within the window budget")
-        return total, err + b + floor_bound
+        """(value, error estimate, route)."""
+        if self.space.distance(x, y) == 0.0:
+            raise ValueError("Green's function is singular on the diagonal")
+        return self.kernel.green_at(self.kernel.separation(x, y))
 
     def __call__(self, x: Point, y: Point) -> float:
         return self.evaluate(x, y)[0]
-
-
-def _gaussian_time_tail(n: int, d: float, T: float) -> float:
-    """Integral of t^{-n/2} exp(-d^2/(4t)) over (0, T] (n >= 3, d > 0): with
-    u = d^2/(4t) it is (4/d^2)^s Gamma(s, d^2/(4T)), s = n/2 - 1."""
-    if T <= 0.0:
-        return 0.0
-    from scipy.special import gammaincc, gammaln
-    s = n / 2.0 - 1.0
-    return math.exp(s * math.log(4.0 / (d * d)) + gammaln(s)) * gammaincc(s, d * d / (4.0 * T))
 
 
 def green(space: SolitonSpace, a: float) -> GreenEvaluator:

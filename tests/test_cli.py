@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from green_oracles import sphere_green_oracle
 from solitonlab import kernels, verify
 from solitonlab.cli import (
     EXIT_CONFIG,
@@ -20,6 +21,7 @@ from solitonlab.cli import (
     EXIT_VIOLATION,
     THEOREM_IDS,
     ExperimentConfig,
+    _parse_point,
     build_parser,
     main,
     parse_config,
@@ -28,7 +30,8 @@ from solitonlab.cli import (
     write_points_csv,
 )
 from solitonlab.exceptions import ConfigError
-from solitonlab.spaces import KINDS, make_space
+from solitonlab.quadrature import leggauss_ab
+from solitonlab.spaces import KINDS, make_space, parse_space
 
 SMALL_GRID = """
 space = "gaussian:3"
@@ -258,15 +261,14 @@ def test_green_subcommand(tmp_path):
     assert doc["method"] == "closed_form"
 
 
-def test_green_close_pair_on_sphere3_takes_the_sinh_form(tmp_path):
-    # d ~ 0.02 lies below the reach of the time integral (see below), but
-    # the S^3 Green's function is the sinh form at every separation
+def test_green_close_pair_on_sphere3_matches_the_sinh_form(tmp_path):
+    # d ~ 0.02; on S^3 the Dirichlet-Mehler integral is the sinh form
     out = tmp_path / "g.json"
     code = main(["--json", str(out), "green", "--space", "sphere:3", "--a", "0.25",
                  "--x", "1,0,0,0", "--y", "0.99995,0.0099998,0,0"])
     assert code == EXIT_PASS
     doc = json.loads(out.read_text())
-    assert doc["method"] == "sinh_form"
+    assert doc["method"] == "dirichlet_mehler"
     # the angle as the space measures it, so only the route is under test
     sp = make_space("sphere", 3)
     theta = sp.distance(sp.pole(), sp.point([0.99995, 0.0099998, 0, 0])) / sp.sphere_radius
@@ -282,16 +284,49 @@ def test_green_close_pair_on_sphere3_takes_the_sinh_form(tmp_path):
     ("sphere:4", "1,0,0,0,0", "0.99995,0.0099998,0,0,0"),
     ("cylinder:3", "1,0,0;0", "0.99995,0.0099998,0;0"),
 ])
-def test_green_below_the_series_reach_names_the_distance(tmp_path, capsys, space, x, y):
-    # at d ~ 0.02 the time integral reaches down to t = d^2/282, where the
-    # series needs more than L_MAX levels; the error names the distance. No
-    # exact route covers S^4 or a cylinder pair at line offset 0
+def test_green_close_pairs_exit_0_within_their_estimate_of_mpmath(tmp_path, space, x, y):
+    # d ~ 0.02 on sphere:4 and ~ 0.014 at line offset 0 on cylinder:3 lie
+    # below the reach of a time integral of the series kernel (its series
+    # needs more than L_MAX levels at t = d^2/282); the Dirichlet-Mehler
+    # integral and the k-integral over it take no series
     out = tmp_path / "g.json"
     code = main(["--json", str(out), "green", "--space", space, "--a", "0.25",
                  "--x", x, "--y", y])
+    assert code == EXIT_PASS
+    doc = json.loads(out.read_text())
+    sp = parse_space(space)
+    p, q = _parse_point(sp, x), _parse_point(sp, y)
+    if sp.kind == "sphere":
+        assert doc["method"] == "dirichlet_mehler"
+        r = sp.sphere_radius
+        theta = sp.distance(p, q) / r
+        exact = float(sphere_green_oracle(4, theta, 0.25 * sp.sup_R * r * r)) / (r * r)
+        assert abs(doc["value"] - exact) <= doc["error_estimate"] <= 1e-12 * exact
+    else:
+        # S^2 x R, where no closed form is fast enough at 20 digits: the
+        # k-integral's 32-node rule in w over 20-digit Dirichlet-Mehler
+        # values, within the route's estimate (which holds the difference
+        # of its 32- and 64-node rules)
+        assert doc["method"] == "k_integral"
+        theta = sp.distance(p, q) / sp.sphere_radius
+        gap = math.sqrt(0.25 * sp.sup_R)
+        reach = math.asinh(1.0 + 45.0 / (gap * sp.sphere_radius * theta))
+        w, dw = leggauss_ab(32, 0.0, reach)
+        k = gap * np.sinh(w)
+        factor = [float(sphere_green_oracle(2, theta, (gap * gap + kk * kk) * 2.0, dps=20)) for kk in k]
+        exact = float(np.sum(np.array(factor) * gap * np.cosh(w) * dw)) / math.pi
+        assert abs(doc["value"] - exact) <= doc["error_estimate"] <= 1e-12 * exact
+
+
+def test_green_on_the_line_below_the_series_reach_names_the_distance(tmp_path, capsys):
+    # at angle 0 only the line series serves, and at |s| = 1e-3 it needs more
+    # than L_MAX levels; the error names the distance
+    out = tmp_path / "g.json"
+    code = main(["--json", str(out), "green", "--space", "cylinder:3", "--a", "0.25",
+                 "--x", "1,0,0;0", "--y", "1,0,0;0.001"])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "SeriesTruncationError" in err and "d=" in err and "d^2/282" in err
+    assert "SeriesTruncationError" in err and "d=0.001" in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -707,8 +742,9 @@ def test_runtime_covers_the_kernel_table_a_check_builds(monkeypatch):
 
 
 def test_checks_run_after_the_integration_import_the_package_does_not_make():
-    # importing the CLI and answering a closed-form or S^3 query load no
-    # scipy module; run_checks loads scipy.integrate, and with it
+    # importing the CLI and answering a closed-form or S^3 query, or any
+    # Green's function query but the line series on S^2 x R, load no scipy
+    # module; run_checks loads scipy.integrate, and with it
     # scipy.linalg and scipy.special, before its first check, so no check's
     # runtime_seconds carries an import
     queries = [
@@ -717,6 +753,9 @@ def test_checks_run_after_the_integration_import_the_package_does_not_make():
         ["green", "--space", "gaussian:3", "--x", "0,0,0", "--y", "1,0,0"],
         ["green", "--space", "sphere:3", "--a", "0.25", "--x", "1,0,0,0", "--y", "0,1,0,0"],
         ["kernel", "--space", "cylinder:4", "--t", "1", "--x", "1,0,0,0;0", "--y", "0,1,0,0;1"],
+        ["green", "--space", "sphere:4", "--a", "0.25", "--x", "1,0,0,0,0", "--y", "0,1,0,0,0"],
+        ["green", "--space", "cylinder:4", "--a", "0.25", "--x", "1,0,0,0;0", "--y", "0,1,0,0;1"],
+        ["green", "--space", "cylinder:3", "--a", "0.25", "--x", "1,0,0;0", "--y", "0,1,0;0"],
     ]
     code = ("import os, sys; import solitonlab.cli as c\n"
             "def scipy_loaded(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
@@ -748,6 +787,19 @@ def test_probe_dt_does_not_reach_weighted_energy():
     points = [run_theorem("weighted-energy", ExperimentConfig(probe_dt=dt)).points
               for dt in (5e-4, 2e-3)]
     assert points[0] == points[1]
+
+
+def test_energy_monotonicity_rows_record_the_signed_margin():
+    # a monotone run shows how the march settings move its margin: each row's
+    # lhs is the trial's largest normalized difference, signed
+    reports = [run_theorem("energy-monotonicity", ExperimentConfig(probe_dt=dt, trials=2))
+               for dt in (5e-4, 2e-3)]
+    assert reports[0].points != reports[1].points
+    for rep in reports:
+        assert rep.passed
+        assert all(row["lhs"] < 0.0 and row["slack"] == -row["lhs"] for row in rep.points)
+        assert rep.worst_case_slack == min(row["slack"] for row in rep.points)
+        assert rep.extracted_constants["max_violation"] == 0.0
 
 
 def test_extracted_constants_are_plain_numbers():

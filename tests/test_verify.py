@@ -381,19 +381,19 @@ def test_green_bound_sphere3_small_angle_slope():
     sp = make_space("sphere", 3)
     rep = verify.green_bound(green(sp, 0.25), mu_closed_form(sp))
     assert rep.passed
-    assert rep.grid["routes"] == {"sinh_form": 15}
+    assert rep.grid["routes"] == {"dirichlet_mehler": 15}
     assert rep.extracted_constants["slope"] == pytest.approx(-1.0, abs=0.05)
     assert math.isfinite(rep.extracted_constants["B_emp"])
 
 
 def test_green_bound_names_each_route():
-    # every default cylinder row has line offset d / sqrt(2) > 0; sphere:4
-    # has no exact route
+    # every default cylinder row has line offset d / sqrt(2) > 0; every
+    # sphere takes the Dirichlet-Mehler integral
     cyl = verify.green_bound(green(make_space("cylinder", 3), 0.25), 0.0)
     assert cyl.grid["routes"] == {"line_resolvent_series": 15}
     s4 = verify.green_bound(green(make_space("sphere", 4), 0.25), 0.0,
                             distances=[1.0, 2.0])
-    assert s4.grid["routes"] == {"time_quadrature": 3}
+    assert s4.grid["routes"] == {"dirichlet_mehler": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -629,9 +629,9 @@ def test_energy_monotonicity_rows_equal_single_column_probes(n):
         energies = [single.weighted_energy(t, 2.0, 1.0) for t in ts]
         assert energies == [columns.weighted_energy(t, 2.0, 1.0)[k] for t in ts]
         assert np.array_equal(single.state(ts[-1]), columns.state(ts[-1])[k])
-        viol = float(max(0.0, (np.diff(energies) / max(energies[0], 1e-300)).max()))
+        largest = float((np.diff(energies) / max(energies[0], 1e-300)).max())
         ref_rows.append({"x_id": f"trial{k}", "y_id": "", "t": math.nan,
-                         "lhs": viol, "rhs": 0.0, "slack": -viol, "ratio": math.nan})
+                         "lhs": largest, "rhs": 0.0, "slack": -largest, "ratio": math.nan})
     assert rep.points == ref_rows
 
 
