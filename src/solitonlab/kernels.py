@@ -27,7 +27,7 @@ Every evaluator reports a per-evaluation error estimate next to the value.
 (``green_at``), chosen from the separation, and never integrates over time:
 the closed form on the gaussian space, the Dirichlet-Mehler integral
 (``sphere_green``) on spheres, and on the cylinder the line resolvent's mode
-sum at the line offsets it reaches, else the line's Fourier integral over it.
+sum where it reaches, else at |s| < r theta the line's Fourier integral over it.
 
 The module imports numpy only. Each scipy routine is imported by the code
 that calls it: the S^2 Legendre recurrence (``scipy.special``, through a
@@ -63,9 +63,8 @@ FD_DT_MIN, FD_DT_MAX = 1e-7, 4e-3  # bounds on a finite-difference march step
 METHODS = ("auto", "closed_form", "spectral_series", "fd_dirichlet")
 # the method ``auto`` resolves to on each kind of space
 AUTO = {"gaussian": "closed_form", "sphere": "spectral_series", "cylinder": "spectral_series"}
-# level cap of the zonal series, which needs fewer than 2000 levels at times
-# t >= t_min, and of the cylinder's line-resolvent series, which needs about
-# 40 r / |s| levels at line offset s
+# level cap of the zonal series (under 2000 levels at t >= t_min) and of the
+# cylinder's line-resolvent series (about 40 r / |s| levels at line offset s)
 L_MAX = 8000
 
 
@@ -594,17 +593,17 @@ class CylinderHeatKernel(TwoPointKernel):
         return v1 * v2, e1 * v2 + v1 * e2
 
     def green_at(self, sep: tuple[float, float]):
-        """The sphere factor's mode sum with the line resolvent where it
-        reaches (``line_green``, s != 0), else ``k_integral`` (theta > 0). At
-        theta = 0 the mode sum is the only route."""
+        """The line series (``line_green``) where it reaches, else ``k_integral``
+        at |s| < r theta; nearer the line theta = 0 the query names the distance."""
         theta, s = sep
         series = self.sphere.line_green(theta, s)
         if series is not None:
             return series
-        if theta == 0.0:
+        r = self.sphere.space.sphere_radius
+        if abs(s) >= r * theta:
             raise SeriesTruncationError(
-                f"the Green's function at d={abs(s):.6g} along the line needs more than "
-                f"L_MAX={L_MAX} levels of its line series")
+                f"the Green's function at d={math.hypot(r * theta, s):.6g} with line offset "
+                f"|s| >= r theta needs more than L_MAX={L_MAX} levels of its line series")
         return self.k_integral(theta, s)
 
     def k_integral(self, theta: float, s: float):
@@ -613,8 +612,9 @@ class CylinderHeatKernel(TwoPointKernel):
         The poles of G_S, k = i sqrt(a R + lambda_l), all lie on Im w = pi/2
         under k = sqrt(a R) sinh w, so the rule in w converges geometrically;
         it stops at k d = sqrt(a R) d + 45 (d = r theta), past which G_S is
-        below e^{-45} of its share. The value is the 64-node Gauss-Legendre
-        sum, the estimate its difference from 32 nodes plus the integrand's."""
+        below e^{-45} of its share; cos(k s) oscillates past the rule unless
+        |s| < d. The value is the 64-node Gauss-Legendre sum, the estimate
+        its difference from 32 nodes plus the integrand's."""
         sphere = self.sphere
         gap = math.sqrt(sphere._aR)
         reach = math.asinh(1.0 + 45.0 / (gap * sphere.space.sphere_radius * theta))

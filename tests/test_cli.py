@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +31,6 @@ from solitonlab.cli import (
     write_points_csv,
 )
 from solitonlab.exceptions import ConfigError
-from solitonlab.quadrature import leggauss_ab
 from solitonlab.spaces import KINDS, make_space, parse_space
 
 SMALL_GRID = """
@@ -303,30 +303,42 @@ def test_green_close_pairs_exit_0_within_their_estimate_of_mpmath(tmp_path, spac
         exact = float(sphere_green_oracle(4, theta, 0.25 * sp.sup_R * r * r)) / (r * r)
         assert abs(doc["value"] - exact) <= doc["error_estimate"] <= 1e-12 * exact
     else:
-        # S^2 x R, where no closed form is fast enough at 20 digits: the
-        # k-integral's 32-node rule in w over 20-digit Dirichlet-Mehler
-        # values, within the route's estimate (which holds the difference
-        # of its 32- and 64-node rules)
+        # S^2 x R, where mpmath's conical Legendre function does not converge
+        # at the large tau of the k-integral: the reference integrates the
+        # same float64 S^2 factor (held to 40-digit mpmath in
+        # test_green.py::test_dirichlet_mehler_within_its_estimate_of_mpmath)
+        # by tanh-sinh in k itself, cut at k d = 60, where the factor is below
+        # e^{-60} of its share, so it shares nothing of the route's rule in w
         assert doc["method"] == "k_integral"
-        theta = sp.distance(p, q) / sp.sphere_radius
-        gap = math.sqrt(0.25 * sp.sup_R)
-        reach = math.asinh(1.0 + 45.0 / (gap * sp.sphere_radius * theta))
-        w, dw = leggauss_ab(32, 0.0, reach)
-        k = gap * np.sinh(w)
-        factor = [float(sphere_green_oracle(2, theta, (gap * gap + kk * kk) * 2.0, dps=20)) for kk in k]
-        exact = float(np.sum(np.array(factor) * gap * np.cosh(w) * dw)) / math.pi
+        d = sp.distance(p, q)
+        theta, m = d / sp.sphere_radius, 0.25 * sp.sup_R
+
+        def factor(k):
+            return float(kernels.sphere_green(2, theta, (m + float(k) ** 2) * sp.sphere_radius ** 2)[0][0])
+
+        exact = float(mpmath.quad(factor, [0, 1 / d, 10 / d, 60 / d])) / math.pi
         assert abs(doc["value"] - exact) <= doc["error_estimate"] <= 1e-12 * exact
 
 
-def test_green_on_the_line_below_the_series_reach_names_the_distance(tmp_path, capsys):
-    # at angle 0 only the line series serves, and at |s| = 1e-3 it needs more
-    # than L_MAX levels; the error names the distance
+@pytest.mark.parametrize("space,x,y", [
+    ("cylinder:3", "1,0,0;0", "1,0,0;0.001"),
+    ("cylinder:3", "1,0,0;0", "0.999999995,0.0001,0;0.004"),
+    ("cylinder:4", "1,0,0,0;0", "0.999999995,0.0001,0,0;0.004"),
+])
+def test_green_near_the_line_below_the_series_reach_names_the_distance(tmp_path, capsys, space, x, y):
+    # line offsets |s| >= r theta below the line series' reach: at angle 0
+    # only the series serves, and at angle 1e-4 the k-integral's cos(k s)
+    # turns through about 45 |s| / (r theta) radians, far past its rule; the
+    # query names the distance and exits 2, as it did when the time integral
+    # served (it fails below d ~ 0.02)
     out = tmp_path / "g.json"
-    code = main(["--json", str(out), "green", "--space", "cylinder:3", "--a", "0.25",
-                 "--x", "1,0,0;0", "--y", "1,0,0;0.001"])
+    code = main(["--json", str(out), "green", "--space", space, "--a", "0.25",
+                 "--x", x, "--y", y])
     assert code == EXIT_CONFIG
+    sp = parse_space(space)
+    d = sp.distance(_parse_point(sp, x), _parse_point(sp, y))
     err = capsys.readouterr().err
-    assert "SeriesTruncationError" in err and "d=0.001" in err
+    assert "SeriesTruncationError" in err and f"d={d:.6g}" in err
     assert "Traceback" not in err
     assert not out.exists()
 
