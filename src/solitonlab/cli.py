@@ -11,7 +11,8 @@ re-running any subcommand with the same config and seed reproduces the
 outputs byte for byte (a timestamp field is excluded from the config hash).
 The checks share one closed-form or series kernel per coupling: the ratio
 checks tabulate it, ``eigenvalue-bound`` reads its trace and ``green-bound``
-integrates it over time.
+takes its Green's function route, with no time integral. No scipy module is
+imported up front: the first check to call one carries its import.
 """
 
 import argparse
@@ -430,12 +431,6 @@ def run_checks(cfg: ExperimentConfig, jobs: list) -> tuple[dict, int]:
     A check that raises a non-config SolitonLabError is an ``error`` entry and
     an ``error: <check id>: <Type>: <message>`` line on stderr. Exit 1 means a
     check ran and failed, else 2 that one raised; a ConfigError propagates."""
-    # loaded here once, not by whichever check makes the first adaptive
-    # integral, so that no check's runtime_seconds carries the import; it
-    # also loads scipy.linalg and scipy.special, which the package imports
-    # only where it calls them
-    import scipy.integrate  # noqa: F401
-
     store, results = {}, {}
     for job_id, kw in jobs:
         theorem = job_id.split(":")[0]

@@ -69,12 +69,12 @@ class Factor:
     distance past which exp(-f) is negligible (infinite on a compact factor).
     """
 
-    weight: Callable[[float], float]
+    weight: Callable[[np.ndarray], np.ndarray]
     scale: float
     end: float
     signed: bool
-    f: Callable[[float], float]
-    df: Callable[[float], float]
+    f: Callable[[np.ndarray], np.ndarray]
+    df: Callable[[np.ndarray], np.ndarray]
     tail: float
 
     def interval(self, radius: float) -> tuple[float, float]:
@@ -102,7 +102,7 @@ def factors(space: SolitonSpace) -> list[Factor]:
     k = n if space.kind == "sphere" else n - 1
     r = space.sphere_radius
     area = sphere_area(k - 1) * r ** k
-    zonal = Factor(lambda u: area * math.sin(u) ** (k - 1), r, math.pi, False,
+    zonal = Factor(lambda u: area * np.sin(u) ** (k - 1), r, math.pi, False,
                    lambda u: k / 2.0, lambda u: 0.0, math.inf)
     if space.kind == "sphere":
         return [zonal]
@@ -127,7 +127,7 @@ def mu(space: SolitonSpace) -> EntropyReport:
     """Closed-form mu together with its quadrature cross-check."""
     closed = mu_closed_form(space)
     pref = (4.0 * math.pi) ** (-space.n / 2.0)
-    parts = [quad_ab(lambda x, fac=fac: fac.weight(x) * math.exp(-fac.f(x)),
+    parts = [quad_ab(lambda x, fac=fac: fac.weight(x) * np.exp(-fac.f(x)),
                      *fac.interval(fac.tail))
              for fac in factors(space)]
     values = [v for v, _ in parts]
@@ -158,35 +158,34 @@ class RadialProfile:
     cutoff: float
     power: float = 0.5
 
-    def value(self, d: float) -> float:
+    def _shape(self, d):
+        """The profile before its value at the cutoff is subtracted."""
+        if self.kind == "bump":
+            return (1.0 - (d / self.cutoff) ** 2) ** 2
+        if self.kind == "talenti":
+            return (1.0 + (d / self.sigma) ** 2) ** -self.power
+        return np.exp(-d * d / (2.0 * self.sigma ** 2))
+
+    def value(self, d: np.ndarray) -> np.ndarray:
         # even in d so line profiles can be fed signed coordinates
-        if abs(d) >= self.cutoff:
-            return 0.0
+        v = 1.0 if self.kind == "const" else self._shape(d) - self._shape(self.cutoff)
+        return np.where(np.abs(d) < self.cutoff, v, 0.0)
+
+    def deriv(self, d: np.ndarray) -> np.ndarray:
         if self.kind == "const":
-            return 1.0
-        if self.kind == "bump":
-            u = 1.0 - (d / self.cutoff) ** 2
-            return u * u
-        if self.kind == "talenti":
-            core = (1.0 + (d / self.sigma) ** 2) ** -self.power
-            return core - (1.0 + (self.cutoff / self.sigma) ** 2) ** -self.power
-        base = math.exp(-d * d / (2.0 * self.sigma ** 2))
-        return base - math.exp(-self.cutoff ** 2 / (2.0 * self.sigma ** 2))
-
-    def deriv(self, d: float) -> float:
-        if abs(d) >= self.cutoff or self.kind == "const":
-            return 0.0
-        if self.kind == "bump":
-            u = 1.0 - (d / self.cutoff) ** 2
-            return -4.0 * d / self.cutoff ** 2 * u
-        if self.kind == "talenti":
-            return (-2.0 * self.power * d / self.sigma ** 2
-                    * (1.0 + (d / self.sigma) ** 2) ** -(self.power + 1.0))
-        return -d / self.sigma ** 2 * math.exp(-d * d / (2.0 * self.sigma ** 2))
+            v = 0.0
+        elif self.kind == "bump":
+            v = -4.0 * d / self.cutoff ** 2 * (1.0 - (d / self.cutoff) ** 2)
+        elif self.kind == "talenti":
+            v = (-2.0 * self.power * d / self.sigma ** 2
+                 * (1.0 + (d / self.sigma) ** 2) ** -(self.power + 1.0))
+        else:
+            v = -d / self.sigma ** 2 * np.exp(-d * d / (2.0 * self.sigma ** 2))
+        return np.where(np.abs(d) < self.cutoff, v, 0.0)
 
 
-def _xlogx(v: float) -> float:
-    return v * math.log(v) if v > 0.0 else 0.0
+def _xlogx(v: np.ndarray) -> np.ndarray:
+    return v * np.log(np.where(v > 0.0, v, 1.0))
 
 
 @dataclass
@@ -259,7 +258,7 @@ class TrialFunction:
 
     def int_power(self, p: float) -> float:
         """Integral of |phi|^p."""
-        powers = self._factor_integrals(("power", p), lambda g, d: abs(g.value(d)) ** p)
+        powers = self._factor_integrals(("power", p), lambda g, d: np.abs(g.value(d)) ** p)
         return math.prod(powers, start=self.amplitude ** p)
 
     def dilated(self, lam: float) -> "TrialFunction":
@@ -353,8 +352,7 @@ def _density_moments(fac: Factor, eps: float, b: RadialProfile | None, tau: floa
     brk = fac.interval(b.cutoff) if b else None  # the bump's edge is a kink
 
     def moment(h):
-        val, _ = quad_ab(lambda x: fac.weight(x) * math.exp(-phi(x)) * h(x), lo, hi, points=brk)
-        return val
+        return quad_ab(lambda x: fac.weight(x) * np.exp(-phi(x)) * h(x), lo, hi, points=brk)[0]
 
     z = moment(lambda x: 1.0)
     return math.log(z), moment(lambda x: 1.0 / z), moment(lambda x: tau * dphi(x) ** 2 + phi(x)) / z

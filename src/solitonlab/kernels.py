@@ -29,13 +29,13 @@ the closed form on the gaussian space, the Dirichlet-Mehler integral
 (``sphere_green``) on spheres, and on the cylinder the line resolvent's mode
 sum where it reaches, else at |s| < r theta the line's Fourier integral over it.
 
-The module imports numpy only. Each scipy routine is imported by the code
-that calls it: the S^2 Legendre recurrence (``scipy.special``, through a
-cached getter), the LAPACK factorizations of the marches (``scipy.linalg``)
-and the adaptive integrals (``scipy.integrate``). A closed-form or S^3 query,
-and every Green's function but the line series on S^2 x R, loads none of
-them. The series level table is built once per sphere dimension and shared,
-read-only, by every kernel of that dimension.
+The module imports numpy only, and every integral is a fixed numpy rule.
+Each scipy routine is imported by the code that calls it: the S^2 Legendre
+recurrence (``scipy.special``, through a cached getter) and the LAPACK
+factorizations of the marches (``scipy.linalg``). A closed-form or S^3
+query, and every Green's function but the line series on S^2 x R, loads
+neither. The series level table is built once per sphere dimension and
+shared, read-only, by every kernel of that dimension.
 """
 
 from __future__ import annotations
@@ -53,11 +53,10 @@ from .exceptions import (
     SeriesTruncationError,
     TimeDomainError,
 )
-from .quadrature import gaussian_cutoff, leggauss_ab, quad_ab
+from .quadrature import EPS, gaussian_cutoff, leggauss_ab, quad_ab, simpson_weights
 from .spaces import Point, SolitonSpace, _angle, make_space, sphere_area
 from .spectral import DiscretizedOperator, discretize_radial, sphere_multiplicity
 
-EPS = float(np.finfo(float).eps)
 DBL_MIN = float(np.finfo(float).tiny)  # the smallest normal double
 FD_DT_MIN, FD_DT_MAX = 1e-7, 4e-3  # bounds on a finite-difference march step
 METHODS = ("auto", "closed_form", "spectral_series", "fd_dirichlet")
@@ -219,16 +218,15 @@ class EuclideanHeatKernel(TwoPointKernel):
         v = math.gamma(n / 2.0 - 1.0) / (4.0 * math.pi ** (n / 2.0)) * r ** (2 - n)
         return v, (8 + n) * EPS * v, "closed_form"
 
+    def _shell(self, r: np.ndarray, t: float) -> np.ndarray:
+        """H at the distances r times the area of the sphere of radius r."""
+        n = self.space.n
+        return (sphere_area(n - 1) * (4.0 * math.pi * t) ** (-n / 2.0)
+                * r ** (n - 1) * np.exp(-r * r / (4.0 * t)))
+
     def mass(self, t: float) -> float:
         """Volume integral of H(x, ., t) by radial quadrature."""
-        n = self.space.n
-        rmax = gaussian_cutoff(math.sqrt(2.0 * t))
-        val, _ = quad_ab(
-            lambda r: sphere_area(n - 1) * r ** (n - 1) * self.value_at_distance(r, t),
-            0.0,
-            rmax,
-        )
-        return val
+        return quad_ab(lambda r: self._shell(r, t), 0.0, gaussian_cutoff(math.sqrt(2.0 * t)))[0]
 
     def compose(self, x: Point, y: Point, t: float, s: float) -> float:
         """Integral of H(x, z, t) H(z, y, s) dv(z): one line composition per
@@ -237,15 +235,10 @@ class EuclideanHeatKernel(TwoPointKernel):
 
     def weighted_l2(self, t: float, D: float) -> float:
         """E_D(x, t): integral of H(x, z, t)^2 exp(d(x,z)^2 / (D t)) dv(z)."""
-        n = self.space.n
+        scale = (4.0 * math.pi * t) ** (-self.space.n / 2.0)
         rmax = gaussian_cutoff(math.sqrt(t * D / max(D - 2.0, 1e-9)))
-        val, _ = quad_ab(
-            lambda r: sphere_area(n - 1) * r ** (n - 1)
-            * self.value_at_distance(r, t) ** 2 * math.exp(r * r / (D * t)),
-            0.0,
-            rmax,
-        )
-        return val
+        return quad_ab(lambda r: self._shell(r, t) * scale
+                       * np.exp(r * r * (1.0 / (D * t) - 0.25 / t)), 0.0, rmax)[0]
 
 
 def line_compose(p: float, q: float, t: float, s: float) -> float:
@@ -255,14 +248,9 @@ def line_compose(p: float, q: float, t: float, s: float) -> float:
     lo = min(p, q) - gaussian_cutoff(width)
     hi = max(p, q) + gaussian_cutoff(width)
     peak = (s * p + t * q) / (t + s)  # product-bump location, narrow at far separations
-    val, _ = quad_ab(
-        lambda z: (4.0 * math.pi * t) ** -0.5 * math.exp(-((p - z) ** 2) / (4.0 * t))
-        * (4.0 * math.pi * s) ** -0.5 * math.exp(-((z - q) ** 2) / (4.0 * s)),
-        lo,
-        hi,
-        points=[p, q, peak],
-    )
-    return val
+    return quad_ab(lambda z: (4.0 * math.pi * t) ** -0.5 * np.exp(-((p - z) ** 2) / (4.0 * t))
+                   * (4.0 * math.pi * s) ** -0.5 * np.exp(-((z - q) ** 2) / (4.0 * s)),
+                   lo, hi, points=[p, q, peak])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +708,8 @@ class RadialMarch:
                  steps, numerov: bool = False):
         self.op = op
         self.nodes = np.append(op.r, op.R_max)  # the Dirichlet node included
+        self._volume = (simpson_weights(op.m + 1, op.h) * sphere_area(op.space.n - 1)
+                        * self.nodes ** (op.space.n - 1))[:-1]
         self.t0 = t0
         self._steps = steps
         self.numerov = numerov
@@ -761,10 +751,7 @@ class RadialMarch:
         """Simpson's rule over the nodes for the volume integral of nodal
         ``values``, zero at the Dirichlet node: a float, or one per row. Rows
         reduce along their contiguous axis, so each sums as it would alone."""
-        n, r = self.op.space.n, self.nodes
-        from scipy.integrate import simpson
-        values = np.concatenate((values, np.zeros(values.shape[:-1] + (1,))), axis=-1)
-        return np.asarray(simpson(values * sphere_area(n - 1) * r ** (n - 1), x=r)).tolist()
+        return np.sum(values * self._volume, axis=-1).tolist()
 
 
 class DirichletRadialHeatKernel:
@@ -978,7 +965,7 @@ def volume_growth_integral(space: SolitonSpace, T_max: float) -> VolumeGrowthRes
 
     def window(lo, hi):
         # fixed high-order rule; the integrand is smooth but its ball volumes
-        # carry quadrature noise the adaptive rule would chase
+        # carry quadrature noise an adaptive rule would chase
         x, w = leggauss_ab(64, lo, hi)
         return float(np.sum(w * np.array([t / space.geodesic_ball_volume(t) for t in x])))
 

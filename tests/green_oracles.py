@@ -1,8 +1,8 @@
 """Independent references for the Green's function routes.
 
 ``time_integral`` is the Green's function as the time integral of the heat
-kernel, in float64 with adaptive quadrature: it rests on the same series
-kernel the heat-kernel checks tabulate and shares nothing with the
+kernel, in float64 with scipy's adaptive quadrature: it rests on the same
+series kernel the heat-kernel checks tabulate and shares nothing with the
 Dirichlet-Mehler routes. Near the antipode of a sphere it is less accurate
 than its estimate says, so points there are compared with the mpmath
 references below instead.
@@ -18,7 +18,18 @@ import math
 
 import mpmath
 
-from solitonlab.quadrature import quad_ab, quad_log
+from scipy.integrate import quad
+
+
+def quad_ab(f, a, b):
+    """scipy's adaptive integral of the scalar integrand f over [a, b]:
+    (value, error estimate)."""
+    return quad(f, a, b, epsabs=1e-12, epsrel=1e-11, limit=200)
+
+
+def quad_log(f, a, b):
+    """``quad_ab`` over [a, b] in the log variable (a, b > 0)."""
+    return quad_ab(lambda s: f(math.exp(s)) * math.exp(s), math.log(a), math.log(b))
 
 
 def gaussian_time_tail(n, d, T):

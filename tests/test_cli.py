@@ -753,12 +753,18 @@ def test_runtime_covers_the_kernel_table_a_check_builds(monkeypatch):
     assert rep.runtime_seconds >= 0.05
 
 
-def test_checks_run_after_the_integration_import_the_package_does_not_make():
+def _run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout; its stdout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                          stdout=subprocess.PIPE, text=True).stdout
+
+
+def test_queries_load_no_scipy_and_cold_suites_load_only_what_their_checks_call():
     # importing the CLI and answering a closed-form or S^3 query, or any
     # Green's function query but the line series on S^2 x R, load no scipy
-    # module; run_checks loads scipy.integrate, and with it
-    # scipy.linalg and scipy.special, before its first check, so no check's
-    # runtime_seconds carries an import
+    # module
     queries = [
         ["kernel", "--space", "gaussian:3", "--t", "1", "--x", "0,0,0", "--y", "1,0,0"],
         ["kernel", "--space", "sphere:3", "--t", "1", "--x", "1,0,0,0", "--y", "0,1,0,0"],
@@ -769,17 +775,24 @@ def test_checks_run_after_the_integration_import_the_package_does_not_make():
         ["green", "--space", "cylinder:4", "--a", "0.25", "--x", "1,0,0,0;0", "--y", "0,1,0,0;1"],
         ["green", "--space", "cylinder:3", "--a", "0.25", "--x", "1,0,0;0", "--y", "0,1,0;0"],
     ]
-    code = ("import os, sys; import solitonlab.cli as c\n"
-            "def scipy_loaded(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-            "assert scipy_loaded() == [], scipy_loaded()\n"
-            f"for argv in {queries!r}:\n"
-            "    assert c.main(['--json', os.devnull, *argv]) == 0\n"
-            "    assert scipy_loaded() == [], (argv, scipy_loaded())\n"
-            "c.run_checks(c.ExperimentConfig(space='gaussian:3', pairs=4, times=4), [])\n"
-            "assert {'scipy.integrate', 'scipy.linalg', 'scipy.special'} <= set(sys.modules)\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    _run_fresh("import os, sys; import solitonlab.cli as c\n"
+               "def scipy_loaded(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+               "assert scipy_loaded() == [], scipy_loaded()\n"
+               f"for argv in {queries!r}:\n"
+               "    assert c.main(['--json', os.devnull, *argv]) == 0\n"
+               "    assert scipy_loaded() == [], (argv, scipy_loaded())\n")
+    # a default suite imports no scipy module up front: the S^2 zonal
+    # harmonics load scipy.special and the finite-difference marches
+    # scipy.linalg, and no check loads scipy.integrate
+    expected = {"gaussian:3": ["linalg"], "sphere:2": ["special"], "sphere:3": [],
+                "cylinder:3": ["special"], "cylinder:4": []}
+    for space, modules in expected.items():
+        out = _run_fresh(
+            "import json, os, sys; import solitonlab.cli as c\n"
+            f"assert c.main(['--seed', '0', '--json', os.devnull, 'suite', '--space', {space!r}]) == 0\n"
+            "names = {m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}\n"
+            "print(json.dumps(sorted(m for m in names if m[0] != '_' and m != 'version')))\n")
+        assert json.loads(out) == modules, space
 
 
 def test_flags_override_the_fields_they_name(tmp_path):

@@ -1,6 +1,7 @@
 """The benchmark's span tracer wraps package names that exist, restores them
 and has a span name for each check, every function under src/solitonlab
-reads each of its parameters, and the documented example code runs."""
+reads each of its parameters and no module there imports scipy.integrate,
+and the documented example code runs."""
 
 import ast
 import importlib.util
@@ -93,6 +94,30 @@ def test_every_parameter_under_src_is_read():
     unread = {path.name: _unread_parameters(ast.parse(path.read_text(encoding="utf-8")))
               for path in sorted(SRC.glob("*.py"))}
     assert {name: params for name, params in unread.items() if params} == {}
+
+
+def _scipy_integrate_imports(tree: ast.AST) -> list:
+    """Line numbers of the imports of scipy.integrate or anything in it."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name == "scipy.integrate" or name.startswith("scipy.integrate.")
+               for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_under_src_imports_scipy_integrate():
+    # every integral a check computes is the package's own Gauss-Legendre or
+    # Simpson rule
+    found = {path.name: _scipy_integrate_imports(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_readme_example_and_demo_06_run(capsys):

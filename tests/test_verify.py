@@ -40,6 +40,23 @@ def test_kernel_axioms_fd():
     assert rep.passed
 
 
+def test_kernel_axioms_mass_row_fails_a_kernel_off_by_1e_4(monkeypatch):
+    # R is constant on the catalogue, so the mass is exactly e^{-a R t}: a
+    # series kernel scaled by 1 + 1e-4 fails that row, while its positivity
+    # and its semigroup defect (1e-4, against 1e-3) still pass
+    profile = SphereHeatKernel.profile
+
+    def scaled(self, u, t):
+        vals, err = profile(self, u, t)
+        return vals * (1.0 + 1e-4), err
+
+    monkeypatch.setattr(SphereHeatKernel, "profile", scaled)
+    rep = run_theorem("kernel-axioms", ExperimentConfig(space="sphere:3"))
+    rows = {r["x_id"]: r for r in rep.points}
+    assert not rep.passed
+    assert rows["mass"]["slack"] < 0.0 < min(rows["positivity"]["slack"], rows["semigroup"]["slack"])
+
+
 @pytest.mark.parametrize("seed", [1, 2, 6, 15])
 def test_kernel_axioms_cylinder_far_line_pairs(seed):
     # regression: far line separations make the composition bump extremely
